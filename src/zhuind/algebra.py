@@ -93,14 +93,16 @@ class AlgebraHandle:
 
     def coords(self, p: NcPoly) -> Vec:
         """Coordinates of a reduced polynomial over the normal-word basis."""
-        assert self.basis_index is not None
+        if self.basis_index is None:
+            raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
         vec = [Fraction(0)] * len(self.basis_index)
         for w, c in p.terms.items():
             vec[self.basis_index[w]] = c
         return vec
 
     def from_coords(self, vec: Vec) -> "Element":
-        assert self.basis is not None
+        if self.basis is None:
+            raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
         return Element(self, NcPoly({w: Fraction(c) for w, c in zip(self.basis, vec) if c}))
 
     def _structure_constants(self) -> list[list[Vec]]:
@@ -115,7 +117,8 @@ class AlgebraHandle:
 
     def mul_coords(self, a: Vec, b: Vec) -> Vec:
         """Product via structure constants."""
-        assert self.structure is not None
+        if self.structure is None:
+            raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
         n = len(a)
         out = [Fraction(0)] * n
         for i in range(n):

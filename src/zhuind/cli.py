@@ -65,7 +65,10 @@ def _load_module(spec: str):
         if not rest.endswith(")"):
             raise CliError(f"malformed module spec {spec!r}")
         args = rest[:-1].strip()
-        params = tuple(Fraction(a.strip()) for a in args.split(",")) if args else ()
+        try:
+            params = tuple(Fraction(a.strip()) for a in args.split(",")) if args else ()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad parameters for {name.strip()}: {exc}")
     else:
         name, params = spec, ()
     name = name.strip()
@@ -164,6 +167,8 @@ def cmd_kernel(args) -> int:
     m = _morphism(args.via)
     cands = list(catalog.kernel_candidates(args.via))
     degree = args.degree if args.degree is not None else catalog.KERNEL_PROBE_DEGREE[args.via]
+    if degree < 0:
+        raise CliError(f"--degree must be >= 0, got {degree}")
     if m.source.basis is not None:
         basis = kernel_basis_finite(m)
         rendered = [format_poly(el.poly, m.source.gen_names, m.source.system.order) for el in basis]

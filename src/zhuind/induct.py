@@ -193,8 +193,9 @@ def composition_check(
     """Two-step induction versus the composite morphism, as multiplicity records."""
     from zhuind.morphism import compose
 
+    if irreducibles is None:
+        raise ValueError("composition check needs irreducibles to decompose both inductions")
     step1 = induce(m1, kernel_gens_1, module)
     two_step = induce(m2, kernel_gens_2, step1.module, irreducibles)
     one_step = induce(compose(m1, m2), kernel_gens_composite, module, irreducibles)
-    assert two_step.decomposition is not None and one_step.decomposition is not None
     return two_step.decomposition, one_step.decomposition

@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Dense row operations on lists of ``Fraction``.  Pivots are chosen by
-smallest bit size to keep intermediate entries small; all arithmetic is
-exact.  The ``RowSpace`` incremental echelon form is the workhorse behind
-span closures, ideal slices and quotient coordinates.
+Matrices and vectors are dense lists of ``Fraction`` at every public
+entry point.  All elimination runs in ``RowSpace``, which keeps a reduced
+row echelon basis as sparse rows (pivot column -> {column: value}), each
+with a unit pivot and zero at every other pivot, so reducing a mostly
+zero vector touches only its nonzero entries.  ``rref`` and the solvers
+built on it insert their rows into a ``RowSpace``.  All arithmetic is
+exact.  ``RowSpace`` is the workhorse behind span closures, ideal
+slices, image ranks and quotient coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
-
-
-def _bits(c: Fraction) -> int:
-    return c.numerator.bit_length() + c.denominator.bit_length()
+Sparse = dict[int, Fraction]
 
 
 def zeros(n: int, m: int) -> Mat:
@@ -55,10 +57,6 @@ def mat_scale(a: Mat, c: Fraction) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
 def is_zero_mat(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
@@ -71,32 +69,12 @@ def transpose(a: Mat) -> Mat:
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                if best is None or _bits(m[i][c]) < _bits(m[best][c]):
-                    best = i
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    space = RowSpace(len(rows[0]))
+    for r in rows:
+        space._insert(_sparse(r))
+    return space.basis(), space.pivots
 
 
 def rank(rows: Mat) -> int:
@@ -145,59 +123,76 @@ def invert(a: Mat) -> Mat | None:
     return [row[n:] for row in red]
 
 
+def _sparse(vec: Vec) -> Sparse:
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _subtract(v: Sparse, f: Fraction, row: Sparse) -> None:
+    """v -= f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, 0) - f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+
+
 class RowSpace:
     """A subspace of Q^n kept in reduced row echelon form.
 
     Supports incremental insertion, membership tests and reduction of a
-    vector modulo the space.  Row order is by pivot column, so the basis
-    is canonical and equality of subspaces is list equality.
+    vector modulo the space.  ``pivots`` is sorted and ``basis()`` lists
+    rows by pivot column, so the basis is canonical and equality of
+    subspaces is list equality.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[Vec] = []
+        self.rows: dict[int, Sparse] = {}
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Vec) -> Vec:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+    def _reduce(self, v: Sparse) -> Sparse:
+        # a row is zero at every other pivot, so the pivots met are fixed upfront
+        for p in [p for p in v if p in self.rows]:
+            _subtract(v, v[p], self.rows[p])
         return v
+
+    def _insert(self, v: Sparse) -> bool:
+        v = self._reduce(v)
+        if not v:
+            return False
+        p = min(v)
+        inv = Fraction(1) / v[p]
+        row = {c: x * inv for c, x in v.items()}
+        for other in self.rows.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        self.rows[p] = row
+        insort(self.pivots, p)
+        return True
+
+    def _dense(self, v: Sparse) -> Vec:
+        out = [Fraction(0)] * self.ncols
+        for c, x in v.items():
+            out[c] = x
+        return out
+
+    def reduce(self, vec: Vec) -> Vec:
+        return self._dense(self._reduce(_sparse(vec)))
 
     def add(self, vec: Vec) -> bool:
         """Insert a vector; returns True if the dimension grew."""
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = Fraction(1) / v[p]
-        v = [x * inv for x in v]
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        return True
+        return self._insert(_sparse(vec))
 
     def contains(self, vec: Vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self._reduce(_sparse(vec))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis(self) -> Mat:
-        return [list(r) for r in self.rows]
-
-    def coords_in_complement(self, vec: Vec) -> Vec:
-        """Reduce, then read off the non-pivot coordinates."""
-        v = self.reduce(vec)
-        pivot_set = set(self.pivots)
-        return [v[i] for i in range(self.ncols) if i not in pivot_set]
+        return [self._dense(self.rows[p]) for p in self.pivots]
 
     def complement_columns(self) -> list[int]:
         pivot_set = set(self.pivots)

@@ -124,8 +124,11 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     candidates is compared against the rank of the image of that slice;
     equality everywhere upgrades the status from "contained" to "exact"
     (the spanned ideal slice underestimates the true one, so equality is
-    conclusive).
+    conclusive).  The image rank grows with one ``RowSpace`` that takes
+    the images of the words of length d at degree d.
     """
+    if degree < 0:
+        raise ValueError(f"certificate degree must be >= 0, got {degree}")
     for cand in candidates:
         if cand.algebra is not m.source:
             raise ValueError("kernel candidate from a different algebra")
@@ -155,7 +158,9 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
 
     ideal = RowSpace(len(src_words))
     added: set[tuple[int, Word, Word]] = set()
-    from zhuind.linalg import rank
+    img_rows, support = _image_matrix(m, src_words)
+    image = RowSpace(len(support))
+    slice_dim = 0
 
     for d in range(degree + 1):
         for ci, cand in enumerate(candidates):
@@ -174,12 +179,13 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
                             vec = coords(prod)
                             if vec is not None:
                                 ideal.add(vec)
-        slice_words = [w for w in src_words if len(w) <= d]
-        slice_dim = len(slice_words)
+        slice_dim += len(by_len.get(d, []))
         cutoff = len(src_words) - slice_dim  # slice words occupy the tail columns
         ideal_slice_dim = sum(1 for p in ideal.pivots if p >= cutoff)
-        img_rows, _ = _image_matrix(m, slice_words)
-        img_rank = rank(img_rows)
+        for w, row in zip(src_words, img_rows):
+            if len(w) == d:
+                image.add(row)
+        img_rank = image.dim
         table.append((slice_dim, ideal_slice_dim, img_rank))
         if slice_dim - ideal_slice_dim != img_rank:
             exact = False

@@ -140,3 +140,13 @@ def test_subalgebra_requires_finite(vp):
 def test_elements_stored_reduced(va1):
     el = va1.element("h h h + e e")
     assert el.poly == va1.gen("h").poly
+
+
+def test_coordinates_need_a_finite_basis(vp):
+    # raised, not asserted, so the check survives python -O
+    with pytest.raises(ValueError):
+        vp.coords(vp.gen("x").poly)
+    with pytest.raises(ValueError):
+        vp.from_coords([Fraction(1)])
+    with pytest.raises(ValueError):
+        vp.mul_coords([Fraction(1)], [Fraction(1)])

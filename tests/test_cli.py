@@ -127,3 +127,16 @@ def test_json_reports_byte_identical(capsys):
     _, v1, _ = run(capsys, "verify", "c01", "c08", "--json")
     _, v2, _ = run(capsys, "verify", "c01", "c08", "--json")
     assert v1 == v2
+
+
+def test_kernel_negative_degree_exits_2(capsys):
+    code, out, err = run(capsys, "kernel", "--via", "vp_to_va2", "--degree", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "degree" in err
+
+
+@pytest.mark.parametrize("spec", ["vir_mod(1/0)", "vir_mod(x)"])
+def test_induce_bad_module_parameter_exits_2(capsys, spec):
+    code, out, err = run(capsys, "induce", "--via", "vir_to_va1", "--module", spec)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "bad parameters for vir_mod" in err

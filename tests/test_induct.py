@@ -183,3 +183,9 @@ def test_composition_heis_chain_matches():
         two, one = composition_check(m1, m2, k1, [], kc, catalog.module("heis_mod", (s,)), irr)
         assert two == one
         assert one.as_dict() == want and one.residual == 0
+
+
+def test_composition_check_needs_irreducibles(va1):
+    ident = AlgebraMorphism(va1, va1, [va1.gen(n) for n in va1.gen_names])
+    with pytest.raises(ValueError):
+        composition_check(ident, catalog.morphism("va1_to_va2"), [], [], [], catalog.module("va1_L_half"), None)

@@ -121,3 +121,15 @@ def test_injectivity_rank_five():
 
     rows, _ = _image_matrix(m, m.source.basis)
     assert rank(rows) == 5
+
+
+def test_certify_kernel_rejects_negative_degree():
+    m = catalog.morphism("heis_to_va1")
+    with pytest.raises(ValueError):
+        certify_kernel(m, list(catalog.kernel_candidates("heis_to_va1")), -1)
+
+
+def test_certify_kernel_degree_zero():
+    m = catalog.morphism("vp_to_va2")
+    cert = certify_kernel(m, list(catalog.kernel_candidates("vp_to_va2")), 0)
+    assert cert.status == "exact" and cert.table == ((1, 0, 1),)

@@ -7,7 +7,7 @@ certificates, finite-dimensional modules, the induction and restriction
 functors attached to a morphism, and finite-type characters.
 """
 
-from zhuind.freealg import Fraction, MonomialOrder, NcPoly, word_cmp
+from zhuind.freealg import MonomialOrder, NcPoly, word_cmp
 from zhuind.rewrite import (
     Ambiguity,
     CompletionError,
@@ -23,7 +23,6 @@ from zhuind.induct import InductionResult, induce, restrict
 from zhuind.chars import CharacterVector, char_vector
 
 __all__ = [
-    "Fraction",
     "MonomialOrder",
     "NcPoly",
     "word_cmp",

@@ -184,10 +184,6 @@ class Element:
         return self.poly.format(self.algebra.gen_names, self.algebra.system.order)
 
 
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def _require_certificate(handle: AlgebraHandle, needed: float) -> None:
     cert = handle.system.confluent_to_degree
     if cert != INFINITE and cert < needed:

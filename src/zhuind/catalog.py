@@ -294,10 +294,6 @@ KERNEL_PROBE_DEGREE = {
 # -- modules -------------------------------------------------------------
 
 
-def _frac(v) -> Fraction:
-    return Fraction(v)
-
-
 @lru_cache(maxsize=None)
 def module(mod_id: str, params: tuple = ()) -> FinModule:
     params = tuple(Fraction(p) for p in params)

@@ -14,13 +14,13 @@ import sys
 from fractions import Fraction
 
 from zhuind import catalog, verify
-from zhuind.algebra import AlgebraHandle
+from zhuind.algebra import AlgebraHandle, CertificateError, Presentation
 from zhuind.chars import artin_solve, char_vector
 from zhuind.induct import induce, restrict
-from zhuind.iolang import ParseError, format_poly, parse, parse_poly_text
+from zhuind.iolang import AlgebraBlock, ParseError, format_poly, parse, parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
 from zhuind.repmod import decompose
-from zhuind.rewrite import INFINITE
+from zhuind.rewrite import INFINITE, CompletionError
 
 USAGE_EXIT = 2
 
@@ -35,6 +35,17 @@ def _fr(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
+def _build(block: AlgebraBlock, max_degree: int) -> AlgebraHandle:
+    """Complete an algebra block read from a file; a failure is bad input."""
+    pres = Presentation(block.name, tuple(block.gens), block.order(), tuple(block.relations))
+    try:
+        return AlgebraHandle.build(pres, max_degree=max_degree)
+    except CompletionError as exc:
+        raise CliError(f"{block.name}: completion failed ({exc})")
+    except CertificateError as exc:
+        raise CliError(f"{exc}; raise --max-deg")
+
+
 def _load_algebra(spec: str, max_degree: int = 12) -> AlgebraHandle:
     """Either a catalog id or FILE#NAME."""
     if "#" in spec:
@@ -47,11 +58,7 @@ def _load_algebra(spec: str, max_degree: int = 12) -> AlgebraHandle:
         blocks = source.algebras()
         if name not in blocks:
             raise CliError(f"no algebra {name!r} in {path}")
-        block = blocks[name]
-        from zhuind.algebra import Presentation
-
-        pres = Presentation(block.name, tuple(block.gens), block.order(), tuple(block.relations))
-        return AlgebraHandle.build(pres, max_degree=max_degree)
+        return _build(blocks[name], max_degree)
     if spec in catalog.ALGEBRA_IDS:
         return catalog.algebra(spec)
     raise CliError(f"unknown algebra id {spec!r}")
@@ -111,11 +118,8 @@ def cmd_check(args) -> int:
     source = parse(text)
     entries = []
     lines = []
-    from zhuind.algebra import Presentation
-
     for name, block in source.algebras().items():
-        pres = Presentation(block.name, tuple(block.gens), block.order(), tuple(block.relations))
-        handle = AlgebraHandle.build(pres, max_degree=args.max_deg)
+        handle = _build(block, args.max_deg)
         dim = handle.dim_result
         entries.append(
             {

@@ -4,6 +4,8 @@ Words are tuples of generator indices (the empty tuple is the identity),
 polynomials are finite maps from words to nonzero ``Fraction`` values, and
 the only monomial order is degree-lexicographic with a per-presentation
 precedence on generators.  Everything here is immutable and pure.
+``NcPoly.sandwich`` forms one rewrite step's ``c * left * p * right``
+without the general product.
 """
 
 from __future__ import annotations
@@ -140,6 +142,17 @@ class NcPoly:
             out.terms = {w: c * v for w, v in self.terms.items()}
         return out
 
+    def sandwich(self, left: Word, right: Word, c: Fraction | int = 1) -> "NcPoly":
+        """``c * left * self * right`` for words ``left`` and ``right``.
+
+        Distinct words stay distinct, so nothing cancels and the terms keep
+        the order of the general product.
+        """
+        out = NcPoly()
+        if c:
+            out.terms = {left + w + right: c * v for w, v in self.terms.items()}
+        return out
+
     def __mul__(self, other: "NcPoly | Fraction | int") -> "NcPoly":
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
@@ -193,14 +206,3 @@ class NcPoly:
     def __repr__(self) -> str:
         return f"NcPoly({self.terms!r})"
 
-
-def poly_add(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p + q
-
-
-def poly_mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p * q
-
-
-def leading_term(order: MonomialOrder, p: NcPoly) -> tuple[Word, Fraction]:
-    return p.leading_term(order)

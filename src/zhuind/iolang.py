@@ -119,10 +119,13 @@ class _Parser:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def last(self) -> Token:
+        return self.tokens[-1] if self.tokens else Token("PUNCT", "", 1, 1)
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("PUNCT", "", 1, 1)
+            last = self.last()
             raise ParseError("unexpected end of input", last.line, last.col)
         self.pos += 1
         return tok
@@ -163,6 +166,9 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "INT":
             coeff = self.parse_rational()
+        elif tok is None or tok.kind != "NAME" or tok.text in _KEYWORDS:
+            where = tok or self.last()
+            raise ParseError("expected a term", where.line, where.col)
         letters: list[int] = []
         while True:
             tok = self.peek()

@@ -175,7 +175,7 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
                             if key in added:
                                 continue
                             added.add(key)
-                            prod = reduce_src(NcPoly.monomial(a) * cand.poly * NcPoly.monomial(b))
+                            prod = reduce_src(cand.poly.sandwich(a, b))
                             vec = coords(prod)
                             if vec is not None:
                                 ideal.add(vec)

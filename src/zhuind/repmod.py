@@ -60,10 +60,6 @@ class FinModule:
             out = mat_add(out, mat_scale(self.action_of_word(w), c))
         return out
 
-    def act_on(self, p: NcPoly, vec: Vec) -> Vec:
-        mat = self.evaluate(p)
-        return [sum((row[j] * vec[j] for j in range(self.dim)), Fraction(0)) for row in mat]
-
     def __repr__(self) -> str:
         return f"<module {self.label} over {self.owner.name}, dim {self.dim}>"
 

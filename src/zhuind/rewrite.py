@@ -23,6 +23,7 @@ from fractions import Fraction
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
 
 INFINITE = float("inf")
+STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
 
 # one summand  c * (left) * relation[idx] * (right)
 TraceAtom = tuple[Fraction, Word, int, Word]
@@ -78,7 +79,7 @@ def expand_trace(relations: list[NcPoly] | tuple[NcPoly, ...], trace: Trace) -> 
     """Evaluate a trace with free multiplication only (no rewriting)."""
     total = NcPoly.zero()
     for c, left, idx, right in trace:
-        total = total + (NcPoly.monomial(left) * relations[idx] * NcPoly.monomial(right)).scale(c)
+        total = total + relations[idx].sandwich(left, right, c)
     return total
 
 
@@ -94,26 +95,51 @@ def _find_redex(word: Word, rules: dict[int, RewriteRule]) -> tuple[int, int] | 
     return None
 
 
-def _reduce_traced(p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder) -> tuple[NcPoly, Trace]:
-    """Full reduction with accumulated trace: p - result = sum(trace)."""
-    trace: list[TraceAtom] = []
+def _rewrite(
+    p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder, rng: random.Random | None = None
+) -> tuple[NcPoly, list[tuple[Fraction, Word, RewriteRule, Word]]]:
+    """The rewrite loop: rewrite ``p`` until no term has a redex.
+
+    A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``.
+    Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex;
+    with ``rng`` it draws one of all redexes, listed by term, rule id and position.
+    """
     cur = p
+    steps: list[tuple[Fraction, Word, RewriteRule, Word]] = []
     while True:
         hit = None
-        for w in sorted(cur.terms, key=order.key, reverse=True):
-            found = _find_redex(w, rules)
-            if found:
-                hit = (w, found)
-                break
+        if rng is None:
+            for w in sorted(cur.terms, key=order.key, reverse=True):
+                found = _find_redex(w, rules)
+                if found:
+                    hit = (w, *found)
+                    break
+        else:
+            redexes = [
+                (w, pos, rid)
+                for w in cur.terms
+                for rid, rule in rules.items()
+                for pos in range(len(w) - len(rule.lhs) + 1)
+                if w[pos : pos + len(rule.lhs)] == rule.lhs
+            ]
+            if redexes:
+                hit = redexes[rng.randrange(len(redexes))]
         if hit is None:
-            return cur, tuple(trace)
-        w, (pos, rid) = hit
+            return cur, steps
+        w, pos, rid = hit
         rule = rules[rid]
         c = cur.terms[w]
         left, right = w[:pos], w[pos + len(rule.lhs) :]
-        replacement = (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
-        cur = cur - NcPoly.monomial(w, c) + replacement
-        trace.extend(_shift_trace(_scale_trace(rule.trace, c), left, right))
+        cur = cur - NcPoly.monomial(w, c) + rule.rhs.sandwich(left, right, c)
+        steps.append((c, left, rule, right))
+        if len(steps) > STEP_BUDGET:
+            raise RuntimeError("reduction step budget exceeded")
+
+
+def _reduce_traced(p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder) -> tuple[NcPoly, Trace]:
+    """Canonical reduction with its trace: p - result = sum(trace)."""
+    result, steps = _rewrite(p, rules, order)
+    return result, tuple((c * a, left + l, i, r + right) for c, left, rule, right in steps for a, l, i, r in rule.trace)
 
 
 def _overlaps(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
@@ -146,12 +172,12 @@ def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, Trac
         k = amb.offset
         pre = ri.lhs[: len(ri.lhs) - k]
         suf = rj.lhs[k:]
-        s = ri.rhs * NcPoly.monomial(suf) - NcPoly.monomial(pre) * rj.rhs
+        s = ri.rhs.sandwich(EPSILON, suf) - rj.rhs.sandwich(pre, EPSILON)
         trace = _shift_trace(rj.trace, pre, EPSILON) + _scale_trace(_shift_trace(ri.trace, EPSILON, suf), Fraction(-1))
     else:
         a = ri.lhs[: amb.offset]
         b = ri.lhs[amb.offset + len(rj.lhs) :]
-        s = ri.rhs - NcPoly.monomial(a) * rj.rhs * NcPoly.monomial(b)
+        s = ri.rhs - rj.rhs.sandwich(a, b)
         trace = _shift_trace(rj.trace, a, b) + _scale_trace(ri.trace, Fraction(-1))
     return s, trace
 
@@ -195,9 +221,8 @@ class RewriteSystem:
         else:
             pos, rid = found
             rule = self._rule_dict[rid]
-            left, right = word[:pos], word[pos + len(rule.lhs) :]
             result = NcPoly.zero()
-            for t, c in (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).terms.items():
+            for t, c in rule.rhs.sandwich(word[:pos], word[pos + len(rule.lhs) :]).terms.items():
                 result = result + self.reduce_word(t).scale(c)
         memo[word] = result
         return result
@@ -211,28 +236,6 @@ class RewriteSystem:
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:
         """Reduction plus a cofactor certificate over the input relations."""
         return _reduce_traced(p, self._rule_dict, self.order)
-
-    def reduce_counting(self, p: NcPoly) -> tuple[NcPoly, int]:
-        """Reduction with an explicit single-step count (for termination tests)."""
-        steps = 0
-        cur = p
-        while True:
-            hit = None
-            for w in sorted(cur.terms, key=self.order.key, reverse=True):
-                found = _find_redex(w, self._rule_dict)
-                if found:
-                    hit = (w, found)
-                    break
-            if hit is None:
-                return cur, steps
-            w, (pos, rid) = hit
-            rule = self._rule_dict[rid]
-            c = cur.terms[w]
-            left, right = w[:pos], w[pos + len(rule.lhs) :]
-            cur = cur - NcPoly.monomial(w, c) + (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
-            steps += 1
-            if steps > 100000:
-                raise RuntimeError("reduction step budget exceeded")
 
     def find_ambiguities(self) -> list[Ambiguity]:
         out: list[Ambiguity] = []
@@ -356,34 +359,6 @@ def _contains(word: Word, sub: Word) -> bool:
     return any(word[p : p + m] == sub for p in range(n - m + 1))
 
 
-def find_ambiguities(system: RewriteSystem) -> list[Ambiguity]:
-    return system.find_ambiguities()
-
-
-def reduce(system: RewriteSystem, p: NcPoly) -> NcPoly:
-    return system.reduce(p)
-
-
-def _random_reduce(system: RewriteSystem, p: NcPoly, rng: random.Random) -> NcPoly:
-    cur = p
-    while True:
-        redexes = []
-        for w in cur.terms:
-            n = len(w)
-            for rid, rule in system._rule_dict.items():
-                m = len(rule.lhs)
-                for pos in range(n - m + 1):
-                    if w[pos : pos + m] == rule.lhs:
-                        redexes.append((w, pos, rid))
-        if not redexes:
-            return cur
-        w, pos, rid = redexes[rng.randrange(len(redexes))]
-        rule = system._rule_dict[rid]
-        c = cur.terms[w]
-        left, right = w[:pos], w[pos + len(rule.lhs) :]
-        cur = cur - NcPoly.monomial(w, c) + (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
-
-
 def confluence_fuzz(
     system: RewriteSystem,
     trials: int,
@@ -407,6 +382,6 @@ def confluence_fuzz(
                 w = tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, max_len)))
                 terms[w] = terms.get(w, Fraction(0)) + Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             p = NcPoly(terms)
-        if _random_reduce(system, p, rng) != system.reduce(p):
+        if _rewrite(p, system._rule_dict, system.order, rng)[0] != system.reduce(p):
             return p
     return None

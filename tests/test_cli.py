@@ -140,3 +140,31 @@ def test_induce_bad_module_parameter_exits_2(capsys, spec):
     code, out, err = run(capsys, "induce", "--via", "vir_to_va1", "--module", spec)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "bad parameters for vir_mod" in err
+
+
+_ZERO = "algebra z gens a rel 1 end\n"
+_DIM_TEN = "algebra big gens a rel a a a a a a a a a a - a end\n"
+
+
+@pytest.mark.parametrize(
+    "source, argv, needle",
+    [
+        (_ZERO, ("check", "{path}"), "z: completion failed (inconsistent"),
+        (_ZERO, ("dim", "{path}#z"), "z: completion failed (inconsistent"),
+        (_DIM_TEN, ("check", "{path}"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
+        (_DIM_TEN, ("nf", "{path}#big", "a"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
+        (None, ("check", "{path}", "--max-deg", "-3"), "certified to degree -3, needed"),
+    ],
+    ids=["check-zero", "dim-zero", "check-dim-ten", "nf-dim-ten", "check-negative-max-deg"],
+)
+def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv, needle):
+    path = tmp_path / "bad.alg"
+    path.write_text(source or catalog.catalog_source(), encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
+def test_empty_term_in_expression_exits_2(capsys):
+    code, out, err = run(capsys, "nf", "a_va1", "e +")
+    assert code == 2 and out == "" and "expected a term" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, leading_term, poly_add, poly_mul, word_cmp
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, word_cmp
 from zhuind.iolang import parse_poly_text
 
 GENS = ("e", "f", "h")
@@ -60,47 +60,47 @@ def test_cmp_total_and_multiplicative():
 
 
 def test_add_cancellation():
-    assert poly_add(P("e h + e"), P("- e")) == P("e h")
+    assert P("e h + e") + P("- e") == P("e h")
 
 
 def test_add_identity():
     p = P("h h - 2 f e")
-    assert poly_add(p, NcPoly.zero()) == p
+    assert p + NcPoly.zero() == p
 
 
 def test_add_term_merge():
-    assert poly_add(P("h h - h"), P("h - 2 f e")) == P("h h - 2 f e")
+    assert P("h h - h") + P("h - 2 f e") == P("h h - 2 f e")
 
 
 def test_mul_concatenates():
-    assert poly_mul(P("e"), P("h")) == P("e h")
+    assert P("e") * P("h") == P("e h")
 
 
 def test_mul_distributes():
-    assert poly_mul(P("e + f"), P("h")) == P("e h + f h")
+    assert P("e + f") * P("h") == P("e h + f h")
 
 
 def test_mul_noncommutative():
-    assert poly_mul(P("h"), P("e")) != poly_mul(P("e"), P("h"))
-    assert poly_mul(P("h"), P("e")) == P("h e")
+    assert P("h") * P("e") != P("e") * P("h")
+    assert P("h") * P("e") == P("h e")
 
 
 def test_leading_term_deglex():
-    word, coeff = leading_term(HFE, P("h h - h - 2 f e"))
+    word, coeff = P("h h - h - 2 f e").leading_term(HFE)
     assert word == w("hh") and coeff == 1
 
 
 def test_leading_term_single():
-    assert leading_term(HFE, P("e")) == (w("e"), Fraction(1))
+    assert P("e").leading_term(HFE) == (w("e"), Fraction(1))
 
 
 def test_leading_term_coefficient_arithmetic():
-    assert leading_term(HFE, P("3/2 e f - e f")) == (w("ef"), Fraction(1, 2))
+    assert P("3/2 e f - e f").leading_term(HFE) == (w("ef"), Fraction(1, 2))
 
 
 def test_leading_term_zero_errors():
     with pytest.raises(ValueError):
-        leading_term(HFE, NcPoly.zero())
+        NcPoly.zero().leading_term(HFE)
 
 
 # -- ring axioms (property-based) -----------------------------------------
@@ -119,6 +119,18 @@ def test_ring_axioms(p, q, r):
     assert p * NcPoly.one() == p
     assert NcPoly.one() * p == p
     assert p + q == q + p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly, _word, _word, _coeff)
+def test_sandwich_is_the_triple_product(p, a, b, c):
+    expected = (NcPoly.monomial(a) * p * NcPoly.monomial(b)).scale(c)
+    got = p.sandwich(a, b, c)
+    assert got == expected
+    assert list(got.terms.items()) == list(expected.terms.items())
+    plain = NcPoly.monomial(a) * p * NcPoly.monomial(b)
+    assert list(p.sandwich(a, b).terms.items()) == list(plain.terms.items())
+    assert p.sandwich(a, b, 0).is_zero()
 
 
 @settings(max_examples=60, deadline=None)

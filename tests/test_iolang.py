@@ -111,3 +111,17 @@ def test_format_poly_round_trips_terms():
 
 def test_format_zero():
     assert format_poly(NcPoly.zero(), ("x",)) == "0"
+
+
+@pytest.mark.parametrize("text", ["e +", "+", "e + + f", "2 -"])
+def test_empty_term_is_rejected(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly_text(text, ("e", "f"))
+    assert err.value.message == "expected a term"
+
+
+def test_relation_without_polynomial_is_rejected():
+    with pytest.raises(ParseError) as err:
+        parse("algebra a gens x\n  rel\nend\n")
+    assert err.value.message == "expected a term"
+    assert (err.value.line, err.value.col) == (3, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,11 @@ from zhuind.rewrite import (
     CompletionError,
     RewriteRule,
     RewriteSystem,
+    _find_redex,
+    _reduce_traced,
+    _rewrite,
+    _scale_trace,
+    _shift_trace,
     complete,
     confluence_fuzz,
     expand_trace,
@@ -71,8 +77,8 @@ def test_reduce_terminates_with_bounded_steps(va2):
     n = len(va2.gen_names)
     for _ in range(40):
         p = NcPoly({tuple(rng.randrange(n) for _ in range(rng.randint(0, 6))): Fraction(1)})
-        _, steps = va2.system.reduce_counting(p)
-        assert steps < 2000
+        _, steps = _rewrite(p, va2.system._rule_dict, va2.system.order)
+        assert len(steps) < 2000
 
 
 def test_reduce_soundness_cofactor_trace():
@@ -233,3 +239,131 @@ _poly8 = st.dictionaries(_word8, _coeff, max_size=3).map(NcPoly)
 def test_reduce_additive_on_va2(p, q):
     system = catalog.algebra("a_va2").system
     assert system.reduce(p + q) == system.reduce(p) + system.reduce(q)
+
+
+# -- the rewrite loop against the three loops it replaced -----------------------
+
+
+def _ref_reduce_traced(p, rules, order):
+    trace = []
+    cur = p
+    while True:
+        hit = None
+        for w in sorted(cur.terms, key=order.key, reverse=True):
+            found = _find_redex(w, rules)
+            if found:
+                hit = (w, found)
+                break
+        if hit is None:
+            return cur, tuple(trace)
+        w, (pos, rid) = hit
+        rule = rules[rid]
+        c = cur.terms[w]
+        left, right = w[:pos], w[pos + len(rule.lhs) :]
+        replacement = (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
+        cur = cur - NcPoly.monomial(w, c) + replacement
+        trace.extend(_shift_trace(_scale_trace(rule.trace, c), left, right))
+
+
+def _ref_reduce_counting(system, p):
+    steps = 0
+    cur = p
+    while True:
+        hit = None
+        for w in sorted(cur.terms, key=system.order.key, reverse=True):
+            found = _find_redex(w, system._rule_dict)
+            if found:
+                hit = (w, found)
+                break
+        if hit is None:
+            return cur, steps
+        w, (pos, rid) = hit
+        rule = system._rule_dict[rid]
+        c = cur.terms[w]
+        left, right = w[:pos], w[pos + len(rule.lhs) :]
+        cur = cur - NcPoly.monomial(w, c) + (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
+        steps += 1
+
+
+def _ref_random_reduce(system, p, rng):
+    cur = p
+    while True:
+        redexes = []
+        for w in cur.terms:
+            n = len(w)
+            for rid, rule in system._rule_dict.items():
+                m = len(rule.lhs)
+                for pos in range(n - m + 1):
+                    if w[pos : pos + m] == rule.lhs:
+                        redexes.append((w, pos, rid))
+        if not redexes:
+            return cur
+        w, pos, rid = redexes[rng.randrange(len(redexes))]
+        rule = system._rule_dict[rid]
+        c = cur.terms[w]
+        left, right = w[:pos], w[pos + len(rule.lhs) :]
+        cur = cur - NcPoly.monomial(w, c) + (NcPoly.monomial(left) * rule.rhs * NcPoly.monomial(right)).scale(c)
+
+
+def _random_poly(rng, n_gens, max_len=6, n_terms=3):
+    return NcPoly(
+        {
+            tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, max_len))): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(n_terms)
+        }
+    )
+
+
+def test_canonical_rewrite_matches_reference_loops():
+    rng = random.Random(17)
+    for alg_id in catalog.ALGEBRA_IDS:
+        h = catalog.algebra(alg_id)
+        system = h.system
+        for _ in range(40):
+            p = _random_poly(rng, len(h.gen_names))
+            ref_nf, ref_trace = _ref_reduce_traced(p, system._rule_dict, system.order)
+            nf, trace = _reduce_traced(p, system._rule_dict, system.order)
+            assert (nf, trace) == (ref_nf, ref_trace)
+            assert list(nf.terms.items()) == list(ref_nf.terms.items())
+            assert system.reduce_traced(p) == (ref_nf, ref_trace)
+            _, steps = _rewrite(p, system._rule_dict, system.order)
+            assert len(steps) == _ref_reduce_counting(system, p)[1]
+
+
+def test_random_rewrite_matches_reference_on_non_confluent_system():
+    # {eh -> -e, hh -> h} is not confluent, so the result depends on the path
+    sys = system_from_rules([("eh", "- e"), ("hh", "h")])
+    polys = [P("e h h"), P("e h h h - 2 e h"), P("e h e h h + h h h"), P("1/2 h e h h - e h h h h")]
+    results = set()
+    for seed in range(200):
+        p = polys[seed % len(polys)]
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        expected = _ref_random_reduce(sys, p, ref_rng)
+        got, _ = _rewrite(p, sys._rule_dict, sys.order, rng)
+        assert list(got.terms.items()) == list(expected.terms.items())
+        assert rng.random() == ref_rng.random()  # same number of draws
+        results.add((polys.index(p), got))
+    assert len(results) > len(polys)  # some polynomial reached two different results
+
+
+# -- trace stability: every catalog rule, rhs order, trace and certificate -------------
+
+CATALOG_SYSTEMS_SHA256 = "4051941d644356c0efed165227ab5ae598353f5ac54555520f5322627623dd4a"
+
+
+def _render_catalog_systems():
+    lines = []
+    for alg_id in catalog.ALGEBRA_IDS:
+        system = catalog.algebra(alg_id).system
+        lines.append(f"algebra {alg_id} confluent_to_degree {system.confluent_to_degree}")
+        for rule in system.rules:
+            rhs = " ".join(f"{c}*{list(w)}" for w, c in rule.rhs.terms.items())
+            trace = " ".join(f"{c}*{list(l)}*r{i}*{list(r)}" for c, l, i, r in rule.trace)
+            lines.append(f"rule {list(rule.lhs)} -> {rhs} | {trace}")
+    return "\n".join(lines) + "\n"
+
+
+def test_catalog_systems_digest_is_pinned():
+    text = _render_catalog_systems()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == CATALOG_SYSTEMS_SHA256, "a catalog rule, rhs term order, trace or certificate changed"

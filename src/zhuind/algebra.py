@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from zhuind import rewrite
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
-from zhuind.linalg import Vec
+from zhuind.linalg import Sparse, Vec
 from zhuind.rewrite import INFINITE, RewriteSystem
 
 
@@ -60,7 +60,7 @@ class AlgebraHandle:
         self.gen_names = presentation.gen_names
         self.basis: list[Word] | None = None
         self.basis_index: dict[Word, int] | None = None
-        self.structure: list[list[Vec]] | None = None
+        self.structure: list[list[Sparse]] | None = None
         dim = dimension(self, probe_len)
         self.dim_result = dim
         if dim.is_finite():
@@ -105,32 +105,29 @@ class AlgebraHandle:
             raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
         return Element(self, NcPoly({w: Fraction(c) for w, c in zip(self.basis, vec) if c}))
 
-    def _structure_constants(self) -> list[list[Vec]]:
-        assert self.basis is not None
-        cube: list[list[Vec]] = []
-        for wi in self.basis:
-            row = []
-            for wj in self.basis:
-                row.append(self.coords(self.system.reduce_word(wi + wj)))
-            cube.append(row)
-        return cube
+    def _structure_constants(self) -> list[list[Sparse]]:
+        """``structure[i][j]``: coordinates of basis[i] * basis[j], nonzero entries only."""
+        assert self.basis is not None and self.basis_index is not None
+        index = self.basis_index
+        return [
+            [{index[w]: c for w, c in self.system.reduce_word(wi + wj).terms.items()} for wj in self.basis]
+            for wi in self.basis
+        ]
 
     def mul_coords(self, a: Vec, b: Vec) -> Vec:
         """Product via structure constants."""
         if self.structure is None:
             raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
-        n = len(a)
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not a[i]:
+        out = [Fraction(0)] * len(a)
+        b_nz = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j in range(n):
-                if not b[j]:
-                    continue
-                c = a[i] * b[j]
-                for k, v in enumerate(self.structure[i][j]):
-                    if v:
-                        out[k] += c * v
+            row = self.structure[i]
+            for j, y in b_nz:
+                c = x * y
+                for k, v in row[j].items():
+                    out[k] += c * v
         return out
 
     def __repr__(self) -> str:
@@ -261,9 +258,10 @@ def subalgebra_basis(handle: AlgebraHandle, gens: list[Element]) -> list[Element
     for g in gens:
         if g.algebra is not handle:
             raise ValueError("generator from a different algebra")
+    index = handle.basis_index
     while queue:
         el = queue.pop(0)
-        if not span.add(handle.coords(el.poly)):
+        if not span.add({index[w]: c for w, c in el.poly.terms.items()}):
             continue
         picked.append(el)
         for g in gens:

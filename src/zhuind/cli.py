@@ -46,15 +46,20 @@ def _build(block: AlgebraBlock, max_degree: int) -> AlgebraHandle:
         raise CliError(f"{exc}; raise --max-deg")
 
 
+def _read_source(path: str) -> str:
+    """The text of a source file; an unreadable or non-UTF-8 file is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}")
+
+
 def _load_algebra(spec: str, max_degree: int = 12) -> AlgebraHandle:
     """Either a catalog id or FILE#NAME."""
     if "#" in spec:
         path, name = spec.split("#", 1)
-        try:
-            text = open(path, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}")
-        source = parse(text)
+        source = parse(_read_source(path))
         blocks = source.algebras()
         if name not in blocks:
             raise CliError(f"no algebra {name!r} in {path}")
@@ -111,14 +116,12 @@ def _cert_str(cert: float) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc}")
-    source = parse(text)
+    blocks = parse(_read_source(args.file)).algebras()
+    if not blocks:
+        raise CliError(f"no algebra block in {args.file}")
     entries = []
     lines = []
-    for name, block in source.algebras().items():
+    for name, block in blocks.items():
         handle = _build(block, args.max_deg)
         dim = handle.dim_result
         entries.append(

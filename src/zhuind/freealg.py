@@ -5,7 +5,8 @@ polynomials are finite maps from words to nonzero ``Fraction`` values, and
 the only monomial order is degree-lexicographic with a per-presentation
 precedence on generators.  Everything here is immutable and pure.
 ``NcPoly.sandwich`` forms one rewrite step's ``c * left * p * right``
-without the general product.
+without the general product, and ``_add_scaled`` accumulates a linear
+combination of term maps in place.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ class MonomialOrder:
 
     def key(self, w: Word) -> tuple:
         return (len(w), tuple(self.precedence[g] for g in w))
+
+
+def _add_scaled(acc: dict, c: Fraction, terms: dict) -> None:
+    """``acc += c * terms`` in place, for any maps to ``Fraction``.
+
+    A key already in ``acc`` keeps its place, a new key is appended and a
+    key that cancels is removed, exactly as ``acc + terms.scale(c)`` orders
+    its terms.
+    """
+    for k, x in terms.items():
+        y = acc.get(k, 0) + c * x
+        if y:
+            acc[k] = y
+        else:
+            acc.pop(k, None)
 
 
 def word_cmp(order: MonomialOrder, a: Word, b: Word) -> int:

@@ -91,7 +91,7 @@ def induce(
         rec = DecompositionRecord((), 0) if irreducibles is not None else None
         return InductionResult(zero, [], 0, 0, rec, _voa_label(rec, voa_labels))
 
-    # relation subspace: (a * m(g)) (x) v - a (x) (g.v)
+    # relation subspace: (a * m(g)) (x) v - a (x) (g.v), over the flat index k * nm + j of a_k (x) v_j
     relations = RowSpace(total)
     gen_coords = [target.coords(el.poly) for el in m.images]
     for i in range(nt):
@@ -99,20 +99,26 @@ def induce(
         a_coords[i] = Fraction(1)
         for g, img in enumerate(gen_coords):
             left = target.mul_coords(a_coords, img)  # a * m(g) over the target basis
+            left_nz = [(k, x) for k, x in enumerate(left) if x]
             gmat = reduced.actions[g]
             for j in range(nm):
-                vec = [Fraction(0)] * total
-                for k in range(nt):
-                    if left[k]:
-                        vec[k * nm + j] += left[k]
+                vec = {k * nm + j: x for k, x in left_nz}
                 for l in range(nm):
                     if gmat[l][j]:
-                        vec[i * nm + l] -= gmat[l][j]
-                if any(vec):
+                        vec[i * nm + l] = vec.get(i * nm + l, 0) - gmat[l][j]
+                if any(vec.values()):
                     relations.add(vec)
 
     comp = relations.complement_columns()
     qdim = len(comp)
+    # a reduced vector is zero at every pivot, so its entries sit in complement columns
+    pos = {flat: row for row, flat in enumerate(comp)}
+
+    def quotient_column(coords: Vec, j: int, out: Mat, col: int) -> None:
+        """Write the quotient coordinates of (target element) (x) v_j into column ``col``."""
+        vec = {k * nm + j: x for k, x in enumerate(coords) if x}
+        for flat, x in relations.reduce(vec).items():
+            out[pos[flat]][col] = x
 
     # left action of each target generator on the quotient coordinates
     actions: dict[int, Mat] = {}
@@ -123,27 +129,14 @@ def induce(
             i, j = divmod(flat, nm)
             a_coords = [Fraction(0)] * nt
             a_coords[i] = Fraction(1)
-            moved = target.mul_coords(gcoords, a_coords)
-            vec = [Fraction(0)] * total
-            for k in range(nt):
-                if moved[k]:
-                    vec[k * nm + j] = moved[k]
-            red = relations.reduce(vec)
-            for row, flat2 in enumerate(comp):
-                mat[row][col] = red[flat2]
+            quotient_column(target.mul_coords(gcoords, a_coords), j, mat, col)
         actions[g] = mat
     induced = FinModule(target, qdim, actions, label)
 
     unit = zeros(qdim, nm)
     one_coords = target.coords(target.system.reduce(NcPoly.one()))
     for j in range(nm):
-        vec = [Fraction(0)] * total
-        for k in range(nt):
-            if one_coords[k]:
-                vec[k * nm + j] = one_coords[k]
-        red = relations.reduce(vec)
-        for row, flat in enumerate(comp):
-            unit[row][j] = red[flat]
+        quotient_column(one_coords, j, unit, j)
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
     return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))

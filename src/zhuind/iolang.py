@@ -271,12 +271,12 @@ def parse(text: str) -> SourceFile:
     parser = _Parser(tokens)
     out = SourceFile()
     algebras: dict[str, AlgebraBlock] = {}
+    seen: set[tuple[str, str]] = set()  # (block keyword, name)
     while parser.peek() is not None:
         tok = parser.peek()
         if tok.text == "algebra":
             block = parser.parse_algebra()
             algebras[block.name] = block
-            out.blocks.append(block)
         elif tok.text == "morphism":
             head = parser.expect("morphism")
             name = parser.expect_name().text
@@ -297,7 +297,7 @@ def parse(text: str) -> SourceFile:
                 parser.expect("=>")
                 images[g_tok.text] = parser.parse_poly(tgt_map)
             parser.expect("end")
-            out.blocks.append(MorphismBlock(name, source, target, images, head.line))
+            block = MorphismBlock(name, source, target, images, head.line)
         elif tok.text == "module":
             head = parser.expect("module")
             name = parser.expect_name().text
@@ -320,9 +320,13 @@ def parse(text: str) -> SourceFile:
                 parser.expect("=")
                 actions[g_tok.text] = parser.parse_matrix(dim)
             parser.expect("end")
-            out.blocks.append(ModuleBlock(name, owner, dim, actions, head.line))
+            block = ModuleBlock(name, owner, dim, actions, head.line)
         else:
             raise ParseError(f"expected a block keyword, found {tok.text!r}", tok.line, tok.col)
+        if (tok.text, block.name) in seen:
+            raise ParseError(f"duplicate {tok.text} name {block.name!r}", tok.line, tok.col)
+        seen.add((tok.text, block.name))
+        out.blocks.append(block)
     return out
 
 

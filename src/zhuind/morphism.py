@@ -10,11 +10,10 @@ checked degree by degree against the dimension of the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from zhuind.algebra import AlgebraHandle, Element, normal_words
-from zhuind.freealg import NcPoly, Word
-from zhuind.linalg import RowSpace, Vec
+from zhuind.freealg import NcPoly, Word, _add_scaled
+from zhuind.linalg import RowSpace, Sparse
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class AlgebraMorphism:
     def apply_poly(self, p: NcPoly) -> NcPoly:
         out = NcPoly.zero()
         for w, c in p.terms.items():
-            out = out + self.apply_word(w).scale(c)
+            _add_scaled(out.terms, c, self.apply_word(w).terms)
         return self.target.system.reduce(out)
 
     def apply(self, el: Element) -> Element:
@@ -91,29 +90,28 @@ def image_basis(m: AlgebraMorphism) -> list[Element]:
     return subalgebra_basis(m.target, list(m.images))
 
 
-def _image_matrix(m: AlgebraMorphism, words: list[Word]) -> tuple[list[Vec], list[Word]]:
-    """Coordinates of morphism images over the target words they touch."""
+def _image_rows(m: AlgebraMorphism, words: list[Word]) -> tuple[list[Sparse], int]:
+    """Sparse coordinates of the images of ``words`` over the target words they touch, and that count."""
     images = [m.apply_word(w) for w in words]
     support: list[Word] = sorted({w for img in images for w in img.terms}, key=m.target.system.order.key)
     index = {w: i for i, w in enumerate(support)}
-    rows = []
-    for img in images:
-        row = [Fraction(0)] * len(support)
-        for w, c in img.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    return rows, support
+    return [{index[w]: c for w, c in img.terms.items()} for img in images], len(support)
 
 
 def kernel_basis_finite(m: AlgebraMorphism) -> list[Element]:
     """Nullspace basis of the induced linear map on a finite source."""
     if m.source.basis is None:
         raise ValueError("kernel_basis_finite needs a finite-dimensional source; use certify_kernel")
-    rows, _ = _image_matrix(m, m.source.basis)
-    from zhuind.linalg import nullspace, transpose
-
-    kernel_vecs = nullspace(transpose(rows))
-    return [m.source.from_coords(v) for v in kernel_vecs]
+    rows, ncols = _image_rows(m, m.source.basis)
+    # the kernel is the right kernel of the transposed image matrix
+    columns: list[Sparse] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][i] = x
+    space = RowSpace(len(rows))
+    for col in columns:
+        space.add(col)
+    return [m.source.from_coords(v) for v in space.nullspace()]
 
 
 def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -> KernelCertificate:
@@ -148,18 +146,19 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     index_all = {w: i for i, w in enumerate(src_words)}
     reduce_src = m.source.system.reduce
 
-    def coords(p: NcPoly) -> Vec | None:
-        vec = [Fraction(0)] * len(src_words)
+    def coords(p: NcPoly) -> Sparse | None:
+        vec = {}
         for w, c in p.terms.items():
-            if w not in index_all:
+            col = index_all.get(w)
+            if col is None:
                 return None
-            vec[index_all[w]] = c
+            vec[col] = c
         return vec
 
     ideal = RowSpace(len(src_words))
     added: set[tuple[int, Word, Word]] = set()
-    img_rows, support = _image_matrix(m, src_words)
-    image = RowSpace(len(support))
+    img_rows, support_size = _image_rows(m, src_words)
+    image = RowSpace(support_size)
     slice_dim = 0
 
     for d in range(degree + 1):

@@ -17,6 +17,7 @@ from zhuind.freealg import NcPoly, Word
 from zhuind.linalg import (
     Mat,
     RowSpace,
+    Sparse,
     Vec,
     identity,
     invert,
@@ -24,7 +25,6 @@ from zhuind.linalg import (
     mat_add,
     mat_mul,
     mat_scale,
-    nullspace,
     zeros,
 )
 
@@ -109,22 +109,19 @@ def hom_space(source: FinModule, target: FinModule) -> HomBasis:
     n, m = target.dim, source.dim
     if n * m == 0:
         return HomBasis(source, target, ())
-    rows: list[Vec] = []
+    # unknowns T[i][j] flattened as i*m + j; one equation per (g, i, j)
+    space = RowSpace(n * m)
     for g in source.actions:
         a = target.actions[g]
         b = source.actions[g]
-        # unknowns T[i][j] flattened as i*m + j
         for i in range(n):
+            a_row = [(k, x) for k, x in enumerate(a[i]) if x]
             for j in range(m):
-                row = [Fraction(0)] * (n * m)
-                for k in range(m):
-                    row[i * m + k] += b[k][j]
-                for k in range(n):
-                    row[k * m + j] -= a[i][k]
-                rows.append(row)
-    mats = []
-    for v in nullspace(rows):
-        mats.append([[v[i * m + j] for j in range(m)] for i in range(n)])
+                row = {i * m + k: b[k][j] for k in range(m) if b[k][j]}
+                for k, x in a_row:
+                    row[k * m + j] = row.get(k * m + j, 0) - x
+                space.add(row)
+    mats = [[[v[i * m + j] for j in range(m)] for i in range(n)] for v in space.nullspace()]
     return HomBasis(source, target, tuple(mats))
 
 
@@ -144,38 +141,49 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
     return DecompositionRecord(tuple(entries), module.dim - used)
 
 
+def _act(mat: Mat, v: Sparse) -> Sparse:
+    """mat . v for a sparse vector, nonzero entries only."""
+    out = {}
+    for i, row in enumerate(mat):
+        y = sum(row[j] * x for j, x in v.items())
+        if y:
+            out[i] = y
+    return out
+
+
 def submodule_closure(module: FinModule, seeds: list[Vec]) -> list[Vec]:
     """Smallest action-stable subspace containing the seeds (echelon basis)."""
     space = RowSpace(module.dim)
-    queue = [list(map(Fraction, s)) for s in seeds]
+    queue = [{i: Fraction(x) for i, x in enumerate(s) if x} for s in seeds]
     while queue:
         v = queue.pop()
         if not space.add(v):
             continue
-        for g, mat in module.actions.items():
-            queue.append([sum((mat[i][j] * v[j] for j in range(module.dim)), Fraction(0)) for i in range(module.dim)])
+        for mat in module.actions.values():
+            queue.append(_act(mat, v))
     return space.basis()
 
 
 def quotient_module(module: FinModule, sub_basis: list[Vec], label: str = "") -> FinModule:
     """Quotient by an action-stable subspace, in complement coordinates."""
     space = RowSpace(module.dim)
-    for v in sub_basis:
+    subs = [{i: x for i, x in enumerate(v) if x} for v in sub_basis]
+    for v in subs:
         space.add(v)
-    for g, mat in module.actions.items():
-        for v in space.basis():
-            img = [sum((mat[i][j] * v[j] for j in range(module.dim)), Fraction(0)) for i in range(module.dim)]
-            if not space.contains(img):
+    for mat in module.actions.values():
+        for v in subs:
+            if not space.contains(_act(mat, v)):
                 raise ValueError("subspace is not action-stable")
     comp = space.complement_columns()
     qdim = len(comp)
+    # a reduced vector is zero at every pivot, so its entries sit in complement columns
+    pos = {i: row_idx for row_idx, i in enumerate(comp)}
     new_actions: dict[int, Mat] = {}
     for g, mat in module.actions.items():
         q = zeros(qdim, qdim)
         for col_idx, j in enumerate(comp):
-            image = space.reduce([mat[i][j] for i in range(module.dim)])
-            for row_idx, i in enumerate(comp):
-                q[row_idx][col_idx] = image[i]
+            for i, x in space.reduce({i: row[j] for i, row in enumerate(mat)}).items():
+                q[pos[i]][col_idx] = x
         new_actions[g] = q
     return FinModule(module.owner, qdim, new_actions, label or f"{module.label}/sub")
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 
 INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
@@ -79,7 +79,7 @@ def expand_trace(relations: list[NcPoly] | tuple[NcPoly, ...], trace: Trace) -> 
     """Evaluate a trace with free multiplication only (no rewriting)."""
     total = NcPoly.zero()
     for c, left, idx, right in trace:
-        total = total + relations[idx].sandwich(left, right, c)
+        _add_scaled(total.terms, c, relations[idx].sandwich(left, right).terms)
     return total
 
 
@@ -221,16 +221,17 @@ class RewriteSystem:
         else:
             pos, rid = found
             rule = self._rule_dict[rid]
+            left, right = word[:pos], word[pos + len(rule.lhs) :]
             result = NcPoly.zero()
-            for t, c in rule.rhs.sandwich(word[:pos], word[pos + len(rule.lhs) :]).terms.items():
-                result = result + self.reduce_word(t).scale(c)
+            for t, c in rule.rhs.terms.items():
+                _add_scaled(result.terms, c, self.reduce_word(left + t + right).terms)
         memo[word] = result
         return result
 
     def reduce(self, p: NcPoly) -> NcPoly:
         out = NcPoly.zero()
         for w, c in p.terms.items():
-            out = out + self.reduce_word(w).scale(c)
+            _add_scaled(out.terms, c, self.reduce_word(w).terms)
         return out
 
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:

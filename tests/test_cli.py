@@ -168,3 +168,33 @@ def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv
 def test_empty_term_in_expression_exits_2(capsys):
     code, out, err = run(capsys, "nf", "a_va1", "e +")
     assert code == 2 and out == "" and "expected a term" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["non-utf8", "missing"])
+@pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a")], ids=["check", "dim"])
+def test_unreadable_source_exits_2(tmp_path, capsys, content, argv):
+    path = tmp_path / "bin.zi"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"cannot read {path}" in err
+    assert content is None or "utf-8" in err
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n\n"], ids=["empty", "comment", "blank"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_check_without_algebra_exits_2(tmp_path, capsys, text, json_flag):
+    path = tmp_path / "none.zi"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), *json_flag)
+    assert code == 2 and out == ""
+    assert err == f"error: no algebra block in {path}\n"
+
+
+def test_check_duplicate_algebra_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.zi"
+    path.write_text("algebra a gens x rel x x x end\nalgebra a gens y rel y y end\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "duplicate algebra name 'a'" in err

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -189,3 +192,40 @@ def test_composition_check_needs_irreducibles(va1):
     ident = AlgebraMorphism(va1, va1, [va1.gen(n) for n in va1.gen_names])
     with pytest.raises(ValueError):
         composition_check(ident, catalog.morphism("va1_to_va2"), [], [], [], catalog.module("va1_L_half"), None)
+
+
+# -- pinned catalog inductions ----------------------------------------------
+
+# sha256 of _render_catalog_inductions(), computed before induce, hom_space and
+# RowSpace built sparse vectors; any change to an induced action, unit map,
+# reduced dimension, relation rank or decomposition changes it
+CATALOG_INDUCTIONS_SHA256 = "1d7dd060488a5a182bea670652f16cab1bfa905f7fcd83567e5aa0b23bcdef1d"
+
+
+def _induction_grids():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "induction_tables.py"
+    spec = importlib.util.spec_from_file_location("induction_tables", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.GRIDS
+
+
+def _render_catalog_inductions():
+    lines = []
+    for mor_id, grid in _induction_grids().items():
+        m = catalog.morphism(mor_id)
+        kernel = list(catalog.kernel_candidates(mor_id))
+        irreducibles = catalog.irreducibles(m.target.name)
+        for fam, params in grid:
+            r = induce(m, kernel, catalog.module(fam, params), irreducibles, catalog.VOA_LABELS)
+            lines.append(f"{mor_id} {fam}{list(map(str, params))} dim {r.dim} reduced {r.reduced_dim} rank {r.relation_rank}")
+            lines.append(f"  decomposition {r.decomposition} label {r.voa_label}")
+            for g, mat in r.module.actions.items():
+                lines.append(f"  act {g} {[[str(x) for x in row] for row in mat]}")
+            lines.append(f"  unit {[[str(x) for x in row] for row in r.unit_map]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_catalog_inductions_digest_is_pinned():
+    digest = hashlib.sha256(_render_catalog_inductions().encode()).hexdigest()
+    assert digest == CATALOG_INDUCTIONS_SHA256, "an induced action, unit map, rank or decomposition changed"

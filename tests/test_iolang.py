@@ -125,3 +125,32 @@ def test_relation_without_polynomial_is_rejected():
         parse("algebra a gens x\n  rel\nend\n")
     assert err.value.message == "expected a term"
     assert (err.value.line, err.value.col) == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message, where",
+    [
+        ("algebra a gens x rel x x x end\nalgebra a gens y rel y y end\n", "duplicate algebra name 'a'", (2, 1)),
+        (
+            "algebra a gens x end\nmorphism f : a -> a end\n  morphism f : a -> a map x => x end\n",
+            "duplicate morphism name 'f'",
+            (3, 3),
+        ),
+        (
+            "algebra a gens x end\nmodule m over a dim 1 end\nmodule m over a dim 2 end\n",
+            "duplicate module name 'm'",
+            (3, 1),
+        ),
+    ],
+    ids=["algebra", "morphism", "module"],
+)
+def test_duplicate_block_name_is_rejected(text, message, where):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == where
+
+
+def test_blocks_of_different_kinds_may_share_a_name():
+    src = parse("algebra a gens x end\nmorphism a : a -> a end\nmodule a over a dim 1 end\n")
+    assert list(src.algebras()) == list(src.morphisms()) == list(src.modules()) == ["a"]

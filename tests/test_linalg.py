@@ -4,8 +4,10 @@ Every routine is checked on generated rational matrices, from 5% dense
 to full, with zero rows, zero columns and dependent rows, against two
 oracles: sympy, and the dense ``Fraction`` row operations that ``linalg``
 used before its rows became sparse (copied below as ``DenseRowSpace`` and
-``dense_rref``).  The reduced row echelon form is unique, so every
-result must agree exactly.
+``dense_rref``, with the kernel read off it as ``dense_nullspace``).
+The reduced row echelon form is unique, so every result must agree
+exactly.  ``RowSpace`` takes sparse vectors: the dense test rows are
+converted with ``sp`` at each call and its results with ``dense``.
 """
 
 from fractions import Fraction
@@ -54,6 +56,19 @@ def dense_rref(rows):
     return m[:r], pivots
 
 
+def dense_nullspace(a):
+    ncols = len(a[0])
+    red, pivots = dense_rref(a)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
 class DenseRowSpace:
     def __init__(self, ncols):
         self.ncols = ncols
@@ -97,6 +112,14 @@ class DenseRowSpace:
     def complement_columns(self):
         pivot_set = set(self.pivots)
         return [i for i in range(self.ncols) if i not in pivot_set]
+
+
+def sp(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(vec, ncols):
+    return [vec.get(i, Fraction(0)) for i in range(ncols)]
 
 
 def with_dense_core(fn, *args):
@@ -168,7 +191,7 @@ def test_rref_matches_sympy(a):
 def test_nullspace_matches_references(a):
     sympy = pytest.importorskip("sympy")
     basis = nullspace(a)
-    assert basis == with_dense_core(nullspace, a)
+    assert basis == dense_nullspace(a)
     assert basis == [[_frac(x) for x in v] for v in sympy.Matrix(a).nullspace()]
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
@@ -217,14 +240,15 @@ def test_rowspace_matches_dense_reference(a, rng):
     ncols = len(a[0])
     space, ref = RowSpace(ncols), DenseRowSpace(ncols)
     for row in a:
-        assert space.add(row) == ref.add(row)
+        assert space.add(sp(row)) == ref.add(row)
         assert space.pivots == ref.pivots
         assert space.basis() == ref.basis()
     assert space.dim == ref.dim
     assert space.complement_columns() == ref.complement_columns()
+    assert space.nullspace() == dense_nullspace(a)
     for v in [vectors(ncols, rng) for _ in range(4)] + a:
-        assert space.reduce(v) == ref.reduce(v)
-        assert space.contains(v) == ref.contains(v)
+        assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
+        assert space.contains(sp(v)) == ref.contains(v)
 
 
 @SETTINGS
@@ -234,15 +258,15 @@ def test_rowspace_matches_sympy(a, rng):
     ncols = len(a[0])
     space = RowSpace(ncols)
     for row in a:
-        space.add(row)
+        space.add(sp(row))
     red, pivots = sympy_rref(sympy, a)
     assert (space.basis(), space.pivots) == (red, pivots)
     assert space.complement_columns() == [c for c in range(ncols) if c not in pivots]
     r = len(pivots)
     for v in [vectors(ncols, rng) for _ in range(4)]:
         inside = sympy.Matrix(a + [v]).rank() == r
-        assert space.contains(v) == inside
-        red_v = space.reduce(v)
+        assert space.contains(sp(v)) == inside
+        red_v = dense(space.reduce(sp(v)), ncols)
         assert all(red_v[p] == 0 for p in pivots)
         # v - reduce(v) lies in the space
         assert sympy.Matrix(a + [[x - y for x, y in zip(v, red_v)]]).rank() == r
@@ -255,17 +279,38 @@ def test_rowspace_basis_does_not_depend_on_insertion_order(a, rng):
     rng.shuffle(shuffled)
     first, second = RowSpace(len(a[0])), RowSpace(len(a[0]))
     for row in a:
-        first.add(row)
+        first.add(sp(row))
     for row in shuffled:
-        second.add(row)
+        second.add(sp(row))
     assert first.pivots == second.pivots
     assert first.basis() == second.basis()
 
 
+@SETTINGS
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rowspace_leaves_caller_vectors_alone(a, rng):
+    ncols = len(a[0])
+    space = RowSpace(ncols)
+    for v in [sp(row) for row in a] + [sp(vectors(ncols, rng)) for _ in range(4)]:
+        before = list(v.items())
+        space.contains(v)
+        space.reduce(v)
+        space.add(v)
+        assert list(v.items()) == before
+
+
+def test_rowspace_drops_explicit_zeros():
+    space = RowSpace(3)
+    assert space.add({0: Fraction(0), 2: Fraction(3)})
+    assert space.pivots == [2]
+    assert space.reduce({0: Fraction(0), 1: Fraction(1), 2: Fraction(5)}) == {1: 1}
+    assert space.nullspace() == [[1, 0, 0], [0, 1, 0]]
+
+
 def test_rowspace_integer_input_gives_fraction_rows():
     space = RowSpace(3)
-    assert space.add([0, 2, 4])
-    assert not space.add([0, 1, 2])
+    assert space.add(sp([0, 2, 4]))
+    assert not space.add(sp([0, 1, 2]))
     assert space.basis() == [[0, 1, 2]]
     assert all(type(x) is Fraction for x in space.basis()[0])
     assert rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
@@ -275,4 +320,4 @@ def test_empty_inputs():
     assert rref([]) == ([], [])
     assert rank([[Fraction(0)] * 3]) == 0
     assert nullspace([[Fraction(0), Fraction(0)]]) == [[1, 0], [0, 1]]
-    assert RowSpace(2).reduce([Fraction(1), Fraction(2)]) == [1, 2]
+    assert dense(RowSpace(2).reduce(sp([Fraction(1), Fraction(2)])), 2) == [1, 2]

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhuind import catalog
+from zhuind.linalg import nullspace
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
@@ -119,8 +122,8 @@ def test_submodule_closure_left_ideal_of_squared_cartan(va1):
 
     span = RowSpace(reg.dim)
     for v in closure:
-        span.add(v)
-    assert not span.contains(one)
+        span.add({i: x for i, x in enumerate(v) if x})
+    assert not span.contains({i: x for i, x in enumerate(one) if x})
 
 
 def test_quotient_by_nothing_and_everything(va1):
@@ -162,3 +165,62 @@ def test_regular_module_is_faithful_action(va1):
     rec = decompose(reg, catalog.irreducibles("a_va1"))
     # semisimple regular module: each irreducible with multiplicity = its dimension
     assert rec.as_dict() == {"trivial": 1, "L_half": 2} and rec.residual == 0
+
+
+# -- hom_space against the dense intertwiner equations -------------------------
+
+
+def dense_hom_space(source, target):
+    """hom_space as it was with dense n*m-column equation rows: the reference."""
+    n, m = target.dim, source.dim
+    if n * m == 0:
+        return ()
+    rows = []
+    for g in source.actions:
+        a = target.actions[g]
+        b = source.actions[g]
+        for i in range(n):
+            for j in range(m):
+                row = [F(0)] * (n * m)
+                for k in range(m):
+                    row[i * m + k] += b[k][j]
+                for k in range(n):
+                    row[k * m + j] -= a[i][k]
+                rows.append(row)
+    return tuple([[v[i * m + j] for j in range(m)] for i in range(n)] for v in nullspace(rows))
+
+
+@st.composite
+def action_modules(draw, dim=None):
+    """A module over a_va1 with random actions (the relations need not hold)."""
+    owner = catalog.algebra("a_va1")
+    n = draw(st.integers(0, 4)) if dim is None else dim
+    density = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if rng.random() >= density:
+            return F(0)
+        return F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+
+    actions = {g: [[entry() for _ in range(n)] for _ in range(n)] for g in range(len(owner.gen_names))}
+    return FinModule(owner, n, actions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(action_modules(), st.data())
+def test_hom_space_matches_dense_reference(source, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    kind = data.draw(st.sampled_from(["permuted", "independent", "self"]))
+    if kind == "permuted":
+        perm = list(range(source.dim))
+        rng.shuffle(perm)
+        target = permuted_copy(source, perm)
+    elif kind == "independent":
+        target = data.draw(action_modules())
+    else:
+        target = source
+    hom = hom_space(source, target)
+    assert hom.basis == dense_hom_space(source, target)
+    if kind != "independent":
+        assert hom.dim >= (1 if source.dim else 0)

@@ -367,3 +367,50 @@ def test_catalog_systems_digest_is_pinned():
     text = _render_catalog_systems()
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == CATALOG_SYSTEMS_SHA256, "a catalog rule, rhs term order, trace or certificate changed"
+
+
+def _ref_memo_reduce(system, p, memo):
+    """reduce and reduce_word as they were, one new accumulator per term: the reference."""
+
+    def reduce_word(word):
+        if word in memo:
+            return memo[word]
+        found = _find_redex(word, system._rule_dict)
+        if found is None:
+            result = NcPoly.monomial(word)
+        else:
+            pos, rid = found
+            rule = system._rule_dict[rid]
+            result = NcPoly.zero()
+            for t, c in rule.rhs.sandwich(word[:pos], word[pos + len(rule.lhs) :]).terms.items():
+                result = result + reduce_word(t).scale(c)
+        memo[word] = result
+        return result
+
+    out = NcPoly.zero()
+    for word, c in p.terms.items():
+        out = out + reduce_word(word).scale(c)
+    return out
+
+
+def test_reduce_keeps_reference_term_order():
+    # term order reaches --json reports and the pinned digests, so compare item lists
+    rng = random.Random(23)
+    for alg_id in catalog.ALGEBRA_IDS:
+        h = catalog.algebra(alg_id)
+        system = RewriteSystem(h.system.order, list(h.system.rules), h.system.confluent_to_degree)
+        memo = {}
+        for _ in range(40):
+            p = _random_poly(rng, len(h.gen_names), n_terms=rng.randint(1, 6))
+            assert list(system.reduce(p).terms.items()) == list(_ref_memo_reduce(system, p, memo).terms.items())
+        for word, ref in memo.items():
+            assert list(system.reduce_word(word).terms.items()) == list(ref.terms.items())
+        n_gens = len(h.gen_names)
+        trace = tuple(
+            (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, 2))), i, ())
+            for i in rng.choices(range(len(h.presentation.relations)), k=5 if h.presentation.relations else 0)
+        )
+        ref = NcPoly.zero()
+        for c, left, idx, right in trace:
+            ref = ref + h.presentation.relations[idx].sandwich(left, right, c)
+        assert list(expand_trace(h.presentation.relations, trace).terms.items()) == list(ref.terms.items())

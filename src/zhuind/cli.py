@@ -46,6 +46,13 @@ def _build(block: AlgebraBlock, max_degree: int) -> AlgebraHandle:
         raise CliError(f"{exc}; raise --max-deg")
 
 
+def _degree(flag: str, value: int) -> int:
+    """A degree option; a negative one is bad input."""
+    if value < 0:
+        raise CliError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _read_source(path: str) -> str:
     """The text of a source file; an unreadable or non-UTF-8 file is bad input."""
     try:
@@ -116,13 +123,14 @@ def _cert_str(cert: float) -> str:
 
 
 def cmd_check(args) -> int:
+    max_degree = _degree("--max-deg", args.max_deg)
     blocks = parse(_read_source(args.file)).algebras()
     if not blocks:
         raise CliError(f"no algebra block in {args.file}")
     entries = []
     lines = []
     for name, block in blocks.items():
-        handle = _build(block, args.max_deg)
+        handle = _build(block, max_degree)
         dim = handle.dim_result
         entries.append(
             {
@@ -145,7 +153,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    handle = _load_algebra(args.algebra, max_degree=args.max_deg)
+    handle = _load_algebra(args.algebra, max_degree=_degree("--max-deg", args.max_deg))
     dim = handle.dim_result
     report = {
         "command": "dim",
@@ -173,9 +181,7 @@ def cmd_nf(args) -> int:
 def cmd_kernel(args) -> int:
     m = _morphism(args.via)
     cands = list(catalog.kernel_candidates(args.via))
-    degree = args.degree if args.degree is not None else catalog.KERNEL_PROBE_DEGREE[args.via]
-    if degree < 0:
-        raise CliError(f"--degree must be >= 0, got {degree}")
+    degree = _degree("--degree", args.degree if args.degree is not None else catalog.KERNEL_PROBE_DEGREE[args.via])
     if m.source.basis is not None:
         basis = kernel_basis_finite(m)
         rendered = [format_poly(el.poly, m.source.gen_names, m.source.system.order) for el in basis]

@@ -6,6 +6,13 @@ ambiguity between rules resolves to zero.  ``complete`` saturates a
 relation set by processing ambiguities in increasing witness length up to
 a degree bound and reports how far confluence is certified.
 
+Completion keeps a pair ledger: each ambiguity whose S-polynomial
+reduced to zero is recorded with the two rule objects it was resolved
+against.  Rules are frozen and every rewrite builds a new one, so while
+both objects are unchanged the S-polynomial is the same and stays
+resolvable (Bergman 1978): the final verification sweep re-resolves
+only the pairs whose rules changed since, and the pairs never resolved.
+
 Every rule carries a cofactor trace: an exact expression of
 ``lhs - rhs`` as a two-sided combination of the original relations.  The
 trace survives completion, so ``p - reduce(p)`` can always be certified
@@ -24,6 +31,7 @@ from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 
 INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
+TRACE_BUDGET = 10_000  # cofactor atoms allowed in one rule trace
 
 # one summand  c * (left) * relation[idx] * (right)
 TraceAtom = tuple[Fraction, Word, int, Word]
@@ -258,10 +266,40 @@ def complete(
     """Saturate a relation set into an interreduced rewriting system.
 
     Ambiguities with witness length at most ``max_degree`` are resolved in
-    increasing length.  Raises ``CompletionError('inconsistent', ...)``
-    when a relation reduces to a nonzero scalar (the algebra is zero) and
-    ``CompletionError('budget', ...)`` when the rule count explodes.
+    increasing length.  Raises ``ValueError`` for a negative
+    ``max_degree``, ``CompletionError('inconsistent', ...)`` when a
+    relation reduces to a nonzero scalar (the algebra is zero) and
+    ``CompletionError('budget', ...)`` when the rule count or a rule's
+    trace explodes.
+
+    A final sweep walks every ambiguity of the final rules in
+    ``find_ambiguities`` order and restarts the drain at the first one
+    whose S-polynomial does not reduce to zero.  It skips a pair that the
+    ledger holds with the same two rule objects.  The ledger maps
+    ``(lhs_i, lhs_j, offset, kind)`` to the two ``RewriteRule`` objects a
+    pair's S-polynomial reduced to zero against; left-hand sides are
+    unique and survive the renumbering of the sweep.  A rule is frozen and
+    every change of its right-hand side or trace builds a new object, so
+    ``is`` on both objects means that the pair's S-polynomial is the one
+    that reduced to zero.
+
+    The skip is exact.  That reduction wrote the S-polynomial as a
+    combination of rule relations at words below the pair's witness
+    ``w``.  Retiring a rule or rewriting a right-hand side later only
+    re-expresses a rule relation through words no larger than its
+    left-hand side, so the S-polynomial stays in the span of the final
+    rule relations below ``w`` (it is "resolvable relative to <=",
+    Bergman 1978).  The order compares length first and the sweep goes by
+    increasing witness.  So, by induction along the sweep: when every
+    ambiguity with a smaller witness is resolvable, reduction is unique
+    below ``w`` (the diamond lemma taken below ``w``) and a skipped pair at
+    ``w`` reduces to zero.  If every checked pair reduces to zero, so does
+    every skipped one, and the result is the one a full sweep gives;
+    otherwise the first pair that does not reduce to zero is the one a
+    full sweep finds, and the drain restarts from the same state.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     base = tuple(relations)
     for r in base:
         if r.is_zero():
@@ -273,6 +311,7 @@ def complete(
         (rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
     ]
     heap: list[tuple[int, tuple, int, int, int, str]] = []
+    ledger: dict[tuple[Word, Word, int, str], tuple[RewriteRule, RewriteRule]] = {}
 
     def push_ambiguities(i: int) -> None:
         li = rules[i].lhs
@@ -283,11 +322,16 @@ def complete(
                         heap, (len(amb.witness), order.key(amb.witness), amb.i, amb.j, amb.offset, amb.kind)
                     )
 
+    def new_rule(lhs: Word, rhs: NcPoly, trace: Trace) -> RewriteRule:
+        if len(trace) > TRACE_BUDGET:
+            raise CompletionError("budget", f"a rule trace exceeds {TRACE_BUDGET} atoms at degree bound {max_degree}")
+        return RewriteRule(lhs, rhs, trace)
+
     def add_rule(poly: NcPoly, trace: Trace) -> None:
         lw, lc = poly.leading_term(order)
         inv = Fraction(1) / lc
         rhs = (NcPoly.monomial(lw) - poly.scale(inv))
-        rule = RewriteRule(lw, rhs, _scale_trace(trace, inv))
+        rule = new_rule(lw, rhs, _scale_trace(trace, inv))
         # retire rules whose lhs contains the new lhs
         for rid in [rid for rid, r in rules.items() if _contains(r.lhs, lw)]:
             old = rules.pop(rid)
@@ -300,10 +344,21 @@ def complete(
                 continue
             new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
             if delta:
-                rules[other_id] = RewriteRule(other.lhs, new_rhs, other.trace + delta)
+                rules[other_id] = new_rule(other.lhs, new_rhs, other.trace + delta)
         push_ambiguities(rid)
         if len(rules) > max_rules:
             raise CompletionError("budget", f"more than {max_rules} rules at degree bound {max_degree}")
+
+    def resolve(amb: Ambiguity, rdict: dict[int, RewriteRule]) -> bool:
+        """Reduce the pair's S-polynomial: ledger it when zero, else queue it and return True."""
+        s, trace = _s_poly(amb, rdict)
+        s, delta = _reduce_traced(s, rdict, order)
+        if s.is_zero():
+            ri, rj = rdict[amb.i], rdict[amb.j]
+            ledger[(ri.lhs, rj.lhs, amb.offset, amb.kind)] = (ri, rj)
+            return False
+        pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
+        return True
 
     def drain() -> None:
         while pending or heap:
@@ -319,40 +374,35 @@ def complete(
                 add_rule(poly, trace)
                 continue
             _, _, i, j, offset, kind = heapq.heappop(heap)
-            if i not in rules or j not in rules:
-                continue
-            amb = Ambiguity(kind, i, j, _witness(rules, i, j, offset, kind), offset)
-            s, trace = _s_poly(amb, rules)
-            s, delta = _reduce_traced(s, rules, order)
-            if not s.is_zero():
-                pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
+            if i in rules and j in rules:
+                resolve(Ambiguity(kind, i, j, _witness(rules, i, j, offset, kind), offset), rules)
 
     def _witness(rdict: dict[int, RewriteRule], i: int, j: int, offset: int, kind: str) -> Word:
         if kind == "overlap":
             return rdict[i].lhs + rdict[j].lhs[offset:]
         return rdict[i].lhs
 
+    def settled(amb: Ambiguity, rdict: dict[int, RewriteRule]) -> bool:
+        ri, rj = rdict[amb.i], rdict[amb.j]
+        held = ledger.get((ri.lhs, rj.lhs, amb.offset, amb.kind))
+        return held is not None and held[0] is ri and held[1] is rj
+
     drain()
 
-    # verification sweep on the final rule set
+    # verification sweep on the final rule set, skipping the ledgered pairs
     while True:
         final = RewriteSystem(order, list(rules.values()), max_degree, base)
         leftover = False
-        dirty = False
         for amb in final.find_ambiguities():
             if len(amb.witness) > max_degree:
                 leftover = True
-                continue
-            s, trace = _s_poly(amb, final._rule_dict)
-            s, delta = _reduce_traced(s, final._rule_dict, order)
-            if not s.is_zero():
+            elif not settled(amb, final._rule_dict) and resolve(amb, final._rule_dict):
                 rules = dict(final._rule_dict)
-                pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
                 drain()
-                dirty = True
                 break
-        if not dirty:
-            return RewriteSystem(order, list(rules.values()), max_degree if leftover else INFINITE, base)
+        else:
+            final.confluent_to_degree = max_degree if leftover else INFINITE
+            return final
 
 
 def _contains(word: Word, sub: Word) -> bool:

@@ -144,6 +144,12 @@ def test_induce_bad_module_parameter_exits_2(capsys, spec):
 
 _ZERO = "algebra z gens a rel 1 end\n"
 _DIM_TEN = "algebra big gens a rel a a a a a a a a a a - a end\n"
+_TRACE_BLOWUP = """algebra t gens x y z order deglex x > y > z
+  rel z x + 3/2
+  rel x y x z - y y - 1/3
+  rel z x y z + 3/2 y y x
+end
+"""
 
 
 @pytest.mark.parametrize(
@@ -153,9 +159,10 @@ _DIM_TEN = "algebra big gens a rel a a a a a a a a a a - a end\n"
         (_ZERO, ("dim", "{path}#z"), "z: completion failed (inconsistent"),
         (_DIM_TEN, ("check", "{path}"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
         (_DIM_TEN, ("nf", "{path}#big", "a"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
-        (None, ("check", "{path}", "--max-deg", "-3"), "certified to degree -3, needed"),
+        (None, ("check", "{path}", "--max-deg", "-3"), "--max-deg must be >= 0, got -3"),
+        (_TRACE_BLOWUP, ("check", "{path}"), "t: completion failed (budget: a rule trace exceeds 10000 atoms"),
     ],
-    ids=["check-zero", "dim-zero", "check-dim-ten", "nf-dim-ten", "check-negative-max-deg"],
+    ids=["check-zero", "dim-zero", "check-dim-ten", "nf-dim-ten", "check-negative-max-deg", "check-trace-blowup"],
 )
 def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv, needle):
     path = tmp_path / "bad.alg"
@@ -163,6 +170,20 @@ def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "{path}", "--max-deg", "-1"), ("dim", "{path}#a_va1", "--max-deg", "-1"), ("dim", "a_va2", "--max-deg", "-1")],
+    ids=["check", "dim-file", "dim-catalog"],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_negative_max_deg_exits_2(tmp_path, capsys, argv, json_flag):
+    path = tmp_path / "cat.zi"
+    path.write_text(catalog.catalog_source(), encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv), *json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: --max-deg must be >= 0, got -1\n"
 
 
 def test_empty_term_in_expression_exits_2(capsys):

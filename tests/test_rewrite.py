@@ -1,23 +1,32 @@
 import hashlib
+import heapq
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuind import catalog
+from zhuind import catalog, rewrite
 from zhuind.algebra import AlgebraHandle, Presentation
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly
 from zhuind.iolang import parse_poly_text
 from zhuind.rewrite import (
     INFINITE,
+    TRACE_BUDGET,
+    Ambiguity,
     CompletionError,
     RewriteRule,
     RewriteSystem,
+    _ambiguities_of_pair,
+    _contains,
     _find_redex,
+    _overlaps,
     _reduce_traced,
     _rewrite,
+    _s_poly,
     _scale_trace,
     _shift_trace,
     complete,
@@ -414,3 +423,188 @@ def test_reduce_keeps_reference_term_order():
         for c, left, idx, right in trace:
             ref = ref + h.presentation.relations[idx].sandwich(left, right, c)
         assert list(expand_trace(h.presentation.relations, trace).terms.items()) == list(ref.terms.items())
+
+
+# -- the pair ledger: completion against the full final sweep it replaced -----------
+
+
+def _ref_complete(relations, order, max_degree=12, max_rules=4000):
+    """``complete`` with a full final sweep, as it was before the pair ledger: the reference.
+
+    Its one addition is the trace budget of ``complete``, so that an input
+    whose traces blow up stops the same way on both sides.
+    """
+    base = tuple(relations)
+    for r in base:
+        if r.is_zero():
+            raise CompletionError("inconsistent", "zero relation in presentation")
+
+    rules = {}
+    next_id = itertools.count()
+    pending = [(rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)]
+    heap = []
+
+    def budgeted(lhs, rhs, trace):
+        if len(trace) > TRACE_BUDGET:
+            raise CompletionError("budget", "trace")
+        return RewriteRule(lhs, rhs, trace)
+
+    def push_ambiguities(i):
+        li = rules[i].lhs
+        for j in list(rules):
+            for amb in _ambiguities_of_pair(i, li, j, rules[j].lhs) if j != i else _overlaps(i, li, i, li):
+                if len(amb.witness) <= max_degree:
+                    heapq.heappush(heap, (len(amb.witness), order.key(amb.witness), amb.i, amb.j, amb.offset, amb.kind))
+
+    def add_rule(poly, trace):
+        lw, lc = poly.leading_term(order)
+        inv = Fraction(1) / lc
+        rule = budgeted(lw, NcPoly.monomial(lw) - poly.scale(inv), _scale_trace(trace, inv))
+        for rid in [rid for rid, r in rules.items() if _contains(r.lhs, lw)]:
+            old = rules.pop(rid)
+            pending.append((old.relation_poly(), old.trace))
+        rid = next(next_id)
+        rules[rid] = rule
+        for other_id, other in list(rules.items()):
+            if other_id == rid:
+                continue
+            new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
+            if delta:
+                rules[other_id] = budgeted(other.lhs, new_rhs, other.trace + delta)
+        push_ambiguities(rid)
+        if len(rules) > max_rules:
+            raise CompletionError("budget", "rules")
+
+    def drain():
+        while pending or heap:
+            if pending:
+                poly, trace = pending.pop()
+                poly, delta = _reduce_traced(poly, rules, order)
+                trace = trace + _scale_trace(delta, Fraction(-1))
+                if poly.is_zero():
+                    continue
+                if poly.is_scalar():
+                    raise CompletionError("inconsistent", "scalar")
+                add_rule(poly, trace)
+                continue
+            _, _, i, j, offset, kind = heapq.heappop(heap)
+            if i not in rules or j not in rules:
+                continue
+            witness = rules[i].lhs + rules[j].lhs[offset:] if kind == "overlap" else rules[i].lhs
+            s, trace = _s_poly(Ambiguity(kind, i, j, witness, offset), rules)
+            s, delta = _reduce_traced(s, rules, order)
+            if not s.is_zero():
+                pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
+
+    drain()
+    while True:
+        final = RewriteSystem(order, list(rules.values()), max_degree, base)
+        leftover = False
+        dirty = False
+        for amb in final.find_ambiguities():
+            if len(amb.witness) > max_degree:
+                leftover = True
+                continue
+            s, trace = _s_poly(amb, final._rule_dict)
+            s, delta = _reduce_traced(s, final._rule_dict, order)
+            if not s.is_zero():
+                rules = dict(final._rule_dict)
+                pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
+                drain()
+                dirty = True
+                break
+        if not dirty:
+            return RewriteSystem(order, list(rules.values()), max_degree if leftover else INFINITE, base)
+
+
+def _completion_outcome(complete_fn, relations, order, max_degree, max_rules=4000):
+    """Rules (lhs, rhs terms in order, trace) and certificate, or the error kind."""
+    try:
+        system = complete_fn(list(relations), order, max_degree, max_rules)
+    except CompletionError as exc:
+        return ("error", exc.kind)
+    rules = [(r.lhs, list(r.rhs.terms.items()), r.trace) for r in system.rules]
+    return (rules, system.confluent_to_degree)
+
+
+_small_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _presentations(draw):
+    n_gens = draw(st.integers(1, 3))
+    length = st.sampled_from((0, 1, 2, 2, 3, 3, 4, 4))  # a constant term in one of eight
+    word = length.flatmap(lambda n: st.lists(st.integers(0, n_gens - 1), min_size=n, max_size=n)).map(tuple)
+    poly = st.dictionaries(word, _small_coeff, min_size=1, max_size=3).map(NcPoly)
+    relations = draw(st.lists(poly, min_size=1, max_size=3))
+    order = MonomialOrder(tuple(draw(st.permutations(range(n_gens)))))
+    return relations, order, draw(st.integers(3, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations())
+def test_complete_matches_full_sweep_on_generated_presentations(case):
+    relations, order, max_degree = case
+    # a small rule bound keeps the few inputs that blow up cheap on both sides
+    assert _completion_outcome(complete, relations, order, max_degree, 60) == _completion_outcome(
+        _ref_complete, relations, order, max_degree, 60
+    )
+
+
+def test_complete_matches_full_sweep_on_reordered_catalog():
+    rng = random.Random(29)
+    vp_stops_at_eight = [("x_b", "x_a", "x_ab", "y", "x", "x_ma"), ("x", "y", "x_b", "x_ma", "x_a", "x_ab")]
+    cases = [(alg_id, None) for alg_id in ("vb", "a_va1", "a_va2", "a_vp")] + [("a_vp", r) for r in vp_stops_at_eight]
+    degrees = set()
+    for alg_id, ranking in cases:
+        pres = catalog.presentation(alg_id)
+        rels = list(pres.relations)
+        rng.shuffle(rels)
+        if ranking is None:
+            ranking = list(pres.gen_names)
+            rng.shuffle(ranking)
+        order = MonomialOrder.from_ranking([pres.gen_names.index(g) for g in ranking])
+        max_degree = catalog.COMPLETION_DEGREE[alg_id]
+        outcome = _completion_outcome(complete, rels, order, max_degree)
+        assert outcome == _completion_outcome(_ref_complete, rels, order, max_degree)
+        degrees.add(outcome[1])
+    assert degrees == {INFINITE, 8}  # both kinds of certificate are covered
+
+
+@pytest.mark.parametrize("alg_id, bound", [("a_va2", 600), ("a_vp", 200)])
+def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, bound):
+    # a full final sweep resolves every ambiguity again: 1,110 for a_va2 and 370 for a_vp
+    resolved = []
+    s_poly = rewrite._s_poly
+
+    def counting(amb, rules):
+        resolved.append((rules[amb.i], rules[amb.j], amb.offset, amb.kind))
+        return s_poly(amb, rules)
+
+    monkeypatch.setattr(rewrite, "_s_poly", counting)
+    pres = catalog.presentation(alg_id)
+    max_degree = catalog.COMPLETION_DEGREE[alg_id]
+    system = complete(list(pres.relations), pres.order, max_degree)
+    assert len(resolved) <= bound
+    # the ledger invariant: every final pair was resolved with its final two rules
+    seen = {(id(ri), id(rj), offset, kind) for ri, rj, offset, kind in resolved}
+    rules = system._rule_dict
+    for amb in system.find_ambiguities():
+        if len(amb.witness) <= max_degree:
+            assert (id(rules[amb.i]), id(rules[amb.j]), amb.offset, amb.kind) in seen
+
+
+def test_complete_stops_when_a_trace_blows_up():
+    gens = ("x", "y", "z")
+    rels = [P("z x + 3/2", gens), P("x y x z - y y - 1/3", gens), P("z x y z + 3/2 y y x", gens)]
+    start = time.perf_counter()
+    with pytest.raises(CompletionError) as err:
+        complete(rels, MonomialOrder.from_ranking([0, 1, 2]))
+    assert err.value.kind == "budget" and "trace" in err.value.report
+    assert time.perf_counter() - start < 5
+
+
+def test_complete_rejects_negative_degree():
+    with pytest.raises(ValueError, match="max_degree must be >= 0, got -3"):
+        complete(list(catalog.presentation("a_va1").relations), HFE, -3)
+    assert complete([P("e e")], HFE, 0).confluent_to_degree == 0

@@ -35,20 +35,21 @@ def _fr(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _build(block: AlgebraBlock, max_degree: int) -> AlgebraHandle:
-    """Complete an algebra block read from a file; a failure is bad input."""
-    pres = Presentation(block.name, tuple(block.gens), block.order(), tuple(block.relations))
+def _build(pres: Presentation | AlgebraBlock, max_degree: int) -> AlgebraHandle:
+    """Complete a presentation or a block read from a file; a failure is bad input."""
+    if isinstance(pres, AlgebraBlock):
+        pres = Presentation(pres.name, tuple(pres.gens), pres.order(), tuple(pres.relations))
     try:
         return AlgebraHandle.build(pres, max_degree=max_degree)
     except CompletionError as exc:
-        raise CliError(f"{block.name}: completion failed ({exc})")
+        raise CliError(f"{pres.name}: completion failed ({exc})")
     except CertificateError as exc:
         raise CliError(f"{exc}; raise --max-deg")
 
 
-def _degree(flag: str, value: int) -> int:
-    """A degree option; a negative one is bad input."""
-    if value < 0:
+def _degree(flag: str, value: int | None) -> int | None:
+    """A degree option, None when not given; a negative one is bad input."""
+    if value is not None and value < 0:
         raise CliError(f"{flag} must be >= 0, got {value}")
     return value
 
@@ -62,17 +63,21 @@ def _read_source(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def _load_algebra(spec: str, max_degree: int = 12) -> AlgebraHandle:
-    """Either a catalog id or FILE#NAME."""
+def _load_algebra(spec: str, max_degree: int | None = None) -> AlgebraHandle:
+    """Either a catalog id or FILE#NAME, completed at ``max_degree`` when it is given.
+
+    Without it a catalog id gets its cached completion (``catalog.COMPLETION_DEGREE``)
+    and FILE#NAME is completed at degree 12.
+    """
     if "#" in spec:
         path, name = spec.split("#", 1)
         source = parse(_read_source(path))
         blocks = source.algebras()
         if name not in blocks:
             raise CliError(f"no algebra {name!r} in {path}")
-        return _build(blocks[name], max_degree)
+        return _build(blocks[name], 12 if max_degree is None else max_degree)
     if spec in catalog.ALGEBRA_IDS:
-        return catalog.algebra(spec)
+        return catalog.algebra(spec) if max_degree is None else _build(catalog.presentation(spec), max_degree)
     raise CliError(f"unknown algebra id {spec!r}")
 
 
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension of a catalog algebra or FILE#NAME")
     p.add_argument("algebra")
-    p.add_argument("--max-deg", type=int, default=12)
+    p.add_argument("--max-deg", type=int, default=None, help="completion degree bound (default: the catalog's, or 12 for FILE#NAME)")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("nf", help="normal form of an expression in an algebra")

@@ -3,20 +3,17 @@
 A rule ``lhs -> rhs`` rewrites the word ``lhs`` to the strictly smaller
 polynomial ``rhs``; a system is confluent when every overlap or inclusion
 ambiguity between rules resolves to zero.  ``complete`` saturates a
-relation set by processing ambiguities in increasing witness length up to
-a degree bound and reports how far confluence is certified.
+relation set in one loop that resolves ambiguities in increasing witness
+length up to a degree bound, and reports how far confluence is certified.
+A pair ledger records each resolved ambiguity with the two rule objects it
+was resolved against; rules are frozen, so while both are unchanged the
+pair stays resolvable (Bergman 1978) and is not resolved again.
 
-Completion keeps a pair ledger: each ambiguity whose S-polynomial
-reduced to zero is recorded with the two rule objects it was resolved
-against.  Rules are frozen and every rewrite builds a new one, so while
-both objects are unchanged the S-polynomial is the same and stays
-resolvable (Bergman 1978): the final verification sweep re-resolves
-only the pairs whose rules changed since, and the pairs never resolved.
-
-Every rule carries a cofactor trace: an exact expression of
-``lhs - rhs`` as a two-sided combination of the original relations.  The
-trace survives completion, so ``p - reduce(p)`` can always be certified
-to lie in the ideal generated by the input presentation.
+Every rule carries a cofactor trace: an exact expression of ``lhs - rhs``
+as a two-sided combination of the original relations, built from rewrite
+steps only for a polynomial that is kept.  The trace survives completion,
+so ``p - reduce(p)`` can always be certified to lie in the ideal generated
+by the input presentation.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 
@@ -48,6 +46,10 @@ class RewriteRule:
 
     def relation_poly(self) -> NcPoly:
         return NcPoly.monomial(self.lhs) - self.rhs
+
+
+# one rewrite step  c * left * (lhs -> rhs) * right
+Step = tuple[Fraction, Word, RewriteRule, Word]
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,11 @@ def _scale_trace(trace: Trace, c: Fraction) -> Trace:
     return tuple((c * a, l, i, r) for (a, l, i, r) in trace)
 
 
-def _shift_trace(trace: Trace, left: Word, right: Word) -> Trace:
-    return tuple((c, left + l, i, r + right) for (c, l, i, r) in trace)
+def _trace(steps: list[Step], sign: int = 1) -> Trace:
+    """``sign`` times the trace of rewrite steps: ``c * left * rule.trace * right`` per step."""
+    if sign != 1:
+        steps = [(sign * c, left, rule, right) for c, left, rule, right in steps]
+    return tuple((c * a, left + l, i, r + right) for c, left, rule, right in steps for a, l, i, r in rule.trace)
 
 
 def expand_trace(relations: list[NcPoly] | tuple[NcPoly, ...], trace: Trace) -> NcPoly:
@@ -105,15 +110,16 @@ def _find_redex(word: Word, rules: dict[int, RewriteRule]) -> tuple[int, int] | 
 
 def _rewrite(
     p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder, rng: random.Random | None = None
-) -> tuple[NcPoly, list[tuple[Fraction, Word, RewriteRule, Word]]]:
+) -> tuple[NcPoly, list[Step]]:
     """The rewrite loop: rewrite ``p`` until no term has a redex.
 
     A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``.
     Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex;
     with ``rng`` it draws one of all redexes, listed by term, rule id and position.
+    The first step copies ``p`` and every step rewrites the copy in place; ``p`` is never written.
     """
     cur = p
-    steps: list[tuple[Fraction, Word, RewriteRule, Word]] = []
+    steps: list[Step] = []
     while True:
         hit = None
         if rng is None:
@@ -134,11 +140,14 @@ def _rewrite(
                 hit = redexes[rng.randrange(len(redexes))]
         if hit is None:
             return cur, steps
+        if cur is p:
+            cur = NcPoly()
+            cur.terms = dict(p.terms)
         w, pos, rid = hit
         rule = rules[rid]
-        c = cur.terms[w]
+        c = cur.terms.pop(w)
         left, right = w[:pos], w[pos + len(rule.lhs) :]
-        cur = cur - NcPoly.monomial(w, c) + rule.rhs.sandwich(left, right, c)
+        _add_scaled(cur.terms, c, {left + t + right: v for t, v in rule.rhs.terms.items()})
         steps.append((c, left, rule, right))
         if len(steps) > STEP_BUDGET:
             raise RuntimeError("reduction step budget exceeded")
@@ -147,7 +156,7 @@ def _rewrite(
 def _reduce_traced(p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder) -> tuple[NcPoly, Trace]:
     """Canonical reduction with its trace: p - result = sum(trace)."""
     result, steps = _rewrite(p, rules, order)
-    return result, tuple((c * a, left + l, i, r + right) for c, left, rule, right in steps for a, l, i, r in rule.trace)
+    return result, _trace(steps)
 
 
 def _overlaps(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
@@ -173,21 +182,20 @@ def _ambiguities_of_pair(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
     return out
 
 
-def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, Trace]:
-    """Difference of the two one-step reductions of the witness."""
+def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, list[Step]]:
+    """Difference of the two one-step reductions of the witness, with those two steps.
+
+    The S-polynomial is the sum of ``c * left * (lhs - rhs) * right`` over the
+    two steps, so ``_trace(steps)`` is its trace.
+    """
     ri, rj = rules[amb.i], rules[amb.j]
     if amb.kind == "overlap":
         k = amb.offset
-        pre = ri.lhs[: len(ri.lhs) - k]
-        suf = rj.lhs[k:]
-        s = ri.rhs.sandwich(EPSILON, suf) - rj.rhs.sandwich(pre, EPSILON)
-        trace = _shift_trace(rj.trace, pre, EPSILON) + _scale_trace(_shift_trace(ri.trace, EPSILON, suf), Fraction(-1))
+        left, right, suf = ri.lhs[: len(ri.lhs) - k], EPSILON, rj.lhs[k:]
     else:
-        a = ri.lhs[: amb.offset]
-        b = ri.lhs[amb.offset + len(rj.lhs) :]
-        s = ri.rhs - rj.rhs.sandwich(a, b)
-        trace = _shift_trace(rj.trace, a, b) + _scale_trace(ri.trace, Fraction(-1))
-    return s, trace
+        left, right, suf = ri.lhs[: amb.offset], ri.lhs[amb.offset + len(rj.lhs) :], EPSILON
+    s = ri.rhs.sandwich(EPSILON, suf) - rj.rhs.sandwich(left, right)
+    return s, [(Fraction(1), left, rj, right), (Fraction(-1), EPSILON, ri, suf)]
 
 
 class RewriteSystem:
@@ -195,7 +203,9 @@ class RewriteSystem:
 
     ``confluent_to_degree`` is ``INFINITE`` when every ambiguity of the
     final rules was checked, otherwise the degree bound the completion
-    ran with.  ``reduce`` is linear, idempotent and terminating.
+    ran with.  ``reduce`` is linear, idempotent and terminating, and the
+    memo entries ``reduce_word`` hands out have read-only terms.  A system
+    from ``complete`` counts the pairs it resolved and rules it added and retired.
     """
 
     def __init__(
@@ -212,6 +222,7 @@ class RewriteSystem:
         self._memo: dict[Word, NcPoly] = {}
         self._rule_dict = {i: r for i, r in enumerate(self.rules)}
         self.max_rule_degree = max((len(r.lhs) for r in self.rules), default=0)
+        self.pairs_resolved = self.rules_added = self.rules_retired = 0
 
     # -- normal forms ---------------------------------------------------
 
@@ -233,6 +244,7 @@ class RewriteSystem:
             result = NcPoly.zero()
             for t, c in rule.rhs.terms.items():
                 _add_scaled(result.terms, c, self.reduce_word(left + t + right).terms)
+        result.terms = MappingProxyType(result.terms)
         memo[word] = result
         return result
 
@@ -272,31 +284,29 @@ def complete(
     ``CompletionError('budget', ...)`` when the rule count or a rule's
     trace explodes.
 
-    A final sweep walks every ambiguity of the final rules in
-    ``find_ambiguities`` order and restarts the drain at the first one
-    whose S-polynomial does not reduce to zero.  It skips a pair that the
-    ledger holds with the same two rule objects.  The ledger maps
-    ``(lhs_i, lhs_j, offset, kind)`` to the two ``RewriteRule`` objects a
-    pair's S-polynomial reduced to zero against; left-hand sides are
-    unique and survive the renumbering of the sweep.  A rule is frozen and
-    every change of its right-hand side or trace builds a new object, so
-    ``is`` on both objects means that the pair's S-polynomial is the one
-    that reduced to zero.
+    One loop turns pending polynomials into rules first, then resolves the
+    queued pair with the smallest witness; a nonzero reduced S-polynomial
+    becomes pending.  The ledger maps ``(lhs_i, lhs_j, offset, kind)`` to
+    the two rule objects a pair was last resolved against, and a pair it
+    holds with the same two objects (``is``) is skipped.  A rule whose
+    right-hand side is rebuilt is marked, and when nothing is pending or
+    queued the pairs of the live marked rules are queued again.  The
+    certificate is ``INFINITE`` when no pair with a witness longer than
+    ``max_degree`` (recorded when queued) has both rules live.
 
-    The skip is exact.  That reduction wrote the S-polynomial as a
-    combination of rule relations at words below the pair's witness
-    ``w``.  Retiring a rule or rewriting a right-hand side later only
+    The result is exact.  A pair is queued after each addition or rebuild
+    of one of its rules, so at the end every final pair with a witness of
+    at most ``max_degree`` is ledgered with its final two objects.  Its
+    S-polynomial was then a combination of rule relations at words below
+    its witness ``w``: the steps of its reduction, plus the rule made from
+    a nonzero result.  Retiring a rule or rewriting a right-hand side only
     re-expresses a rule relation through words no larger than its
     left-hand side, so the S-polynomial stays in the span of the final
-    rule relations below ``w`` (it is "resolvable relative to <=",
-    Bergman 1978).  The order compares length first and the sweep goes by
-    increasing witness.  So, by induction along the sweep: when every
-    ambiguity with a smaller witness is resolvable, reduction is unique
-    below ``w`` (the diamond lemma taken below ``w``) and a skipped pair at
-    ``w`` reduces to zero.  If every checked pair reduces to zero, so does
-    every skipped one, and the result is the one a full sweep gives;
-    otherwise the first pair that does not reduce to zero is the one a
-    full sweep finds, and the drain restarts from the same state.
+    rule relations below ``w`` ("resolvable relative to <=", Bergman
+    1978).  The order compares length first, so the diamond lemma taken
+    below each witness makes reduction by the final rules unique on words
+    up to ``max_degree``: every final S-polynomial that short reduces to
+    zero, and a full check of the final rules finds nothing to add.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -310,17 +320,21 @@ def complete(
     pending: list[tuple[NcPoly, Trace]] = [
         (rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
     ]
-    heap: list[tuple[int, tuple, int, int, int, str]] = []
+    heap: list[tuple[int, tuple, int, int, int, str, Word]] = []
     ledger: dict[tuple[Word, Word, int, str], tuple[RewriteRule, RewriteRule]] = {}
+    marked: set[int] = set()  # rules whose right-hand side was rebuilt
+    beyond: set[tuple[int, int]] = set()  # pairs with a witness longer than max_degree
+    resolved = 0
 
     def push_ambiguities(i: int) -> None:
         li = rules[i].lhs
         for j in list(rules):
             for amb in _ambiguities_of_pair(i, li, j, rules[j].lhs) if j != i else _overlaps(i, li, i, li):
-                if len(amb.witness) <= max_degree:
-                    heapq.heappush(
-                        heap, (len(amb.witness), order.key(amb.witness), amb.i, amb.j, amb.offset, amb.kind)
-                    )
+                w = amb.witness
+                if len(w) <= max_degree:
+                    heapq.heappush(heap, (len(w), order.key(w), amb.i, amb.j, amb.offset, amb.kind, w))
+                else:
+                    beyond.add((amb.i, amb.j))
 
     def new_rule(lhs: Word, rhs: NcPoly, trace: Trace) -> RewriteRule:
         if len(trace) > TRACE_BUDGET:
@@ -345,64 +359,49 @@ def complete(
             new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
             if delta:
                 rules[other_id] = new_rule(other.lhs, new_rhs, other.trace + delta)
+                marked.add(other_id)
         push_ambiguities(rid)
         if len(rules) > max_rules:
             raise CompletionError("budget", f"more than {max_rules} rules at degree bound {max_degree}")
 
-    def resolve(amb: Ambiguity, rdict: dict[int, RewriteRule]) -> bool:
-        """Reduce the pair's S-polynomial: ledger it when zero, else queue it and return True."""
-        s, trace = _s_poly(amb, rdict)
-        s, delta = _reduce_traced(s, rdict, order)
-        if s.is_zero():
-            ri, rj = rdict[amb.i], rdict[amb.j]
-            ledger[(ri.lhs, rj.lhs, amb.offset, amb.kind)] = (ri, rj)
-            return False
-        pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
-        return True
-
-    def drain() -> None:
-        while pending or heap:
-            if pending:
-                poly, trace = pending.pop()
-                poly, delta = _reduce_traced(poly, rules, order)
-                # pending traces satisfy poly == sum(trace), so subtract
-                trace = trace + _scale_trace(delta, Fraction(-1))
-                if poly.is_zero():
-                    continue
-                if poly.is_scalar():
-                    raise CompletionError("inconsistent", "a relation reduces to a nonzero scalar")
-                add_rule(poly, trace)
-                continue
-            _, _, i, j, offset, kind = heapq.heappop(heap)
-            if i in rules and j in rules:
-                resolve(Ambiguity(kind, i, j, _witness(rules, i, j, offset, kind), offset), rules)
-
-    def _witness(rdict: dict[int, RewriteRule], i: int, j: int, offset: int, kind: str) -> Word:
-        if kind == "overlap":
-            return rdict[i].lhs + rdict[j].lhs[offset:]
-        return rdict[i].lhs
-
-    def settled(amb: Ambiguity, rdict: dict[int, RewriteRule]) -> bool:
-        ri, rj = rdict[amb.i], rdict[amb.j]
-        held = ledger.get((ri.lhs, rj.lhs, amb.offset, amb.kind))
-        return held is not None and held[0] is ri and held[1] is rj
-
-    drain()
-
-    # verification sweep on the final rule set, skipping the ledgered pairs
     while True:
-        final = RewriteSystem(order, list(rules.values()), max_degree, base)
-        leftover = False
-        for amb in final.find_ambiguities():
-            if len(amb.witness) > max_degree:
-                leftover = True
-            elif not settled(amb, final._rule_dict) and resolve(amb, final._rule_dict):
-                rules = dict(final._rule_dict)
-                drain()
-                break
+        if pending:
+            poly, trace = pending.pop()
+            poly, steps = _rewrite(poly, rules, order)
+            if poly.is_zero():
+                continue
+            if poly.is_scalar():
+                raise CompletionError("inconsistent", "a relation reduces to a nonzero scalar")
+            # pending traces satisfy poly == sum(trace), so subtract the steps
+            add_rule(poly, trace + _trace(steps, -1))
+        elif heap:
+            _, _, i, j, offset, kind, w = heapq.heappop(heap)
+            if i not in rules or j not in rules:
+                continue
+            ri, rj = rules[i], rules[j]
+            key = (ri.lhs, rj.lhs, offset, kind)
+            held = ledger.get(key)
+            if held and held[0] is ri and held[1] is rj:
+                continue
+            resolved += 1
+            s, s_steps = _s_poly(Ambiguity(kind, i, j, w, offset), rules)
+            s, steps = _rewrite(s, rules, order)
+            ledger[key] = (ri, rj)
+            if not s.is_zero():  # the trace is built only for a kept S-polynomial
+                pending.append((s, _trace(s_steps) + _trace(steps, -1)))
+        elif marked:
+            for rid in marked & rules.keys():
+                push_ambiguities(rid)
+            marked.clear()
         else:
-            final.confluent_to_degree = max_degree if leftover else INFINITE
-            return final
+            break
+
+    leftover = any(i in rules and j in rules for i, j in beyond)
+    system = RewriteSystem(order, list(rules.values()), max_degree if leftover else INFINITE, base)
+    system.pairs_resolved = resolved
+    system.rules_added = next(next_id)  # one id per added rule; every rule not live was retired
+    system.rules_retired = system.rules_added - len(rules)
+    return system
 
 
 def _contains(word: Word, sub: Word) -> bool:

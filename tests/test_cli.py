@@ -186,6 +186,16 @@ def test_negative_max_deg_exits_2(tmp_path, capsys, argv, json_flag):
     assert err == "error: --max-deg must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_dim_catalog_honours_max_deg(capsys, json_flag):
+    code, out, err = run(capsys, "dim", "a_va2", "--max-deg", "2", *json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: a_va2: confluence certified to degree 2, needed 11; raise --max-deg\n"
+    default = run(capsys, "dim", "a_va2", *json_flag)
+    assert default[0] == 0
+    assert run(capsys, "dim", "a_va2", "--max-deg", "12", *json_flag) == default
+
+
 def test_empty_term_in_expression_exits_2(capsys):
     code, out, err = run(capsys, "nf", "a_va1", "e +")
     assert code == 2 and out == "" and "expected a term" in err

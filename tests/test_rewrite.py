@@ -26,9 +26,7 @@ from zhuind.rewrite import (
     _overlaps,
     _reduce_traced,
     _rewrite,
-    _s_poly,
     _scale_trace,
-    _shift_trace,
     complete,
     confluence_fuzz,
     expand_trace,
@@ -253,6 +251,10 @@ def test_reduce_additive_on_va2(p, q):
 # -- the rewrite loop against the three loops it replaced -----------------------
 
 
+def _shift_trace(trace, left, right):
+    return tuple((c, left + l, i, r + right) for (c, l, i, r) in trace)
+
+
 def _ref_reduce_traced(p, rules, order):
     trace = []
     cur = p
@@ -428,6 +430,23 @@ def test_reduce_keeps_reference_term_order():
 # -- the pair ledger: completion against the full final sweep it replaced -----------
 
 
+def _ref_s_poly(amb, rules):
+    """The S-polynomial with its trace built eagerly, as it was: the reference."""
+    ri, rj = rules[amb.i], rules[amb.j]
+    if amb.kind == "overlap":
+        k = amb.offset
+        pre = ri.lhs[: len(ri.lhs) - k]
+        suf = rj.lhs[k:]
+        s = ri.rhs.sandwich(EPSILON, suf) - rj.rhs.sandwich(pre, EPSILON)
+        trace = _shift_trace(rj.trace, pre, EPSILON) + _scale_trace(_shift_trace(ri.trace, EPSILON, suf), Fraction(-1))
+    else:
+        a = ri.lhs[: amb.offset]
+        b = ri.lhs[amb.offset + len(rj.lhs) :]
+        s = ri.rhs - rj.rhs.sandwich(a, b)
+        trace = _shift_trace(rj.trace, a, b) + _scale_trace(ri.trace, Fraction(-1))
+    return s, trace
+
+
 def _ref_complete(relations, order, max_degree=12, max_rules=4000):
     """``complete`` with a full final sweep, as it was before the pair ledger: the reference.
 
@@ -491,7 +510,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
             if i not in rules or j not in rules:
                 continue
             witness = rules[i].lhs + rules[j].lhs[offset:] if kind == "overlap" else rules[i].lhs
-            s, trace = _s_poly(Ambiguity(kind, i, j, witness, offset), rules)
+            s, trace = _ref_s_poly(Ambiguity(kind, i, j, witness, offset), rules)
             s, delta = _reduce_traced(s, rules, order)
             if not s.is_zero():
                 pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
@@ -505,7 +524,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
             if len(amb.witness) > max_degree:
                 leftover = True
                 continue
-            s, trace = _s_poly(amb, final._rule_dict)
+            s, trace = _ref_s_poly(amb, final._rule_dict)
             s, delta = _reduce_traced(s, final._rule_dict, order)
             if not s.is_zero():
                 rules = dict(final._rule_dict)
@@ -571,9 +590,10 @@ def test_complete_matches_full_sweep_on_reordered_catalog():
     assert degrees == {INFINITE, 8}  # both kinds of certificate are covered
 
 
-@pytest.mark.parametrize("alg_id, bound", [("a_va2", 600), ("a_vp", 200)])
-def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, bound):
-    # a full final sweep resolves every ambiguity again: 1,110 for a_va2 and 370 for a_vp
+@pytest.mark.parametrize("alg_id, count, added, retired", [("a_va2", 563, 72, 6), ("a_vp", 185, 33, 0)], ids=["a_va2", "a_vp"])
+def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, count, added, retired):
+    # a full final sweep resolves every ambiguity again (1,110 for a_va2 and 370 for a_vp),
+    # and a sweep after the pair ledger still re-resolves each changed pair (576 and 188)
     resolved = []
     s_poly = rewrite._s_poly
 
@@ -585,13 +605,110 @@ def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, 
     pres = catalog.presentation(alg_id)
     max_degree = catalog.COMPLETION_DEGREE[alg_id]
     system = complete(list(pres.relations), pres.order, max_degree)
-    assert len(resolved) <= bound
+    assert len(resolved) == system.pairs_resolved == count
+    assert (system.rules_added, system.rules_retired) == (added, retired)
     # the ledger invariant: every final pair was resolved with its final two rules
     seen = {(id(ri), id(rj), offset, kind) for ri, rj, offset, kind in resolved}
     rules = system._rule_dict
     for amb in system.find_ambiguities():
         if len(amb.witness) <= max_degree:
             assert (id(rules[amb.i]), id(rules[amb.j]), amb.offset, amb.kind) in seen
+
+
+@pytest.mark.parametrize("alg_id", ["a_va1", "a_va2", "a_vp"])
+def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
+    # a resolution or a pending polynomial that reduces to zero costs no trace atom
+    s_polys, reductions, traced = [], [], []
+    s_poly, rewrite_, trace = rewrite._s_poly, rewrite._rewrite, rewrite._trace
+
+    def recording_s_poly(amb, rules):
+        out = s_poly(amb, rules)
+        s_polys.append((rules, *out))
+        return out
+
+    def recording_rewrite(p, rules, order, rng=None):
+        out = rewrite_(p, rules, order, rng)
+        reductions.append((p, rules, *out))
+        return out
+
+    def recording_trace(steps, sign=1):
+        traced.append(steps)
+        return trace(steps, sign)
+
+    monkeypatch.setattr(rewrite, "_s_poly", recording_s_poly)
+    monkeypatch.setattr(rewrite, "_rewrite", recording_rewrite)
+    monkeypatch.setattr(rewrite, "_trace", recording_trace)
+    pres = catalog.presentation(alg_id)
+    complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+    rules = s_polys[0][0]  # the live rule set; a right-hand side is rebuilt against a one-rule dict
+    times_traced = {}
+    for steps in traced:
+        times_traced[id(steps)] = times_traced.get(id(steps), 0) + 1
+    kept = zero = 0
+    first_result = {}
+    for p, used, result, steps in reductions:
+        first_result.setdefault(id(p), result)
+        if used is rules:
+            assert times_traced.get(id(steps), 0) == (0 if result.is_zero() else 1)
+            kept, zero = kept + (not result.is_zero()), zero + result.is_zero()
+    for _, s, steps in s_polys:
+        assert times_traced.get(id(steps), 0) == (0 if first_result[id(s)].is_zero() else 1)
+    assert kept and zero > kept  # both kinds occur, and most reduce to zero
+
+
+def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):
+    # _rewrite writes into a copy of its input, never into the input or a rule's right-hand side
+    rng = random.Random(31)
+    for alg_id in ("a_va1", "a_va2", "a_vp"):
+        h = catalog.algebra(alg_id)
+        system = h.system
+        rules, order = system._rule_dict, system.order
+        rhs = [list(r.rhs.terms.items()) for r in system.rules]
+        for seed in range(30):
+            p = _random_poly(rng, len(h.gen_names), n_terms=4)
+            before = list(p.terms.items())
+            _rewrite(p, rules, order)
+            _rewrite(p, rules, order, random.Random(seed))
+            _reduce_traced(p, rules, order)
+            system.reduce_traced(p)
+            assert list(p.terms.items()) == before
+        assert [list(r.rhs.terms.items()) for r in system.rules] == rhs
+
+    rewrite_ = rewrite._rewrite
+
+    def checked_rewrite(p, rules, order, rng=None):
+        before = (list(p.terms.items()), [(r, list(r.rhs.terms.items())) for r in rules.values()])
+        out = rewrite_(p, rules, order, rng)
+        assert (list(p.terms.items()), [(r, list(r.rhs.terms.items())) for r in rules.values()]) == before
+        return out
+
+    monkeypatch.setattr(rewrite, "_rewrite", checked_rewrite)
+    for alg_id in ("a_va1", "a_vp"):
+        pres = catalog.presentation(alg_id)
+        relations = [list(r.terms.items()) for r in pres.relations]
+        complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+        assert [list(r.terms.items()) for r in pres.relations] == relations
+
+
+def test_reduce_word_memo_entries_are_read_only():
+    # a caller writing into a memo entry's terms would change every later reduction through it
+    h = catalog.algebra("a_va2")
+    system = RewriteSystem(h.system.order, list(h.system.rules), h.system.confluent_to_degree)
+    word = h.system.rules[-1].lhs + h.system.rules[0].lhs
+    expected = h.system.reduce(NcPoly.monomial(word))
+    assert not expected.is_zero() and expected != NcPoly.monomial(word)
+    entry = system.reduce_word(word)
+    try:
+        entry.terms[EPSILON] = Fraction(7)
+    except TypeError:
+        pass
+    assert system.reduce(NcPoly.monomial(word)) == expected  # without the guard this reads the write
+    assert system.reduce_word(word) == expected
+    with pytest.raises(TypeError):
+        del entry.terms[next(iter(entry.terms))]
+    out = system.reduce(NcPoly.monomial(word))  # reduce hands out a fresh polynomial
+    out.terms[EPSILON] = Fraction(7)
+    assert system.reduce(NcPoly.monomial(word)) == expected
 
 
 def test_complete_stops_when_a_trace_blows_up():

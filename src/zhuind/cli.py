@@ -17,7 +17,7 @@ from zhuind import catalog, verify
 from zhuind.algebra import AlgebraHandle, CertificateError, Presentation
 from zhuind.chars import artin_solve, char_vector
 from zhuind.induct import induce, restrict
-from zhuind.iolang import AlgebraBlock, ParseError, format_poly, parse, parse_poly_text
+from zhuind.iolang import ParseError, format_poly, parse, parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
 from zhuind.repmod import decompose
 from zhuind.rewrite import INFINITE, CompletionError
@@ -35,10 +35,8 @@ def _fr(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _build(pres: Presentation | AlgebraBlock, max_degree: int) -> AlgebraHandle:
-    """Complete a presentation or a block read from a file; a failure is bad input."""
-    if isinstance(pres, AlgebraBlock):
-        pres = Presentation(pres.name, tuple(pres.gens), pres.order(), tuple(pres.relations))
+def _build(pres: Presentation, max_degree: int) -> AlgebraHandle:
+    """Complete a presentation; a failure is bad input."""
     try:
         return AlgebraHandle.build(pres, max_degree=max_degree)
     except CompletionError as exc:
@@ -75,7 +73,7 @@ def _load_algebra(spec: str, max_degree: int | None = None) -> AlgebraHandle:
         blocks = source.algebras()
         if name not in blocks:
             raise CliError(f"no algebra {name!r} in {path}")
-        return _build(blocks[name], 12 if max_degree is None else max_degree)
+        return _build(blocks[name].presentation(), 12 if max_degree is None else max_degree)
     if spec in catalog.ALGEBRA_IDS:
         return catalog.algebra(spec) if max_degree is None else _build(catalog.presentation(spec), max_degree)
     raise CliError(f"unknown algebra id {spec!r}")
@@ -135,7 +133,7 @@ def cmd_check(args) -> int:
     entries = []
     lines = []
     for name, block in blocks.items():
-        handle = _build(block, max_degree)
+        handle = _build(block.presentation(), max_degree)
         dim = handle.dim_result
         entries.append(
             {

@@ -12,8 +12,8 @@ Grammar (whitespace-insensitive within lines, '#' comments to end of line):
     RATIONAL := INT ["/" INT]
     matrix   := "[" row (";" row)* "]"    # row := RATIONAL*
 
-Parsing is loss free: pretty-printing a parsed file and reparsing gives
-the same result.
+A relation whose terms cancel to zero is a parse error.  Parsing is loss
+free: pretty-printing a parsed file and reparsing gives the same result.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from zhuind.algebra import Presentation
 from zhuind.freealg import MonomialOrder, NcPoly, Word
 
 
@@ -74,6 +75,9 @@ class AlgebraBlock:
     def order(self) -> MonomialOrder:
         ranked = [self.gens.index(n) for n in self.precedence]
         return MonomialOrder.from_ranking(ranked)
+
+    def presentation(self) -> Presentation:
+        return Presentation(self.name, tuple(self.gens), self.order(), tuple(self.relations))
 
 
 @dataclass
@@ -225,8 +229,11 @@ class _Parser:
                 raise ParseError("order must list every generator exactly once", head.line, head.col)
         relations: list[NcPoly] = []
         while self.at_keyword("rel"):
-            self.next()
-            relations.append(self.parse_poly(gen_map))
+            rel_tok = self.next()
+            rel = self.parse_poly(gen_map)
+            if rel.is_zero():
+                raise ParseError("relation is zero", rel_tok.line, rel_tok.col)
+            relations.append(rel)
         self.expect("end")
         return AlgebraBlock(name, gens, precedence, relations, head.line)
 

@@ -5,7 +5,7 @@ nonzero ``Fraction``) and keeps a reduced row echelon basis as sparse
 rows (pivot column -> {column: value}), each with a unit pivot and zero
 at every other pivot, so reducing a mostly zero vector touches only its
 nonzero entries.  It never modifies a caller's vector.  The matrix
-functions (``rref``, ``rank``, ``nullspace``, ``solve``, ``invert``) and
+functions (``rref``, ``rank``, ``nullspace``, ``invert``) and
 ``RowSpace.basis`` and ``RowSpace.nullspace`` use dense lists of
 ``Fraction``; the matrix functions insert their rows into a ``RowSpace``,
 so there is one elimination loop and one kernel routine.  All arithmetic
@@ -65,12 +65,6 @@ def is_zero_mat(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     if not rows:
@@ -86,21 +80,6 @@ def rank(rows: Mat) -> int:
 def nullspace(a: Mat) -> list[Vec]:
     """Basis of the right kernel {x : a x = 0}."""
     return _space(a).nullspace() if a else []
-
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    ncols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols]
-    return x
 
 
 def invert(a: Mat) -> Mat | None:

@@ -350,11 +350,11 @@ def complete(
         for rid in [rid for rid, r in rules.items() if _contains(r.lhs, lw)]:
             old = rules.pop(rid)
             pending.append((old.relation_poly(), old.trace))
-        # re-reduce right-hand sides against the enlarged rule set
+        # re-reduce the right-hand sides that contain the new lhs; no other one changes
         rid = next(next_id)
         rules[rid] = rule
         for other_id, other in list(rules.items()):
-            if other_id == rid:
+            if other_id == rid or not any(_contains(w, lw) for w in other.rhs.terms):
                 continue
             new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
             if delta:

@@ -1,15 +1,47 @@
+import hashlib
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from zhuind import catalog
-from zhuind.iolang import parse_poly_text
+from zhuind.iolang import parse, parse_poly_text, pretty_print
 from zhuind.morphism import check_well_defined
 from zhuind.repmod import check_module
 from zhuind.rewrite import INFINITE
 
 F = Fraction
+
+CATALOG_SHA256 = "8c1b26d0cfbc33a52720f1fe2a3f69c68f68780e367946af73fc6ab24dd1c938"
+
+
+def test_catalog_source_is_pinned():
+    text = catalog.catalog_source()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_SHA256
+    assert text == resources.files("zhuind").joinpath("catalog.zi").read_text(encoding="utf-8")
+
+
+def test_shipped_catalog_is_a_pretty_print_fixed_point():
+    text = catalog.catalog_source()
+    assert pretty_print(parse(text)) == text
+
+
+def test_catalog_ids_name_the_blocks_in_file_order():
+    src = parse(catalog.catalog_source())
+    assert tuple(src.algebras()) == catalog.ALGEBRA_IDS
+    assert tuple(src.morphisms()) == catalog.MORPHISM_IDS
+    assert tuple(src.modules()) == catalog.MODULE_IDS
+    for mod_id in catalog.MODULE_IDS:
+        assert catalog.module(mod_id).label in catalog.VOA_LABELS
+
+
+def test_unknown_ids_raise():
+    for lookup in (catalog.presentation, catalog.morphism, catalog.kernel_candidates, catalog.module):
+        with pytest.raises(catalog.UnknownId):
+            lookup("nope")
+    with pytest.raises(catalog.UnknownId):
+        catalog.irreducibles("heis")
 
 
 def test_every_presentation_completes_with_full_certificate():
@@ -79,18 +111,6 @@ def test_module_families_at_sampled_parameters():
             assert check_module(catalog.module(fam, (t,))) == []
 
 
-def test_weight_dict_pairings_solve_gram_system():
-    data = catalog.weight_dict()
-    gram = data["gram"]
-    assert gram == ((F(2), F(-1)), (F(-1), F(2)))
-    for name, pairings in (("lambda_alpha", (F(1), F(0))), ("lambda_beta", (F(0), F(1)))):
-        entry = data[name]
-        assert entry["pairings"] == pairings
-        a, b = entry["root_coords"]
-        # oracle: (lambda | alpha) and (lambda | beta) via the Gram matrix
-        assert (a * gram[0][0] + b * gram[1][0], a * gram[0][1] + b * gram[1][1]) == pairings
-
-
 def test_uhalf_matrices_match_stated_family():
     mod = catalog.module("vp_mod_Uhalf", (F(1, 2),))
     vp = catalog.algebra("a_vp")
@@ -108,16 +128,6 @@ def test_u0_module_is_scalar_line():
     assert mod.actions[gi("y")] == [[F(7, 3)]]
     for name in ("x", "x_a", "x_ma", "x_b", "x_ab"):
         assert mod.actions[gi(name)] == [[F(0)]]
-
-
-def test_get_dispatch():
-    assert catalog.get("a_va1") is catalog.algebra("a_va1")
-    assert catalog.get("va1_to_va2") is catalog.morphism("va1_to_va2")
-    assert catalog.get("kernel:vir_to_va1") == catalog.kernel_candidates("vir_to_va1")
-    fam = catalog.get("vir_mod")
-    assert fam(F(1, 4)).label == "vir_mod(1/4)"
-    with pytest.raises(catalog.UnknownId):
-        catalog.get("nope")
 
 
 def test_rank_two_irreducibles_highest_weight_pairs():

@@ -229,3 +229,14 @@ def test_check_duplicate_algebra_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "duplicate algebra name 'a'" in err
+
+
+@pytest.mark.parametrize("rel", ["x - x", "0 x", "0", "1/2 x x - 1/2 x x"], ids=["cancel", "zero-coeff", "zero", "fraction-cancel"])
+@pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#z")], ids=["check", "dim"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_zero_relation_is_a_parse_error(tmp_path, capsys, rel, argv, json_flag):
+    path = tmp_path / "zero.zi"
+    path.write_text(f"algebra z gens x\n  rel x x x\n  rel {rel}\nend\n", encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv), *json_flag)
+    assert code == 2 and out == ""
+    assert err == "parse error: 3:3: relation is zero\n"

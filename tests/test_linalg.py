@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhuind import linalg
-from zhuind.linalg import RowSpace, invert, nullspace, rank, rref, solve
+from zhuind.linalg import RowSpace, invert, nullspace, rank, rref
 
 # -- the dense reference ----------------------------------------------------
 
@@ -195,24 +195,6 @@ def test_nullspace_matches_references(a):
     assert basis == [[_frac(x) for x in v] for v in sympy.Matrix(a).nullspace()]
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
-
-
-@SETTINGS
-@given(matrices(), st.randoms(use_true_random=False), st.booleans())
-def test_solve_matches_references(a, rng, consistent):
-    sympy = pytest.importorskip("sympy")
-    ncols = len(a[0])
-    if consistent:
-        x0 = vectors(ncols, rng)
-        b = [sum(x * y for x, y in zip(row, x0)) for row in a]
-    else:
-        b = vectors(len(a), rng)
-    x = solve(a, b)
-    assert x == with_dense_core(solve, a, b)
-    solvable = sympy.Matrix(a).rank() == sympy.Matrix([row + [bv] for row, bv in zip(a, b)]).rank()
-    assert (x is not None) == solvable
-    if x is not None:
-        assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
 
 
 @SETTINGS

@@ -656,6 +656,24 @@ def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
     assert kept and zero > kept  # both kinds occur, and most reduce to zero
 
 
+@pytest.mark.parametrize("alg_id", ["a_va1", "a_va2", "a_vp"])
+def test_complete_rereduces_only_right_hand_sides_the_new_rule_rewrites(monkeypatch, alg_id):
+    # a right-hand side with no word containing the new left-hand side is left alone
+    deltas = []
+    reduce_traced = rewrite._reduce_traced
+
+    def recording_reduce_traced(p, rules, order):
+        out = reduce_traced(p, rules, order)
+        deltas.append(out[1])
+        return out
+
+    monkeypatch.setattr(rewrite, "_reduce_traced", recording_reduce_traced)
+    pres = catalog.presentation(alg_id)
+    system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+    assert system.rules == catalog.algebra(alg_id).system.rules
+    assert all(deltas)  # every call rewrote something
+
+
 def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):
     # _rewrite writes into a copy of its input, never into the input or a rule's right-hand side
     rng = random.Random(31)

@@ -10,6 +10,8 @@ of the command's stdout, its exit code and the command.  Run it on two
 checkouts and diff the output:
 
     PYTHONPATH=src python3 scripts/output_digest.py
+
+``tests/test_output_digest.py`` pins the lines it prints.
 """
 
 import contextlib
@@ -39,7 +41,9 @@ def digest(argv: list[str]) -> tuple[str, int]:
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
 
 
-def main() -> None:
+def digest_lines() -> list[str]:
+    """One line per command of ``COMMANDS``: digest, exit code and the command."""
+    lines = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # a relative path keeps the "file" field of the check report stable
@@ -49,9 +53,15 @@ def main() -> None:
         try:
             for argv in COMMANDS:
                 sha, code = digest(argv)
-                print(f"{sha}  exit={code}  {' '.join(argv)}")
+                lines.append(f"{sha}  exit={code}  {' '.join(argv)}")
         finally:
             os.chdir(cwd)
+    return lines
+
+
+def main() -> None:
+    for line in digest_lines():
+        print(line)
 
 
 if __name__ == "__main__":

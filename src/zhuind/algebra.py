@@ -211,11 +211,9 @@ def normal_words(handle: AlgebraHandle, max_len: int) -> list[Word]:
 
 
 def _suffixes_normal(word: Word, system: RewriteSystem) -> bool:
-    for rule in system.rules:
-        m = len(rule.lhs)
-        if m <= len(word) and word[len(word) - m :] == rule.lhs:
-            return False
-    return True
+    """No left-hand side ends ``word``: one suffix probe per left-hand-side length."""
+    ids, n = system.lhs_index.ids, len(word)
+    return not any(word[n - m :] in ids for m in system.lhs_index.lengths if m <= n)
 
 
 def dimension(handle: AlgebraHandle, probe_len: int) -> DimensionResult:

@@ -14,11 +14,12 @@ linear in the left slot and generators multiply out to all words.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from zhuind.freealg import NcPoly
-from zhuind.linalg import Mat, RowSpace, Vec, zeros
+from zhuind.linalg import Mat, RowSpace, Sparse, Vec, zeros
 from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import (
     DecompositionRecord,
@@ -93,13 +94,11 @@ def induce(
 
     # relation subspace: (a * m(g)) (x) v - a (x) (g.v), over the flat index k * nm + j of a_k (x) v_j
     relations = RowSpace(total)
-    gen_coords = [target.coords(el.poly) for el in m.images]
-    for i in range(nt):
-        a_coords = [Fraction(0)] * nt
-        a_coords[i] = Fraction(1)
+    structure = target.structure
+    gen_coords = [_nonzero(target.coords(el.poly)) for el in m.images]
+    for i, row in enumerate(structure):
         for g, img in enumerate(gen_coords):
-            left = target.mul_coords(a_coords, img)  # a * m(g) over the target basis
-            left_nz = [(k, x) for k, x in enumerate(left) if x]
+            left_nz = _combination((y, row[j]) for j, y in img)  # a_i * m(g) over the target basis
             gmat = reduced.actions[g]
             for j in range(nm):
                 vec = {k * nm + j: x for k, x in left_nz}
@@ -114,32 +113,43 @@ def induce(
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {flat: row for row, flat in enumerate(comp)}
 
-    def quotient_column(coords: Vec, j: int, out: Mat, col: int) -> None:
+    def quotient_column(coords: list[tuple[int, Fraction]], j: int, out: Mat, col: int) -> None:
         """Write the quotient coordinates of (target element) (x) v_j into column ``col``."""
-        vec = {k * nm + j: x for k, x in enumerate(coords) if x}
+        vec = {k * nm + j: x for k, x in coords}
         for flat, x in relations.reduce(vec).items():
             out[pos[flat]][col] = x
 
     # left action of each target generator on the quotient coordinates
     actions: dict[int, Mat] = {}
     for g in range(len(target.gen_names)):
-        gcoords = target.coords(target.system.reduce(NcPoly.gen(g)))
+        gcoords = _nonzero(target.coords(target.system.reduce(NcPoly.gen(g))))
         mat = zeros(qdim, qdim)
         for col, flat in enumerate(comp):
             i, j = divmod(flat, nm)
-            a_coords = [Fraction(0)] * nt
-            a_coords[i] = Fraction(1)
-            quotient_column(target.mul_coords(gcoords, a_coords), j, mat, col)
+            quotient_column(_combination((x, structure[h][i]) for h, x in gcoords), j, mat, col)  # g * a_i
         actions[g] = mat
     induced = FinModule(target, qdim, actions, label)
 
     unit = zeros(qdim, nm)
-    one_coords = target.coords(target.system.reduce(NcPoly.one()))
+    one_coords = _nonzero(target.coords(target.system.reduce(NcPoly.one())))
     for j in range(nm):
         quotient_column(one_coords, j, unit, j)
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
     return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))
+
+
+def _nonzero(vec: Vec) -> list[tuple[int, Fraction]]:
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of a sum of scaled sparse rows, in ascending column order."""
+    acc: dict[int, Fraction] = {}
+    for c, row in terms:
+        for k, v in row.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
 def _voa_label(rec: DecompositionRecord | None, voa_labels: dict[str, str] | None) -> str | None:

@@ -57,7 +57,12 @@ class FinModule:
     def evaluate(self, p: NcPoly) -> Mat:
         out = zeros(self.dim, self.dim)
         for w, c in p.terms.items():
-            out = mat_add(out, mat_scale(self.action_of_word(w), c))
+            if not c:
+                continue
+            for out_row, row in zip(out, self.action_of_word(w)):
+                for k, x in enumerate(row):
+                    if x:
+                        out_row[k] += c * x
         return out
 
     def __repr__(self) -> str:

@@ -9,6 +9,19 @@ A pair ledger records each resolved ambiguity with the two rule objects it
 was resolved against; rules are frozen, so while both are unchanged the
 pair stays resolvable (Bergman 1978) and is not resolved again.
 
+Canonical rewriting looks left-hand sides up in an ``LhsIndex``: a dict
+from each left-hand side to its rule id, and the distinct left-hand-side
+lengths.  A word of length n costs at most n times that many slice
+lookups, not a comparison with every rule at every position.  The
+redex chosen is the scan's: the leftmost position, then the lowest rule
+id.  An interreduced set (every set ``complete`` keeps) has at most one
+match per position, because two left-hand sides starting at the same
+place would have the shorter inside the longer; only a rule set built
+directly, with a duplicate or nested left-hand side, needs the id
+tie-break.  ``RewriteSystem`` builds the index once and ``complete``
+updates it where a rule is added or retired.  The random strategy of
+``_rewrite`` still lists every redex by scanning.
+
 Every rule carries a cofactor trace: an exact expression of ``lhs - rhs``
 as a two-sided combination of the original relations, built from rewrite
 steps only for a polynomial that is kept.  The trace survives completion,
@@ -96,35 +109,80 @@ def expand_trace(relations: list[NcPoly] | tuple[NcPoly, ...], trace: Trace) -> 
     return total
 
 
-def _find_redex(word: Word, rules: dict[int, RewriteRule]) -> tuple[int, int] | None:
+class LhsIndex:
+    """The left-hand sides of a rule dict: each to its lowest rule id, and their lengths.
+
+    ``lengths`` holds the distinct left-hand-side lengths in ascending
+    order.  Rule ids ascend in the order of every rule dict the package
+    builds, so the lowest id is the first in rule order.  An empty
+    left-hand side never matches, as in a scan that skips it.
+    """
+
+    __slots__ = ("ids", "lengths")
+
+    def __init__(self, rules: dict[int, RewriteRule]):
+        self.ids: dict[Word, int] = {}
+        for rid, rule in rules.items():
+            if rule.lhs:
+                self.ids.setdefault(rule.lhs, rid)
+        self._relength()
+
+    def add(self, rid: int, lhs: Word) -> None:
+        self.ids[lhs] = rid
+        self._relength()
+
+    def remove(self, lhs: Word) -> None:
+        del self.ids[lhs]
+        self._relength()
+
+    def _relength(self) -> None:
+        self.lengths = tuple(sorted({len(lhs) for lhs in self.ids}))
+
+
+def _find_redex(word: Word, index: LhsIndex) -> tuple[int, int] | None:
     """Leftmost, lowest-id redex: returns (position, rule id)."""
+    ids, lengths = index.ids, index.lengths
     n = len(word)
-    for pos in range(n):
-        for rid in rules:
-            lhs = rules[rid].lhs
-            m = len(lhs)
-            if m and pos + m <= n and word[pos : pos + m] == lhs:
-                return pos, rid
+    if not ids or n < lengths[0]:
+        return None
+    get = ids.get
+    for pos in range(n - lengths[0] + 1):
+        hit = None
+        for m in lengths:
+            if pos + m > n:
+                break
+            rid = get(word[pos : pos + m])
+            if rid is not None and (hit is None or rid < hit):
+                hit = rid
+        if hit is not None:
+            return pos, hit
     return None
 
 
 def _rewrite(
-    p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder, rng: random.Random | None = None
+    p: NcPoly,
+    rules: dict[int, RewriteRule],
+    order: MonomialOrder,
+    rng: random.Random | None = None,
+    index: LhsIndex | None = None,
 ) -> tuple[NcPoly, list[Step]]:
     """The rewrite loop: rewrite ``p`` until no term has a redex.
 
     A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``.
-    Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex;
+    Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex,
+    found through ``index`` (built from ``rules`` when not given);
     with ``rng`` it draws one of all redexes, listed by term, rule id and position.
     The first step copies ``p`` and every step rewrites the copy in place; ``p`` is never written.
     """
+    if rng is None and index is None:
+        index = LhsIndex(rules)
     cur = p
     steps: list[Step] = []
     while True:
         hit = None
         if rng is None:
             for w in sorted(cur.terms, key=order.key, reverse=True):
-                found = _find_redex(w, rules)
+                found = _find_redex(w, index)
                 if found:
                     hit = (w, *found)
                     break
@@ -153,9 +211,11 @@ def _rewrite(
             raise RuntimeError("reduction step budget exceeded")
 
 
-def _reduce_traced(p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder) -> tuple[NcPoly, Trace]:
+def _reduce_traced(
+    p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder, index: LhsIndex | None = None
+) -> tuple[NcPoly, Trace]:
     """Canonical reduction with its trace: p - result = sum(trace)."""
-    result, steps = _rewrite(p, rules, order)
+    result, steps = _rewrite(p, rules, order, index=index)
     return result, _trace(steps)
 
 
@@ -221,20 +281,21 @@ class RewriteSystem:
         self.relations = relations
         self._memo: dict[Word, NcPoly] = {}
         self._rule_dict = {i: r for i, r in enumerate(self.rules)}
+        self.lhs_index = LhsIndex(self._rule_dict)
         self.max_rule_degree = max((len(r.lhs) for r in self.rules), default=0)
         self.pairs_resolved = self.rules_added = self.rules_retired = 0
 
     # -- normal forms ---------------------------------------------------
 
     def is_normal_word(self, word: Word) -> bool:
-        return _find_redex(word, self._rule_dict) is None
+        return _find_redex(word, self.lhs_index) is None
 
     def reduce_word(self, word: Word) -> NcPoly:
         memo = self._memo
         cached = memo.get(word)
         if cached is not None:
             return cached
-        found = _find_redex(word, self._rule_dict)
+        found = _find_redex(word, self.lhs_index)
         if found is None:
             result = NcPoly.monomial(word)
         else:
@@ -256,7 +317,7 @@ class RewriteSystem:
 
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:
         """Reduction plus a cofactor certificate over the input relations."""
-        return _reduce_traced(p, self._rule_dict, self.order)
+        return _reduce_traced(p, self._rule_dict, self.order, self.lhs_index)
 
     def find_ambiguities(self) -> list[Ambiguity]:
         out: list[Ambiguity] = []
@@ -316,6 +377,7 @@ def complete(
             raise CompletionError("inconsistent", "zero relation in presentation")
 
     rules: dict[int, RewriteRule] = {}
+    index = LhsIndex(rules)  # changed only where a left-hand side comes or goes
     next_id = itertools.count()
     pending: list[tuple[NcPoly, Trace]] = [
         (rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
@@ -349,10 +411,12 @@ def complete(
         # retire rules whose lhs contains the new lhs
         for rid in [rid for rid, r in rules.items() if _contains(r.lhs, lw)]:
             old = rules.pop(rid)
+            index.remove(old.lhs)
             pending.append((old.relation_poly(), old.trace))
         # re-reduce the right-hand sides that contain the new lhs; no other one changes
         rid = next(next_id)
         rules[rid] = rule
+        index.add(rid, lw)
         for other_id, other in list(rules.items()):
             if other_id == rid or not any(_contains(w, lw) for w in other.rhs.terms):
                 continue
@@ -367,7 +431,7 @@ def complete(
     while True:
         if pending:
             poly, trace = pending.pop()
-            poly, steps = _rewrite(poly, rules, order)
+            poly, steps = _rewrite(poly, rules, order, index=index)
             if poly.is_zero():
                 continue
             if poly.is_scalar():
@@ -385,7 +449,7 @@ def complete(
                 continue
             resolved += 1
             s, s_steps = _s_poly(Ambiguity(kind, i, j, w, offset), rules)
-            s, steps = _rewrite(s, rules, order)
+            s, steps = _rewrite(s, rules, order, index=index)
             ledger[key] = (ri, rj)
             if not s.is_zero():  # the trace is built only for a kept S-polynomial
                 pending.append((s, _trace(s_steps) + _trace(steps, -1)))

@@ -1,0 +1,34 @@
+import importlib.util
+import pathlib
+
+# the lines scripts/output_digest.py prints: sha256 of each byte-stable report, its exit code
+# and the command; a change that moves a --json report, a verbose verification detail or an
+# induction report changes one of them
+PINNED_DIGESTS = [
+    "b3d598d075621c6d93718e55390d193ffe4c73f64b0fe8a2ae3ce6b52dc18e2d  exit=1  verify all --json",
+    "e8c49cdccb85c52b396a62599c4585cd716e045501951b444799b24a2f54bef4  exit=1  verify all --verbose",
+    "4e76135938d66c57c89490bcecfebb6b6b1cb073b6a2cc2008aed242ef7bb6d6  exit=0  kernel --via heis_to_va1 --json",
+    "92085b71d1c6603c10de34fd3d80164d1311bf3fb5b4ec536a0096d95324a946  exit=0  kernel --via vb_to_va1 --json",
+    "53114b70fdc040f2c9375aa50b9241e0d30698a54a9de6100b3f4828c4f6f7a2  exit=0  kernel --via vir_to_va1 --json",
+    "b719837a729fd80228491f4e4f411f92078aef106c83cd797148d143bec801b6  exit=0  kernel --via va1_to_va2 --json",
+    "9c02ae8c784db1c8c40d8044ed3c7a618684a9144c8783a6e8e8467de88fe36b  exit=0  kernel --via vp_to_va2 --json",
+    "390d4b7d7279c463af4b01c9c96128f2ca9d6b8394ac73170542079ebd04550a  exit=0  kernel --via heis_to_va2 --json",
+    "cbee65391d7e719d05e343a9cd2f28e0e357bcd32ec24e66cdccc6bdf27fc77e  exit=0  dim a_va2 --json",
+    "8493ea1c9100245dd6c89bb599cd86aa38ba6d062a48d8a0d8bc1d9d96d166ac  exit=0  induce --via va1_to_va2 --module va1_trivial",
+    "61e389004b3ee3bd0ad05f57e41ff304d1ad7596d00b7b654ea8adc24bbad25b  exit=0  induce --via va1_to_va2 --module va1_L_half",
+    "2c631c74117a224ef2b92bada015e8e477c2508f5fecec21c1e1d123217711e5  exit=0  check catalog.zi --json",
+]
+
+
+def _output_digest():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_output_digests_are_pinned():
+    mod = _output_digest()
+    assert [line.split("  ", 2)[2] for line in PINNED_DIGESTS] == [" ".join(argv) for argv in mod.COMMANDS]
+    assert mod.digest_lines() == PINNED_DIGESTS

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhuind import catalog
-from zhuind.linalg import nullspace
+from zhuind.freealg import NcPoly
+from zhuind.linalg import mat_add, mat_scale, nullspace, zeros
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
@@ -224,3 +225,33 @@ def test_hom_space_matches_dense_reference(source, data):
     assert hom.basis == dense_hom_space(source, target)
     if kind != "independent":
         assert hom.dim >= (1 if source.dim else 0)
+
+
+# -- evaluate against the matrix sum it replaced ----------------------------------
+
+
+def sum_evaluate(module, p):
+    """evaluate as it was, two fresh matrices per term: the reference."""
+    out = zeros(module.dim, module.dim)
+    for w, c in p.terms.items():
+        out = mat_add(out, mat_scale(module.action_of_word(w), c))
+    return out
+
+
+_eval_word = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+_eval_poly = st.dictionaries(_eval_word, st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4).map(NcPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(action_modules(), _eval_poly)
+def test_evaluate_matches_matrix_sum(module, p):
+    got = module.evaluate(p)
+    assert got == sum_evaluate(module, p)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_evaluate_matches_matrix_sum_on_catalog_relations():
+    for mod_id in catalog.MODULE_IDS:
+        module = catalog.module(mod_id)
+        for rel in module.owner.presentation.relations:
+            assert module.evaluate(rel) == sum_evaluate(module, rel)

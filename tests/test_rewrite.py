@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhuind import catalog, rewrite
-from zhuind.algebra import AlgebraHandle, Presentation
+from zhuind.algebra import AlgebraHandle, Presentation, _suffixes_normal
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly
 from zhuind.iolang import parse_poly_text
 from zhuind.rewrite import (
@@ -18,6 +18,7 @@ from zhuind.rewrite import (
     TRACE_BUDGET,
     Ambiguity,
     CompletionError,
+    LhsIndex,
     RewriteRule,
     RewriteSystem,
     _ambiguities_of_pair,
@@ -251,6 +252,18 @@ def test_reduce_additive_on_va2(p, q):
 # -- the rewrite loop against the three loops it replaced -----------------------
 
 
+def _ref_find_redex(word, rules):
+    """Leftmost, lowest-id redex by scanning every rule at every position: the reference."""
+    n = len(word)
+    for pos in range(n):
+        for rid in rules:
+            lhs = rules[rid].lhs
+            m = len(lhs)
+            if m and pos + m <= n and word[pos : pos + m] == lhs:
+                return pos, rid
+    return None
+
+
 def _shift_trace(trace, left, right):
     return tuple((c, left + l, i, r + right) for (c, l, i, r) in trace)
 
@@ -261,7 +274,7 @@ def _ref_reduce_traced(p, rules, order):
     while True:
         hit = None
         for w in sorted(cur.terms, key=order.key, reverse=True):
-            found = _find_redex(w, rules)
+            found = _ref_find_redex(w, rules)
             if found:
                 hit = (w, found)
                 break
@@ -282,7 +295,7 @@ def _ref_reduce_counting(system, p):
     while True:
         hit = None
         for w in sorted(cur.terms, key=system.order.key, reverse=True):
-            found = _find_redex(w, system._rule_dict)
+            found = _ref_find_redex(w, system._rule_dict)
             if found:
                 hit = (w, found)
                 break
@@ -386,7 +399,7 @@ def _ref_memo_reduce(system, p, memo):
     def reduce_word(word):
         if word in memo:
             return memo[word]
-        found = _find_redex(word, system._rule_dict)
+        found = _ref_find_redex(word, system._rule_dict)
         if found is None:
             result = NcPoly.monomial(word)
         else:
@@ -487,7 +500,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
         for other_id, other in list(rules.items()):
             if other_id == rid:
                 continue
-            new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
+            new_rhs, delta = _ref_reduce_traced(other.rhs, {rid: rule}, order)
             if delta:
                 rules[other_id] = budgeted(other.lhs, new_rhs, other.trace + delta)
         push_ambiguities(rid)
@@ -498,7 +511,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
         while pending or heap:
             if pending:
                 poly, trace = pending.pop()
-                poly, delta = _reduce_traced(poly, rules, order)
+                poly, delta = _ref_reduce_traced(poly, rules, order)
                 trace = trace + _scale_trace(delta, Fraction(-1))
                 if poly.is_zero():
                     continue
@@ -511,7 +524,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
                 continue
             witness = rules[i].lhs + rules[j].lhs[offset:] if kind == "overlap" else rules[i].lhs
             s, trace = _ref_s_poly(Ambiguity(kind, i, j, witness, offset), rules)
-            s, delta = _reduce_traced(s, rules, order)
+            s, delta = _ref_reduce_traced(s, rules, order)
             if not s.is_zero():
                 pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
 
@@ -525,7 +538,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
                 leftover = True
                 continue
             s, trace = _ref_s_poly(amb, final._rule_dict)
-            s, delta = _reduce_traced(s, final._rule_dict, order)
+            s, delta = _ref_reduce_traced(s, final._rule_dict, order)
             if not s.is_zero():
                 rules = dict(final._rule_dict)
                 pending.append((s, trace + _scale_trace(delta, Fraction(-1))))
@@ -626,8 +639,8 @@ def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
         s_polys.append((rules, *out))
         return out
 
-    def recording_rewrite(p, rules, order, rng=None):
-        out = rewrite_(p, rules, order, rng)
+    def recording_rewrite(p, rules, order, rng=None, index=None):
+        out = rewrite_(p, rules, order, rng, index)
         reductions.append((p, rules, *out))
         return out
 
@@ -694,9 +707,9 @@ def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):
 
     rewrite_ = rewrite._rewrite
 
-    def checked_rewrite(p, rules, order, rng=None):
+    def checked_rewrite(p, rules, order, rng=None, index=None):
         before = (list(p.terms.items()), [(r, list(r.rhs.terms.items())) for r in rules.values()])
-        out = rewrite_(p, rules, order, rng)
+        out = rewrite_(p, rules, order, rng, index)
         assert (list(p.terms.items()), [(r, list(r.rhs.terms.items())) for r in rules.values()]) == before
         return out
 
@@ -743,3 +756,105 @@ def test_complete_rejects_negative_degree():
     with pytest.raises(ValueError, match="max_degree must be >= 0, got -3"):
         complete(list(catalog.presentation("a_va1").relations), HFE, -3)
     assert complete([P("e e")], HFE, 0).confluent_to_degree == 0
+
+
+# -- the left-hand-side index against the scan it replaced ----------------------
+
+
+def _ref_suffixes_normal(word, system):
+    """No rule's left-hand side ends ``word``, by scanning every rule: the reference."""
+    for rule in system.rules:
+        m = len(rule.lhs)
+        if m <= len(word) and word[len(word) - m :] == rule.lhs:
+            return False
+    return True
+
+
+_letter = st.integers(0, 2)
+_lhs_word = st.lists(_letter, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _rule_dicts(draw):
+    """Rule dicts with ascending ids and mixed lengths: often duplicate or nested left-hand sides, or none."""
+    lhss = draw(st.lists(_lhs_word, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if lhss else 0):
+        base = draw(st.sampled_from(lhss))
+        before = draw(st.lists(_letter, max_size=2).map(tuple))
+        after = draw(st.lists(_letter, max_size=2).map(tuple))
+        lhss.insert(draw(st.integers(0, len(lhss))), before + base + after)  # equal to base when both are empty
+    ids = sorted(draw(st.sets(st.integers(0, 99), min_size=len(lhss), max_size=len(lhss))))
+    return {rid: RewriteRule(lhs, NcPoly.zero()) for rid, lhs in zip(ids, lhss)}
+
+
+_words = st.lists(st.lists(_letter, max_size=10).map(tuple), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_dicts(), _words)
+def test_lhs_index_matches_rule_scan(rules, words):
+    index = LhsIndex(rules)
+    system = RewriteSystem(HFE, list(rules.values()), INFINITE)
+    for word in words:
+        assert _find_redex(word, index) == _ref_find_redex(word, rules)
+        assert _find_redex(word, system.lhs_index) == _ref_find_redex(word, system._rule_dict)
+        assert system.is_normal_word(word) == (_ref_find_redex(word, system._rule_dict) is None)
+        assert _suffixes_normal(word, system) == _ref_suffixes_normal(word, system)
+
+
+def test_lhs_index_picks_lowest_id_among_nested_and_duplicate_rules():
+    rules = {0: RewriteRule(w("hef"), P("0 e")), 1: RewriteRule(w("he"), P("0 e")), 2: RewriteRule(w("he"), P("e"))}
+    index = LhsIndex(rules)
+    assert (index.ids, index.lengths) == ({w("hef"): 0, w("he"): 1}, (2, 3))
+    assert _find_redex(w("ehef"), index) == (1, 0)  # the longer lhs has the lower id
+    assert _find_redex(w("ehe"), index) == (1, 1)  # the first of two equal lhs
+    assert _find_redex(w("fff"), index) is None
+    empty = LhsIndex({})
+    assert (empty.ids, empty.lengths) == ({}, ())
+    assert _find_redex(w("hef"), empty) is None
+
+
+def _recording_index_checks(monkeypatch):
+    """Check complete's index against one rebuilt from its rules at every reduction; returns the last pair."""
+    seen = []
+    rewrite_ = rewrite._rewrite
+
+    def checked_rewrite(p, rules, order, rng=None, index=None):
+        if index is not None:
+            rebuilt = LhsIndex(rules)
+            assert (index.ids, index.lengths) == (rebuilt.ids, rebuilt.lengths)
+            seen[:] = [(rules, index)]
+        return rewrite_(p, rules, order, rng, index)
+
+    monkeypatch.setattr(rewrite, "_rewrite", checked_rewrite)
+    return seen
+
+
+def _assert_index_of_live_rules(seen):
+    rules, index = seen[0]
+    rebuilt = LhsIndex(rules)
+    assert (index.ids, index.lengths) == (rebuilt.ids, rebuilt.lengths)
+    assert len(index.ids) == len(rules)  # the live left-hand sides are distinct
+
+
+@pytest.mark.parametrize("alg_id", ["vb", "a_va1", "a_va2", "a_vp"])
+def test_complete_keeps_lhs_index_of_live_rules_on_catalog(monkeypatch, alg_id):
+    seen = _recording_index_checks(monkeypatch)
+    pres = catalog.presentation(alg_id)
+    system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+    _assert_index_of_live_rules(seen)
+    assert sorted(seen[0][1].ids) == sorted(r.lhs for r in system.rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
+def test_complete_keeps_lhs_index_of_live_rules_on_generated_presentations(case):
+    relations, order, max_degree = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = _recording_index_checks(monkeypatch)
+        try:
+            complete(list(relations), order, max_degree, 60)
+        except CompletionError:
+            pass
+    if seen:
+        _assert_index_of_live_rules(seen)

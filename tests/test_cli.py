@@ -129,6 +129,14 @@ def test_json_reports_byte_identical(capsys):
     assert v1 == v2
 
 
+def test_kernel_table_is_pinned_past_the_probe_degree(capsys):
+    code, out, _ = run(capsys, "kernel", "--via", "vp_to_va2", "--degree", "12", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "exact" and report["degree"] == 12
+    tail = [[19 + 5 * k, 4 + 5 * k, 15] for k in range(10)]
+    assert report["per_degree"] == [[1, 0, 1], [7, 0, 7], [14, 0, 14]] + tail
+
+
 def test_kernel_negative_degree_exits_2(capsys):
     code, out, err = run(capsys, "kernel", "--via", "vp_to_va2", "--degree", "-1")
     assert code == 2 and out == ""

@@ -1,11 +1,17 @@
-import pytest
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from zhuind import catalog
-from zhuind.algebra import AlgebraHandle, Presentation
-from zhuind.freealg import MonomialOrder
+from zhuind.algebra import AlgebraHandle, Presentation, normal_words
+from zhuind.freealg import MonomialOrder, NcPoly
+from zhuind.linalg import RowSpace
 from zhuind.morphism import (
     AlgebraMorphism,
+    KernelCertificate,
+    _image_rows,
     certify_kernel,
     check_well_defined,
     compose,
@@ -133,3 +139,113 @@ def test_certify_kernel_degree_zero():
     m = catalog.morphism("vp_to_va2")
     cert = certify_kernel(m, list(catalog.kernel_candidates("vp_to_va2")), 0)
     assert cert.status == "exact" and cert.table == ((1, 0, 1),)
+
+
+def _ref_certify_kernel(m, candidates, degree):
+    """The ideal slice from every sandwich a·c·b with |a| + |b| <= d - deg c, as certify_kernel built it before the closure."""
+    src_words = sorted(normal_words(m.source, degree), key=m.source.system.order.key, reverse=True)
+    by_len = {}
+    for w in src_words:
+        by_len.setdefault(len(w), []).append(w)
+
+    table = []
+    exact = True
+    index_all = {w: i for i, w in enumerate(src_words)}
+    reduce_src = m.source.system.reduce
+
+    def coords(p):
+        vec = {}
+        for w, c in p.terms.items():
+            col = index_all.get(w)
+            if col is None:
+                return None
+            vec[col] = c
+        return vec
+
+    ideal = RowSpace(len(src_words))
+    added = set()
+    img_rows, support_size = _image_rows(m, src_words)
+    image = RowSpace(support_size)
+    slice_dim = 0
+
+    for d in range(degree + 1):
+        for ci, cand in enumerate(candidates):
+            cdeg = cand.poly.degree()
+            if cdeg < 0:
+                continue
+            for la in range(0, max(d - cdeg, -1) + 1):
+                for lb in range(0, d - cdeg - la + 1):
+                    for a in by_len.get(la, []):
+                        for b in by_len.get(lb, []):
+                            key = (ci, a, b)
+                            if key in added:
+                                continue
+                            added.add(key)
+                            prod = reduce_src(cand.poly.sandwich(a, b))
+                            vec = coords(prod)
+                            if vec is not None:
+                                ideal.add(vec)
+        slice_dim += len(by_len.get(d, []))
+        cutoff = len(src_words) - slice_dim
+        ideal_slice_dim = sum(1 for p in ideal.pivots if p >= cutoff)
+        for w, row in zip(src_words, img_rows):
+            if len(w) == d:
+                image.add(row)
+        img_rank = image.dim
+        table.append((slice_dim, ideal_slice_dim, img_rank))
+        if slice_dim - ideal_slice_dim != img_rank:
+            exact = False
+
+    return KernelCertificate(tuple(candidates), "exact" if exact else "contained", degree, tuple(table))
+
+
+@pytest.mark.parametrize("mor_id", catalog.MORPHISM_IDS)
+def test_certify_kernel_matches_sandwich_reference_on_catalog(mor_id):
+    m, cands = catalog.morphism(mor_id), list(catalog.kernel_candidates(mor_id))
+    for degree in range(catalog.KERNEL_PROBE_DEGREE[mor_id] + 1):
+        assert certify_kernel(m, cands, degree) == _ref_certify_kernel(m, cands, degree)
+
+
+def test_certify_kernel_matches_sandwich_reference_on_candidate_subsets():
+    m, cands = catalog.morphism("vp_to_va2"), catalog.kernel_candidates("vp_to_va2")
+    statuses = []
+    for mask in range(2 ** len(cands)):
+        subset = [c for i, c in enumerate(cands) if mask >> i & 1]
+        cert = certify_kernel(m, subset, 5)
+        assert cert == _ref_certify_kernel(m, subset, 5)
+        statuses.append(cert.status)
+    assert (statuses.count("contained"), statuses.count("exact")) == (55, 9)
+
+
+# sources without a finite basis, with the highest degree generated examples certify to
+_GENERATED_DEGREE = {"heis_to_va1": 8, "vb_to_va1": 8, "vir_to_va1": 8, "vp_to_va2": 5, "heis_to_va2": 8}
+
+
+@st.composite
+def _kernel_elements(draw):
+    """A catalog morphism, kernel elements sum_k q_k a_k c_k b_k of mixed degree, and a degree."""
+    mor_id = draw(st.sampled_from(sorted(_GENERATED_DEGREE)))
+    m, cands = catalog.morphism(mor_id), catalog.kernel_candidates(mor_id)
+    words = st.lists(st.integers(0, len(m.source.gen_names) - 1), max_size=2).map(tuple)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    term = st.tuples(coeff, words, st.sampled_from(cands), words)
+    elements = []
+    for terms in draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3)):
+        poly = NcPoly.zero()
+        for q, a, c, b in terms:
+            poly = poly + c.poly.sandwich(a, b, q)
+        elements.append(m.source.element(poly))
+    return m, elements, draw(st.integers(0, _GENERATED_DEGREE[mor_id]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_elements())
+def test_certify_kernel_matches_sandwich_reference_on_generated_kernel_elements(case):
+    m, elements, degree = case
+    assert certify_kernel(m, elements, degree) == _ref_certify_kernel(m, elements, degree)
+
+
+def test_certify_kernel_products_are_bounded():
+    # every sandwich a·c·b at degree 8 is 2,496 products; the closure needs 294
+    cert = certify_kernel(catalog.morphism("vp_to_va2"), list(catalog.kernel_candidates("vp_to_va2")), 8)
+    assert cert.products <= 300

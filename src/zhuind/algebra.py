@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from zhuind import rewrite
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 from zhuind.linalg import Sparse, Vec
 from zhuind.rewrite import INFINITE, RewriteSystem
 
@@ -129,6 +129,31 @@ class AlgebraHandle:
                 for k, v in row[j].items():
                     out[k] += c * v
         return out
+
+    def associativity_failures(self) -> list[tuple[int, int, int]]:
+        """Basis triples (i, j, k) with ``(e_i e_j) e_k != e_i (e_j e_k)`` in the structure constants.
+
+        Both sides are sums of scaled sparse structure rows, so a triple
+        costs the nonzero entries of ``e_i e_j`` and ``e_j e_k``.
+        """
+        if self.structure is None:
+            raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
+        table = self.structure
+        nb = len(table)
+        failures = []
+        for i in range(nb):
+            for j in range(nb):
+                ij = table[i][j]
+                for k in range(nb):
+                    left: Sparse = {}
+                    for m, x in ij.items():
+                        _add_scaled(left, x, table[m][k])
+                    right: Sparse = {}
+                    for m, x in table[j][k].items():
+                        _add_scaled(right, x, table[i][m])
+                    if left != right:
+                        failures.append((i, j, k))
+        return failures
 
     def __repr__(self) -> str:
         d = self.dim()

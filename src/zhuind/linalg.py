@@ -2,20 +2,23 @@
 
 ``RowSpace`` takes and returns sparse vectors (``Sparse``: column ->
 nonzero ``Fraction``) and keeps a reduced row echelon basis as sparse
-rows (pivot column -> {column: value}), each with a unit pivot and zero
-at every other pivot, so reducing a mostly zero vector touches only its
-nonzero entries.  It never modifies a caller's vector.  The matrix
-functions (``rref``, ``rank``, ``nullspace``, ``invert``) and
-``RowSpace.basis`` and ``RowSpace.nullspace`` use dense lists of
-``Fraction``; the matrix functions insert their rows into a ``RowSpace``,
-so there is one elimination loop and one kernel routine.  All arithmetic
-is exact.
+primitive integer rows (pivot column -> {column: int}), each with a
+positive pivot entry and zero at every other pivot, so reducing a mostly
+zero vector touches only its nonzero entries.  Elimination inside it is
+fraction-free; ``Fraction`` values are built only where results leave
+it.  It never modifies a caller's vector.  The matrix functions
+(``rref``, ``rank``, ``nullspace``, ``invert``) and ``RowSpace.basis``
+and ``RowSpace.nullspace`` use dense lists of ``Fraction`` with a unit
+pivot in each echelon row; the matrix functions insert their rows into a
+``RowSpace``, so there is one elimination loop and one kernel routine.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 from zhuind.freealg import _add_scaled
 
@@ -101,46 +104,60 @@ def _space(rows: Mat) -> "RowSpace":
 class RowSpace:
     """A subspace of Q^n kept in reduced row echelon form.
 
+    Each echelon row is stored as a primitive integer row (pivot column ->
+    {column: int}): its entries have gcd 1, its pivot entry is positive and
+    it is zero at every other pivot, so it is a positive multiple of the
+    reduced row with a unit pivot and the stored rows are as canonical as
+    that form.  Elimination is fraction-free (Bareiss 1968): a caller's
+    vector is scaled once by the lcm of its denominators, and each step
+    cross-multiplies by the two pivot entries divided by their gcd.  Only
+    ``reduce``, ``basis`` and ``nullspace`` build ``Fraction`` values.
     Supports incremental insertion, membership tests and reduction of a
-    sparse vector modulo the space.  ``pivots`` is sorted and ``basis()`` lists
-    rows by pivot column, so the basis is canonical and equality of
+    sparse vector modulo the space.  ``pivots`` is sorted and ``basis()``
+    lists rows by pivot column, so the basis is canonical and equality of
     subspaces is list equality.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, Sparse] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Sparse) -> Sparse:
-        """``vec`` modulo the space, as a new sparse vector."""
-        v = {c: x for c, x in vec.items() if x}
+    def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
+        """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
+        den = lcm(*[x.denominator for x in vec.values()])
+        v = {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
+        rows = self.rows
         # a row is zero at every other pivot, so the pivots met are fixed upfront
-        for p in [p for p in v if p in self.rows]:
-            _add_scaled(v, -v[p], self.rows[p])
-        return v
+        for p in [p for p in v if p in rows]:
+            den *= _cancel(v, rows[p], p)
+        return v, den
+
+    def reduce(self, vec: Sparse) -> Sparse:
+        """``vec`` modulo the space, as a new sparse vector of ``Fraction`` values."""
+        v, den = self._eliminate(vec)
+        return {c: Fraction(x, den) for c, x in v.items()}
 
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if the dimension grew."""
-        v = self._reduce(vec)
-        if not v:
+        row, _ = self._eliminate(vec)
+        if not row:
             return False
-        p = min(v)
-        inv = Fraction(1) / v[p]
-        row = {c: x * inv for c, x in v.items()}
-        for other in self.rows.values():
+        p = min(row)
+        _make_primitive(row, p)
+        for q, other in self.rows.items():
             if p in other:
-                _add_scaled(other, -other[p], row)
+                _cancel(other, row, p)
+                _make_primitive(other, q)
         self.rows[p] = row
         insort(self.pivots, p)
         return True
 
     def contains(self, vec: Sparse) -> bool:
-        return not self._reduce(vec)
+        return not self._eliminate(vec)[0]
 
-    # linalg's own calls use these names, so the per-layer trace of
+    # linalg's own insertions use this name, so the per-layer trace of
     # perfbench/tracing.py counts only the calls of other modules
-    _reduce = reduce
     _insert = add
 
     @property
@@ -150,23 +167,52 @@ class RowSpace:
     def basis(self) -> Mat:
         out = []
         for p in self.pivots:
+            r = self.rows[p]
+            b = r[p]
             row = [Fraction(0)] * self.ncols
-            for c, x in self.rows[p].items():
-                row[c] = x
+            for c, x in r.items():
+                row[c] = Fraction(x, b)
             out.append(row)
         return out
 
     def nullspace(self) -> list[Vec]:
-        """Right kernel: per free column fc, ascending, 1 at fc and -row[fc] at each pivot."""
+        """Right kernel: per free column fc, ascending, 1 at fc and -row[fc] / row[p] at each pivot p."""
         out = []
         for fc in self.complement_columns():
             v = [Fraction(0)] * self.ncols
             v[fc] = Fraction(1)
             for p in self.pivots:
-                v[p] = -self.rows[p].get(fc, Fraction(0))
+                r = self.rows[p]
+                v[p] = Fraction(-r.get(fc, 0), r[p])
             out.append(v)
         return out
 
     def complement_columns(self) -> list[int]:
         pivot_set = set(self.pivots)
         return [i for i in range(self.ncols) if i not in pivot_set]
+
+
+def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:
+    """Clear ``v[p]`` in place with integers only; returns the positive factor ``m`` that scaled ``v``.
+
+    With ``g = gcd(v[p], row[p])``, ``v`` becomes ``m·v - (v[p]/g)·row``
+    for ``m = row[p]/g``, the smallest integer multiple that cancels.
+    """
+    a, b = v[p], row[p]
+    g = gcd(a, b)
+    m = b // g
+    if m != 1:
+        for c, x in v.items():
+            v[c] = x * m
+    _add_scaled(v, -(a // g), row)
+    return m
+
+
+def _make_primitive(row: dict[int, int], pivot: int) -> None:
+    """Divide ``row`` in place by its content, signed so that the pivot entry is positive."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c, x in row.items():
+            row[c] = x // g

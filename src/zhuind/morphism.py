@@ -96,8 +96,21 @@ def image_basis(m: AlgebraMorphism) -> list[Element]:
 
 
 def _image_rows(m: AlgebraMorphism, words: list[Word]) -> tuple[list[Sparse], int]:
-    """Sparse coordinates of the images of ``words`` over the target words they touch, and that count."""
-    images = [m.apply_word(w) for w in words]
+    """Sparse coordinates of the images of ``words`` over the target words they touch, and that count.
+
+    The image of ``w + (g,)`` is ``reduce(image(w) * image(g))``, the last
+    step of ``apply_word``; every prefix's image is kept, so a set closed
+    under prefixes, as normal words are, costs one reduction per word.
+    """
+    reduce_tgt, gen_images = m.target.system.reduce, m.images
+    known: dict[Word, NcPoly] = {(): NcPoly.one()}
+
+    def image(w: Word) -> NcPoly:
+        if w not in known:
+            known[w] = reduce_tgt(image(w[:-1]) * gen_images[w[-1]].poly)
+        return known[w]
+
+    images = [image(w) for w in words]
     support: list[Word] = sorted({w for img in images for w in img.terms}, key=m.target.system.order.key)
     index = {w: i for i, w in enumerate(support)}
     return [{index[w]: c for w, c in img.terms.items()} for img in images], len(support)

@@ -40,7 +40,8 @@ class FinModule:
                 mat = zeros(dim, dim)
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError(f"action of {owner.gen_names[g]} must be {dim}x{dim}")
-            self.actions[g] = [[Fraction(x) for x in row] for row in mat]
+            # Fraction is immutable, so an entry that already is one is shared, not rebuilt
+            self.actions[g] = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
         self.label = label or f"{owner.name}-module(dim {dim})"
 
     @staticmethod

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -88,6 +89,45 @@ def test_structure_constants_associative_dim5(va1):
             ij = va1.mul_coords(unit[i], unit[j])
             for k in range(nb):
                 assert va1.mul_coords(ij, unit[k]) == va1.mul_coords(unit[i], va1.mul_coords(unit[j], unit[k]))
+
+
+def _dense_associativity_failures(handle):
+    """The triples failing ``(e_i e_j) e_k = e_i (e_j e_k)`` through dense ``mul_coords`` on unit vectors."""
+    nb = len(handle.basis)
+    unit = [[Fraction(1) if i == j else Fraction(0) for i in range(nb)] for j in range(nb)]
+    failures = []
+    for i in range(nb):
+        for j in range(nb):
+            ij = handle.mul_coords(unit[i], unit[j])
+            for k in range(nb):
+                if handle.mul_coords(ij, unit[k]) != handle.mul_coords(unit[i], handle.mul_coords(unit[j], unit[k])):
+                    failures.append((i, j, k))
+    return failures
+
+
+def test_associativity_failures_empty_on_catalog(va1, va2):
+    assert va1.associativity_failures() == []
+    assert va2.associativity_failures() == []
+
+
+def test_associativity_failures_catch_one_corrupted_structure_constant(va2):
+    broken = copy.copy(va2)
+    broken.structure = copy.deepcopy(va2.structure)
+    g = va2.presentation.gen_index
+    i, j = va2.basis_index[(g("x_a"),)], va2.basis_index[(g("x_ma"),)]  # x_a x_ma = 1/2 x x + 1/2 x
+    k = next(iter(broken.structure[i][j]))
+    broken.structure[i][j][k] *= 2
+    failures = broken.associativity_failures()
+    assert failures
+    assert failures == _dense_associativity_failures(broken)
+    # the catalog handle itself is untouched
+    assert va2.associativity_failures() == []
+
+
+def test_associativity_failures_need_a_finite_basis():
+    vp = catalog.algebra("a_vp")
+    with pytest.raises(ValueError):
+        vp.associativity_failures()
 
 
 def test_mul_examples(va1, va2):

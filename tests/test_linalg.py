@@ -11,6 +11,7 @@ converted with ``sp`` at each call and its results with ``dense``.
 """
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -153,6 +154,37 @@ def matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 7)):
     return out
 
 
+# the six largest primes below 10^6, so denominators are large and coprime
+BIG_PRIMES = (999983, 999979, 999961, 999959, 999953, 999931)
+
+
+@st.composite
+def wide_matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 7)):
+    """Rows of plain ints and of fractions with numerators and denominators up to 10^6.
+
+    A chain of dependent rows follows: each is a multiple of the row
+    before it plus a multiple of some earlier row.
+    """
+    n, m = draw(rows), draw(cols)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def big():
+        den = rng.choice(BIG_PRIMES) if rng.random() < 0.5 else rng.randint(1, 10**6)
+        return Fraction(rng.randint(-(10**6), 10**6), den)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        return rng.randint(-(10**6), 10**6) if r < 0.55 else big()
+
+    out = [[entry() for _ in range(m)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        f, g = big(), rng.randint(-3, 3)
+        out.append([f * x + g * y for x, y in zip(out[-1], rng.choice(out))])
+    return out
+
+
 def vectors(ncols, rng):
     return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0) for _ in range(ncols)]
 
@@ -231,6 +263,53 @@ def test_rowspace_matches_dense_reference(a, rng):
     for v in [vectors(ncols, rng) for _ in range(4)] + a:
         assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
         assert space.contains(sp(v)) == ref.contains(v)
+
+
+@SETTINGS
+@given(wide_matrices(), st.randoms(use_true_random=False))
+def test_rowspace_matches_dense_reference_on_large_denominators(a, rng):
+    ncols = len(a[0])
+    space, ref = RowSpace(ncols), DenseRowSpace(ncols)
+    for row in a:
+        assert space.add(sp(row)) == ref.add(row)
+        assert space.pivots == ref.pivots
+        assert space.basis() == ref.basis()
+    assert space.nullspace() == dense_nullspace(a)
+    for v in a + [vectors(ncols, rng)] + [[f * x for x in row] for row in a for f in (7, Fraction(-5, 999983))]:
+        assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
+        assert space.contains(sp(v)) == ref.contains(v)
+
+
+def assert_rows_primitive(space):
+    """Every stored row: nonzero ints with gcd 1, positive at its pivot and zero at every other pivot."""
+    assert sorted(space.rows) == space.pivots
+    for p, row in space.rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in space.pivots if q != p)
+
+
+@SETTINGS
+@given(matrices() | wide_matrices())
+def test_rowspace_rows_stay_primitive(a):
+    space = RowSpace(len(a[0]))
+    for row in a:
+        space.add(sp(row))
+        assert_rows_primitive(space)
+    # each stored row is the reduced row with a unit pivot times its pivot entry
+    for (p, row), unit in zip(sorted(space.rows.items()), space.basis()):
+        assert all(x == unit[c] * row[p] for c, x in row.items())
+
+
+def test_rowspace_reduce_gives_fractions_on_integer_input():
+    space = RowSpace(3)
+    assert all(type(x) is Fraction for x in space.reduce({0: 4, 2: -6}).values())
+    assert space.add({0: 2, 1: 4})
+    out = space.reduce({0: 1, 1: 1, 2: 3})
+    assert out == {1: Fraction(-1), 2: Fraction(3)}
+    assert all(type(x) is Fraction for x in out.values())
+    assert space.rows == {0: {0: 1, 1: 2}}
 
 
 @SETTINGS

@@ -249,3 +249,34 @@ def test_certify_kernel_products_are_bounded():
     # every sandwich a·c·b at degree 8 is 2,496 products; the closure needs 294
     cert = certify_kernel(catalog.morphism("vp_to_va2"), list(catalog.kernel_candidates("vp_to_va2")), 8)
     assert cert.products <= 300
+
+
+def _ref_image_rows(m, words):
+    """The image rows as ``_image_rows`` built them before the prefix closure: ``apply_word`` from 1."""
+    images = [m.apply_word(w) for w in words]
+    support = sorted({w for img in images for w in img.terms}, key=m.target.system.order.key)
+    index = {w: i for i, w in enumerate(support)}
+    return [{index[w]: c for w, c in img.terms.items()} for img in images], len(support)
+
+
+@pytest.mark.parametrize("mor_id", catalog.MORPHISM_IDS)
+def test_image_rows_match_apply_word(mor_id):
+    m = catalog.morphism(mor_id)
+    words = sorted(normal_words(m.source, catalog.KERNEL_PROBE_DEGREE[mor_id]), key=m.source.system.order.key, reverse=True)
+    rows, ncols = _image_rows(m, words)
+    ref_rows, ref_ncols = _ref_image_rows(m, words)
+    assert ncols == ref_ncols
+    # equal rows with their entries in the same order
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in ref_rows]
+
+
+def test_image_rows_reduce_once_per_word(monkeypatch):
+    m = catalog.morphism("vp_to_va2")
+    words = normal_words(m.source, 8)
+    calls = []
+    reduce_tgt = m.target.system.reduce
+    monkeypatch.setattr(m.target.system, "reduce", lambda p: calls.append(p) or reduce_tgt(p))
+    _image_rows(m, words)
+    # one reduction per nonempty normal word; apply_word on each makes sum(len(w))
+    assert len(calls) == len(words) - 1 == 43
+    assert sum(len(w) for w in words) == 185

@@ -255,3 +255,12 @@ def test_evaluate_matches_matrix_sum_on_catalog_relations():
         module = catalog.module(mod_id)
         for rel in module.owner.presentation.relations:
             assert module.evaluate(rel) == sum_evaluate(module, rel)
+
+
+def test_fin_module_shares_fraction_entries_and_converts_the_rest(va1):
+    half = F(1, 2)
+    mod = FinModule.from_named_actions(va1, 2, {"h": [[half, 0], [0, -1]]})
+    h = va1.presentation.gen_index("h")
+    assert mod.actions[h][0][0] is half
+    assert mod.actions[h] == [[F(1, 2), F(0)], [F(0), F(-1)]]
+    assert all(type(x) is Fraction for mat in mod.actions.values() for row in mat for x in row)

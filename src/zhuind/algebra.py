@@ -4,18 +4,25 @@ An ``AlgebraHandle`` owns a completed rewriting system.  When the normal
 words thin out to nothing at some length the algebra is finite
 dimensional; the handle then carries the normal-word basis and the full
 structure-constant cube, and elements can be moved between polynomial and
-coordinate form at will.
+coordinate form at will.  Products of basis elements with a fixed element
+(``times_basis``, ``basis_times``) are sums of scaled structure rows; the
+generator table ``gen_products`` is built from them on first use and kept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from zhuind import rewrite
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 from zhuind.linalg import Sparse, Vec
 from zhuind.rewrite import INFINITE, RewriteSystem
+
+# the nonzero coordinates of an element, in ascending column order
+Coords = list[tuple[int, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,25 @@ class AlgebraHandle:
             for wi in self.basis
         ]
 
+    def times_basis(self, p: NcPoly) -> list[Coords]:
+        """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
+        coords, table = _nonzero(self.coords(p)), self.structure
+        return [_combination((x, table[h][i]) for h, x in coords) for i in range(len(table))]
+
+    def basis_times(self, p: NcPoly) -> list[Coords]:
+        """For each basis index i, the coordinates of ``basis[i] * p`` (``p`` reduced)."""
+        coords = _nonzero(self.coords(p))
+        return [_combination((y, row[j]) for j, y in coords) for row in self.structure]
+
+    @cached_property
+    def gen_products(self) -> list[list[Coords]]:
+        """``gen_products[g][i]``: the coordinates of generator g times basis[i].
+
+        Built on first use and kept; it depends only on the structure
+        constants, so every morphism into this algebra shares it.
+        """
+        return [self.times_basis(self.system.reduce(NcPoly.gen(g))) for g in range(len(self.gen_names))]
+
     def mul_coords(self, a: Vec, b: Vec) -> Vec:
         """Product via structure constants."""
         if self.structure is None:
@@ -158,6 +184,19 @@ class AlgebraHandle:
     def __repr__(self) -> str:
         d = self.dim()
         return f"<algebra {self.name}: {'dim %d' % d if d is not None else 'infinite-dimensional'}>"
+
+
+def _nonzero(vec: Vec) -> Coords:
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Coords:
+    """The nonzero entries of a sum of scaled sparse rows, in ascending column order."""
+    acc: dict[int, Fraction] = {}
+    for c, row in terms:
+        for k, v in row.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
 class Element:

@@ -10,16 +10,21 @@ realized concretely as a quotient of (target basis) x (module basis) by
 the bimodule relation vectors (a * m(g)) (x) v - a (x) (g v).  Spanning
 the relations over source generators only is enough because the span is
 linear in the left slot and generators multiply out to all words.
+
+What depends only on the morphism is built once and kept: the products
+``a_i * m(g)`` on the morphism (``AlgebraMorphism.image_products``) and
+``g * a_i`` on the target (``AlgebraHandle.gen_products``, shared by every
+morphism into it).  Each ``induce`` call builds only what depends on the
+module: the relation rows, their ``RowSpace`` and the quotient columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
+from zhuind.algebra import Coords
 from zhuind.freealg import NcPoly
-from zhuind.linalg import Mat, RowSpace, Sparse, Vec, zeros
+from zhuind.linalg import Mat, RowSpace, Vec, zeros
 from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import (
     DecompositionRecord,
@@ -94,11 +99,10 @@ def induce(
 
     # relation subspace: (a * m(g)) (x) v - a (x) (g.v), over the flat index k * nm + j of a_k (x) v_j
     relations = RowSpace(total)
-    structure = target.structure
-    gen_coords = [_nonzero(target.coords(el.poly)) for el in m.images]
-    for i, row in enumerate(structure):
-        for g, img in enumerate(gen_coords):
-            left_nz = _combination((y, row[j]) for j, y in img)  # a_i * m(g) over the target basis
+    image_products = m.image_products
+    for i in range(nt):
+        for g, products in enumerate(image_products):
+            left_nz = products[i]  # a_i * m(g) over the target basis
             gmat = reduced.actions[g]
             for j in range(nm):
                 vec = {k * nm + j: x for k, x in left_nz}
@@ -113,7 +117,7 @@ def induce(
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {flat: row for row, flat in enumerate(comp)}
 
-    def quotient_column(coords: list[tuple[int, Fraction]], j: int, out: Mat, col: int) -> None:
+    def quotient_column(coords: Coords, j: int, out: Mat, col: int) -> None:
         """Write the quotient coordinates of (target element) (x) v_j into column ``col``."""
         vec = {k * nm + j: x for k, x in coords}
         for flat, x in relations.reduce(vec).items():
@@ -121,35 +125,21 @@ def induce(
 
     # left action of each target generator on the quotient coordinates
     actions: dict[int, Mat] = {}
-    for g in range(len(target.gen_names)):
-        gcoords = _nonzero(target.coords(target.system.reduce(NcPoly.gen(g))))
+    for g, products in enumerate(target.gen_products):
         mat = zeros(qdim, qdim)
         for col, flat in enumerate(comp):
             i, j = divmod(flat, nm)
-            quotient_column(_combination((x, structure[h][i]) for h, x in gcoords), j, mat, col)  # g * a_i
+            quotient_column(products[i], j, mat, col)  # g * a_i
         actions[g] = mat
     induced = FinModule(target, qdim, actions, label)
 
     unit = zeros(qdim, nm)
-    one_coords = _nonzero(target.coords(target.system.reduce(NcPoly.one())))
+    one_coords = [(target.basis_index[w], x) for w, x in target.system.reduce(NcPoly.one()).terms.items()]
     for j in range(nm):
         quotient_column(one_coords, j, unit, j)
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
     return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))
-
-
-def _nonzero(vec: Vec) -> list[tuple[int, Fraction]]:
-    return [(k, x) for k, x in enumerate(vec) if x]
-
-
-def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> list[tuple[int, Fraction]]:
-    """The nonzero entries of a sum of scaled sparse rows, in ascending column order."""
-    acc: dict[int, Fraction] = {}
-    for c, row in terms:
-        for k, v in row.items():
-            acc[k] = acc.get(k, 0) + c * v
-    return [(k, x) for k, x in sorted(acc.items()) if x]
 
 
 def _voa_label(rec: DecompositionRecord | None, voa_labels: dict[str, str] | None) -> str | None:

@@ -13,8 +13,9 @@ of the current degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from zhuind.algebra import AlgebraHandle, Element, normal_words
+from zhuind.algebra import AlgebraHandle, Coords, Element, normal_words
 from zhuind.freealg import NcPoly, Word, _add_scaled
 from zhuind.linalg import RowSpace, Sparse
 
@@ -47,6 +48,15 @@ class AlgebraMorphism:
         self.target = target
         self.images = tuple(images)
         self.name = name or f"{source.name}->{target.name}"
+
+    @cached_property
+    def image_products(self) -> list[list[Coords]]:
+        """``image_products[g][i]``: target coordinates of ``basis[i] * m(g)`` (finite target).
+
+        Built on first use and kept: it depends only on the images and the
+        target's structure constants, not on any module induced along ``m``.
+        """
+        return [self.target.basis_times(el.poly) for el in self.images]
 
     def apply_word(self, word: Word) -> NcPoly:
         out = NcPoly.one()

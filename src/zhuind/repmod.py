@@ -30,6 +30,14 @@ from zhuind.linalg import (
 
 
 class FinModule:
+    """A module given by one action matrix per generator of ``owner``.
+
+    The actions are fixed after construction.  ``action_of_word`` keeps the
+    action of every word it has computed, in a prefix tree: a word costs
+    one matrix product per letter past its longest known prefix.  The
+    matrices it returns are shared between callers and must not be mutated.
+    """
+
     def __init__(self, owner: AlgebraHandle, dim: int, actions: dict[int, Mat], label: str = ""):
         self.owner = owner
         self.dim = dim
@@ -43,6 +51,8 @@ class FinModule:
             # Fraction is immutable, so an entry that already is one is shared, not rebuilt
             self.actions[g] = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
         self.label = label or f"{owner.name}-module(dim {dim})"
+        # prefix tree of word actions: node = (action of the word, {letter: child node})
+        self._word_actions: tuple[Mat, dict] = (identity(dim), {})
 
     @staticmethod
     def from_named_actions(owner: AlgebraHandle, dim: int, named: dict[str, Mat], label: str = "") -> "FinModule":
@@ -50,10 +60,14 @@ class FinModule:
         return FinModule(owner, dim, actions, label)
 
     def action_of_word(self, word: Word) -> Mat:
-        out = identity(self.dim)
+        """The action of ``word``: shared and read-only (see the class docstring)."""
+        node = self._word_actions
         for g in word:
-            out = mat_mul(out, self.actions[g])
-        return out
+            children = node[1]
+            if g not in children:
+                children[g] = (mat_mul(node[0], self.actions[g]), {})
+            node = children[g]
+        return node[0]
 
     def evaluate(self, p: NcPoly) -> Mat:
         out = zeros(self.dim, self.dim)
@@ -243,17 +257,15 @@ def find_isomorphism(a: FinModule, b: FinModule, seed: int = 0, tries: int = 32)
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:
-    """The left regular module of a finite-dimensional algebra."""
+    """The left regular module of a finite-dimensional algebra, from ``handle.gen_products``."""
     if handle.basis is None:
         raise ValueError("regular module needs a finite-dimensional algebra")
     n = len(handle.basis)
     actions: dict[int, Mat] = {}
-    for g in range(len(handle.gen_names)):
+    for g, products in enumerate(handle.gen_products):
         mat = zeros(n, n)
-        gen_poly = NcPoly.gen(g)
-        for j, w in enumerate(handle.basis):
-            col = handle.coords(handle.system.reduce(gen_poly * NcPoly.monomial(w)))
-            for i in range(n):
-                mat[i][j] = col[i]
+        for j, col in enumerate(products):  # column j: g * basis[j]
+            for i, x in col:
+                mat[i][j] = x
         actions[g] = mat
     return FinModule(handle, n, actions, f"{handle.name}-regular")

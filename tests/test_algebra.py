@@ -130,6 +130,32 @@ def test_associativity_failures_need_a_finite_basis():
         vp.associativity_failures()
 
 
+def _nonzero(vec):
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+def test_basis_product_tables_match_mul_coords(va1, va2):
+    for handle, texts in ((va1, ("e", "h h - 2 f", "1 + e f")), (va2, ("x_a", "y y - x_b", "1 - x x_ma"))):
+        nb = len(handle.basis)
+        unit = [[Fraction(1) if i == j else Fraction(0) for i in range(nb)] for j in range(nb)]
+        for text in texts:
+            p = handle.element(text).poly
+            left, right = handle.times_basis(p), handle.basis_times(p)
+            for i in range(nb):
+                assert left[i] == _nonzero(handle.mul_coords(handle.coords(p), unit[i]))
+                assert right[i] == _nonzero(handle.mul_coords(unit[i], handle.coords(p)))
+        assert handle.gen_products == [handle.times_basis(handle.gen(name).poly) for name in handle.gen_names]
+
+
+def test_gen_products_built_on_first_use_only():
+    fresh = AlgebraHandle(catalog.presentation("a_va1"), catalog.algebra("a_va1").system)
+    assert "gen_products" not in vars(fresh)
+    table = fresh.gen_products
+    assert vars(fresh)["gen_products"] is table
+    with pytest.raises(ValueError):
+        catalog.algebra("a_vp").gen_products
+
+
 def test_mul_examples(va1, va2):
     assert va1.gen("e") * va1.gen("h") == -va1.gen("e")
     assert va1.one() * va1.element("f h h") == va1.element("f h h")

@@ -4,9 +4,15 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhuind import catalog
+from zhuind.algebra import AlgebraHandle, Element
+from zhuind.freealg import NcPoly
 from zhuind.induct import (
+    InductionResult,
+    _voa_label,
     composition_check,
     frobenius_check,
     generated_by_unit_image,
@@ -14,8 +20,9 @@ from zhuind.induct import (
     kernel_action_radical,
     restrict,
 )
-from zhuind.morphism import AlgebraMorphism
-from zhuind.repmod import FinModule, check_module, decompose
+from zhuind.linalg import RowSpace, zeros
+from zhuind.morphism import AlgebraMorphism, compose
+from zhuind.repmod import DecompositionRecord, FinModule, check_module, decompose, quotient_module
 
 F = Fraction
 
@@ -229,3 +236,127 @@ def _render_catalog_inductions():
 def test_catalog_inductions_digest_is_pinned():
     digest = hashlib.sha256(_render_catalog_inductions().encode()).hexdigest()
     assert digest == CATALOG_INDUCTIONS_SHA256, "an induced action, unit map, rank or decomposition changed"
+
+
+# -- cached product tables against the per-call build ------------------------
+
+
+def _combination(terms):
+    acc = {}
+    for c, row in terms:
+        for k, v in row.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return [(k, x) for k, x in sorted(acc.items()) if x]
+
+
+def _nonzero(vec):
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+def per_call_induce(m, kernel_gens, module, irreducibles, voa_labels):
+    """induce as it was, building a_i * m(g) and g * a_i on every call: the reference."""
+    target = m.target
+    radical = kernel_action_radical(m, kernel_gens, module)
+    reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical else module
+    nt, nm = len(target.basis), reduced.dim
+    if nm == 0:
+        rec = DecompositionRecord((), 0)
+        return InductionResult(FinModule(target, 0, {}), [], 0, 0, rec, _voa_label(rec, voa_labels))
+    relations = RowSpace(nt * nm)
+    structure = target.structure
+    gen_coords = [_nonzero(target.coords(el.poly)) for el in m.images]
+    for i, row in enumerate(structure):
+        for g, img in enumerate(gen_coords):
+            left_nz = _combination((y, row[j]) for j, y in img)
+            gmat = reduced.actions[g]
+            for j in range(nm):
+                vec = {k * nm + j: x for k, x in left_nz}
+                for l in range(nm):
+                    if gmat[l][j]:
+                        vec[i * nm + l] = vec.get(i * nm + l, 0) - gmat[l][j]
+                if any(vec.values()):
+                    relations.add(vec)
+    comp = relations.complement_columns()
+    qdim = len(comp)
+    pos = {flat: row for row, flat in enumerate(comp)}
+
+    def quotient_column(coords, j, out, col):
+        for flat, x in relations.reduce({k * nm + j: x for k, x in coords}).items():
+            out[pos[flat]][col] = x
+
+    actions = {}
+    for g in range(len(target.gen_names)):
+        gcoords = _nonzero(target.coords(target.system.reduce(NcPoly.gen(g))))
+        mat = zeros(qdim, qdim)
+        for col, flat in enumerate(comp):
+            i, j = divmod(flat, nm)
+            quotient_column(_combination((x, structure[h][i]) for h, x in gcoords), j, mat, col)
+        actions[g] = mat
+    induced = FinModule(target, qdim, actions)
+    unit = zeros(qdim, nm)
+    one_coords = _nonzero(target.coords(target.system.reduce(NcPoly.one())))
+    for j in range(nm):
+        quotient_column(one_coords, j, unit, j)
+    rec = decompose(induced, irreducibles)
+    return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))
+
+
+def _cold_copy(m):
+    """The morphism over a freshly built target handle: neither product table exists yet."""
+    target = AlgebraHandle(m.target.presentation, m.target.system)
+    return AlgebraMorphism(m.source, target, [Element(target, el.poly) for el in m.images], m.name)
+
+
+def _summary(r):
+    return (r.module.actions, r.unit_map, r.relation_rank, r.reduced_dim, r.decomposition, r.voa_label)
+
+
+def _assert_three_sources_agree(mor_id, fam, params, with_kernel=True):
+    warm = catalog.morphism(mor_id)
+    warm.image_products, warm.target.gen_products  # build both tables before inducing
+    kernel = list(catalog.kernel_candidates(mor_id)) if with_kernel else []
+    irreducibles = catalog.irreducibles(warm.target.name)
+    module = catalog.module(fam, params)
+    cold = _cold_copy(warm)
+    assert "image_products" not in vars(cold) and "gen_products" not in vars(cold.target)
+    cold_irreducibles = [FinModule(cold.target, irr.dim, irr.actions, irr.label) for irr in irreducibles]
+    got_warm = induce(warm, kernel, module, irreducibles, catalog.VOA_LABELS)
+    got_cold = induce(cold, kernel, module, cold_irreducibles, catalog.VOA_LABELS)
+    if got_cold.reduced_dim:  # a module the kernel kills returns before the tables are read
+        assert "image_products" in vars(cold) and "gen_products" in vars(cold.target)
+    want = per_call_induce(warm, kernel, module, irreducibles, catalog.VOA_LABELS)
+    assert _summary(got_warm) == _summary(want), (mor_id, fam, params)
+    assert _summary(got_cold) == _summary(want), (mor_id, fam, params)
+
+
+def test_cached_tables_match_per_call_build_on_catalog_grids():
+    grids = _induction_grids()
+    assert set(grids) == set(catalog.MORPHISM_IDS)
+    for mor_id, grid in grids.items():
+        for fam, params in grid:
+            _assert_three_sources_agree(mor_id, fam, params)
+
+
+_FAMILIES = [(mor_id, fam) for mor_id, grid in _induction_grids().items() for fam in sorted({f for f, p in grid if p})]
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.fractions(min_value=-6, max_value=6, max_denominator=8), st.booleans())
+def test_cached_tables_match_per_call_build_on_generated_parameters(case, t, with_kernel):
+    # without the kernel no radical is taken, so the whole module enters the tensor product
+    mor_id, fam = case
+    _assert_three_sources_agree(mor_id, fam, (t,), with_kernel)
+
+
+def test_composite_builds_its_own_product_table():
+    m1 = _cold_copy(catalog.morphism("heis_to_va1"))
+    m2 = AlgebraMorphism(m1.target, catalog.algebra("a_va2"), list(catalog.morphism("va1_to_va2").images), "va1_to_va2")
+    m2.image_products  # the second factor's table exists; the composite must not read it
+    composite = compose(m1, m2)
+    assert "image_products" not in vars(composite)  # lazy: compose builds no table
+    table = composite.image_products
+    assert "image_products" not in vars(m1)
+    assert table is not m2.image_products and len(table) == len(m1.images)
+    structure = composite.target.structure
+    expected = [[_combination((y, row[j]) for j, y in _nonzero(composite.target.coords(el.poly))) for row in structure] for el in composite.images]
+    assert table == expected

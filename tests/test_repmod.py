@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zhuind import catalog
 from zhuind.freealg import NcPoly
-from zhuind.linalg import mat_add, mat_scale, nullspace, zeros
+from zhuind.linalg import identity, mat_add, mat_mul, mat_scale, nullspace, zeros
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
@@ -230,11 +230,19 @@ def test_hom_space_matches_dense_reference(source, data):
 # -- evaluate against the matrix sum it replaced ----------------------------------
 
 
+def chain_action(module, word):
+    """The action of ``word`` as identity times one action matrix per letter: the reference."""
+    out = identity(module.dim)
+    for g in word:
+        out = mat_mul(out, module.actions[g])
+    return out
+
+
 def sum_evaluate(module, p):
-    """evaluate as it was, two fresh matrices per term: the reference."""
+    """evaluate as it was, a fresh product chain and two fresh matrices per term: the reference."""
     out = zeros(module.dim, module.dim)
     for w, c in p.terms.items():
-        out = mat_add(out, mat_scale(module.action_of_word(w), c))
+        out = mat_add(out, mat_scale(chain_action(module, w), c))
     return out
 
 
@@ -255,6 +263,54 @@ def test_evaluate_matches_matrix_sum_on_catalog_relations():
         module = catalog.module(mod_id)
         for rel in module.owner.presentation.relations:
             assert module.evaluate(rel) == sum_evaluate(module, rel)
+
+
+_memo_call = st.one_of(st.tuples(st.just("word"), _eval_word), st.tuples(st.just("poly"), _eval_poly))
+
+
+@settings(max_examples=60, deadline=None)
+@given(action_modules(), st.lists(_memo_call, max_size=8))
+def test_memoised_word_actions_match_the_product_chain_in_any_order(module, calls):
+    # one module across the calls, so later words meet prefixes memoised by earlier ones
+    for kind, arg in calls:
+        if kind == "word":
+            assert module.action_of_word(arg) == chain_action(module, arg)
+            assert module.action_of_word(arg) is module.action_of_word(arg)
+        else:
+            assert module.evaluate(arg) == sum_evaluate(module, arg)
+
+
+def test_evaluate_walks_a_long_word_without_recursion(va1):
+    # a prefix walk that recursed once per letter would pass the default recursion limit
+    mod = FinModule(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(1, 2)]]})
+    word = tuple((i * i + i // 7) % 3 for i in range(3000))
+    value = F(1)
+    for g in word:
+        value *= mod.actions[g][0][0]
+    half = F(1)
+    for g in word[:1500]:
+        half *= mod.actions[g][0][0]
+    assert mod.evaluate(NcPoly({word: F(3), word[:1500]: F(-1)})) == [[3 * value - half]]
+    assert mod.action_of_word(word) == [[value]]
+
+
+def reduced_regular_module(handle):
+    """regular_module as it was, re-reducing g * w for every basis word: the reference."""
+    n = len(handle.basis)
+    actions = {}
+    for g in range(len(handle.gen_names)):
+        mat = zeros(n, n)
+        for j, w in enumerate(handle.basis):
+            col = handle.coords(handle.system.reduce(NcPoly.gen(g) * NcPoly.monomial(w)))
+            for i in range(n):
+                mat[i][j] = col[i]
+        actions[g] = mat
+    return actions
+
+
+def test_regular_module_matches_re_reduced_actions(va1, va2):
+    for handle in (va1, va2):
+        assert regular_module(handle).actions == reduced_regular_module(handle)
 
 
 def test_fin_module_shares_fraction_entries_and_converts_the_rest(va1):

@@ -7,7 +7,7 @@ certificates, finite-dimensional modules, the induction and restriction
 functors attached to a morphism, and finite-type characters.
 """
 
-from zhuind.freealg import MonomialOrder, NcPoly, word_cmp
+from zhuind.freealg import MonomialOrder, NcPoly
 from zhuind.rewrite import (
     Ambiguity,
     CompletionError,
@@ -25,7 +25,6 @@ from zhuind.chars import CharacterVector, char_vector
 __all__ = [
     "MonomialOrder",
     "NcPoly",
-    "word_cmp",
     "Ambiguity",
     "CompletionError",
     "RewriteRule",

@@ -4,7 +4,8 @@ An ``AlgebraHandle`` owns a completed rewriting system.  When the normal
 words thin out to nothing at some length the algebra is finite
 dimensional; the handle then carries the normal-word basis and the full
 structure-constant cube, and elements can be moved between polynomial and
-coordinate form at will.  Products of basis elements with a fixed element
+sparse coordinate form (``Sparse``: basis index -> nonzero coefficient) at
+will.  Products of basis elements with a fixed element
 (``times_basis``, ``basis_times``) are sums of scaled structure rows; the
 generator table ``gen_products`` is built from them on first use and kept.
 """
@@ -18,11 +19,8 @@ from functools import cached_property
 
 from zhuind import rewrite
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
-from zhuind.linalg import Sparse, Vec
+from zhuind.linalg import RowSpace, Sparse
 from zhuind.rewrite import INFINITE, RewriteSystem
-
-# the nonzero coordinates of an element, in ascending column order
-Coords = list[tuple[int, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -98,19 +96,17 @@ class AlgebraHandle:
     def dim(self) -> int | None:
         return len(self.basis) if self.basis is not None else None
 
-    def coords(self, p: NcPoly) -> Vec:
+    def coords(self, p: NcPoly) -> Sparse:
         """Coordinates of a reduced polynomial over the normal-word basis."""
         if self.basis_index is None:
             raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
-        vec = [Fraction(0)] * len(self.basis_index)
-        for w, c in p.terms.items():
-            vec[self.basis_index[w]] = c
-        return vec
+        index = self.basis_index
+        return {index[w]: c for w, c in p.terms.items()}
 
-    def from_coords(self, vec: Vec) -> "Element":
+    def from_coords(self, vec: Sparse) -> "Element":
         if self.basis is None:
             raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
-        return Element(self, NcPoly({w: Fraction(c) for w, c in zip(self.basis, vec) if c}))
+        return Element(self, NcPoly({self.basis[k]: c for k, c in vec.items()}))
 
     def _structure_constants(self) -> list[list[Sparse]]:
         """``structure[i][j]``: coordinates of basis[i] * basis[j], nonzero entries only."""
@@ -121,18 +117,18 @@ class AlgebraHandle:
             for wi in self.basis
         ]
 
-    def times_basis(self, p: NcPoly) -> list[Coords]:
+    def times_basis(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
-        coords, table = _nonzero(self.coords(p)), self.structure
+        coords, table = self.coords(p).items(), self.structure
         return [_combination((x, table[h][i]) for h, x in coords) for i in range(len(table))]
 
-    def basis_times(self, p: NcPoly) -> list[Coords]:
+    def basis_times(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``basis[i] * p`` (``p`` reduced)."""
-        coords = _nonzero(self.coords(p))
+        coords = self.coords(p).items()
         return [_combination((y, row[j]) for j, y in coords) for row in self.structure]
 
     @cached_property
-    def gen_products(self) -> list[list[Coords]]:
+    def gen_products(self) -> list[list[Sparse]]:
         """``gen_products[g][i]``: the coordinates of generator g times basis[i].
 
         Built on first use and kept; it depends only on the structure
@@ -140,21 +136,12 @@ class AlgebraHandle:
         """
         return [self.times_basis(self.system.reduce(NcPoly.gen(g))) for g in range(len(self.gen_names))]
 
-    def mul_coords(self, a: Vec, b: Vec) -> Vec:
+    def mul_coords(self, a: Sparse, b: Sparse) -> Sparse:
         """Product via structure constants."""
         if self.structure is None:
             raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
-        out = [Fraction(0)] * len(a)
-        b_nz = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            row = self.structure[i]
-            for j, y in b_nz:
-                c = x * y
-                for k, v in row[j].items():
-                    out[k] += c * v
-        return out
+        table = self.structure
+        return _combination((x * y, table[i][j]) for i, x in a.items() for j, y in b.items())
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """Basis triples (i, j, k) with ``(e_i e_j) e_k != e_i (e_j e_k)`` in the structure constants.
@@ -186,17 +173,12 @@ class AlgebraHandle:
         return f"<algebra {self.name}: {'dim %d' % d if d is not None else 'infinite-dimensional'}>"
 
 
-def _nonzero(vec: Vec) -> Coords:
-    return [(k, x) for k, x in enumerate(vec) if x]
-
-
-def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Coords:
-    """The nonzero entries of a sum of scaled sparse rows, in ascending column order."""
-    acc: dict[int, Fraction] = {}
+def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Sparse:
+    """A sum of scaled sparse rows, nonzero entries only."""
+    acc: Sparse = {}
     for c, row in terms:
-        for k, v in row.items():
-            acc[k] = acc.get(k, 0) + c * v
-    return [(k, x) for k, x in sorted(acc.items()) if x]
+        _add_scaled(acc, c, row)
+    return acc
 
 
 class Element:
@@ -312,18 +294,15 @@ def subalgebra_basis(handle: AlgebraHandle, gens: list[Element]) -> list[Element
     """
     if handle.basis is None:
         raise ValueError(f"{handle.name} is not finite-dimensional")
-    from zhuind.linalg import RowSpace
-
     span = RowSpace(len(handle.basis))
     picked: list[Element] = []
     queue: list[Element] = [handle.one()]
     for g in gens:
         if g.algebra is not handle:
             raise ValueError("generator from a different algebra")
-    index = handle.basis_index
     while queue:
         el = queue.pop(0)
-        if not span.add({index[w]: c for w, c in el.poly.terms.items()}):
+        if not span.add(handle.coords(el.poly)):
             continue
         picked.append(el)
         for g in gens:

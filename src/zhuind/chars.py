@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zhuind.algebra import AlgebraHandle, Element
+from zhuind.algebra import AlgebraHandle, Element, Presentation
 from zhuind.linalg import invert, rank
-from zhuind.repmod import FinModule, check_module
+from zhuind.repmod import FinModule
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,6 @@ def artin_solve(
     returned row ``i`` gives rational coefficients c_ij with
     chi_i = sum_j c_ij * chi(Ind_j).
     """
-    from zhuind.algebra import AlgebraHandle as _AH, Presentation
     from zhuind.freealg import MonomialOrder, NcPoly
     from zhuind.induct import induce
     from zhuind.morphism import AlgebraMorphism
@@ -117,7 +116,7 @@ def artin_solve(
                     raise ArtinError(f"omega image does not act as {w} on {irr.label}")
 
     # one-variable source algebra C[y]
-    poly_line = _AH.build(Presentation("poly_line", ("y",), MonomialOrder((0,)), ()))
+    poly_line = AlgebraHandle.build(Presentation("poly_line", ("y",), MonomialOrder((0,)), ()))
     morphism = AlgebraMorphism(poly_line, target, [omega_image], name=f"line->{target.name}")
     y = NcPoly.gen(0)
     kernel_poly = NcPoly.one()

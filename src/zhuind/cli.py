@@ -3,13 +3,15 @@
 Subcommands: check, dim, nf, kernel, induce, restrict, char, artin,
 verify.  ``--json`` switches every report to a stable-keyed JSON
 document.  Exit codes: 0 all requested checks pass, 1 a verification or
-check failed, 2 unknown ids or malformed input.
+check failed or stdout was closed before the report was written, 2
+unknown ids or malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from zhuind import catalog, verify
 from zhuind.algebra import AlgebraHandle, CertificateError, Presentation
 from zhuind.chars import artin_solve, char_vector
 from zhuind.induct import induce, restrict
-from zhuind.iolang import ParseError, format_poly, parse, parse_poly_text
+from zhuind.iolang import ParseError, format_fraction, format_poly, parse, parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
 from zhuind.repmod import decompose
 from zhuind.rewrite import INFINITE, CompletionError
@@ -29,10 +31,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_EXIT):
         super().__init__(message)
         self.code = code
-
-
-def _fr(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def _build(pres: Presentation, max_degree: int) -> AlgebraHandle:
@@ -262,7 +260,7 @@ def cmd_char(args) -> int:
     cv = char_vector(module)
     handle = module.owner
     named = {
-        (" ".join(handle.gen_names[g] for g in w) or "1"): _fr(v)
+        (" ".join(handle.gen_names[g] for g in w) or "1"): format_fraction(v)
         for w, v in zip(handle.basis, cv.values)
     }
     report = {"command": "char", "module": module.label, "owner": handle.name, "values": named}
@@ -281,14 +279,14 @@ def cmd_artin(args) -> int:
     weights = [Fraction(0), Fraction(1, 4)]
     irr = catalog.irreducibles("a_va1")
     coeffs = artin_solve(va1, va1.element("1/4 h h"), weights, irr)
-    rows = {irr[i].label: [_fr(c) for c in row] for i, row in enumerate(coeffs)}
+    rows = {irr[i].label: [format_fraction(c) for c in row] for i, row in enumerate(coeffs)}
     report = {
         "command": "artin",
         "target": args.target,
-        "weights": [_fr(w) for w in weights],
+        "weights": [format_fraction(w) for w in weights],
         "coefficients": rows,
     }
-    lines = [f"chi_{lbl} = " + " + ".join(f"{c}*Ind_{_fr(w)}" for c, w in zip(row, weights) if c != "0") for lbl, row in rows.items()]
+    lines = [f"chi_{lbl} = " + " + ".join(f"{c}*Ind_{format_fraction(w)}" for c, w in zip(row, weights) if c != "0") for lbl, row in rows.items()]
     _emit(report, lines, args.json)
     return 0
 
@@ -376,13 +374,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except BrokenPipeError:
+        # stdout was closed by its reader; aim it at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ from fractions import Fraction
 Word = tuple[int, ...]
 EPSILON: Word = ()
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -57,16 +55,6 @@ def _add_scaled(acc: dict, c: Fraction, terms: dict) -> None:
             acc[k] = y
         else:
             acc.pop(k, None)
-
-
-def word_cmp(order: MonomialOrder, a: Word, b: Word) -> int:
-    """Compare two words under ``order``; returns -1, 0 or 1."""
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LESS
-    if ka > kb:
-        return GREATER
-    return EQUAL
 
 
 class NcPoly:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zhuind.algebra import Coords
 from zhuind.freealg import NcPoly
-from zhuind.linalg import Mat, RowSpace, Vec, zeros
-from zhuind.morphism import AlgebraMorphism
+from zhuind.linalg import Mat, RowSpace, Sparse, zeros
+from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
     DecompositionRecord,
     FinModule,
@@ -58,17 +57,16 @@ def restrict(m: AlgebraMorphism, module: FinModule, label: str = "") -> FinModul
     return FinModule(m.source, module.dim, actions, label or f"Res({module.label})")
 
 
-def kernel_action_radical(m: AlgebraMorphism, kernel_gens: list, module: FinModule) -> list[Vec]:
+def _columns(mat: Mat, ncols: int) -> list[Sparse]:
+    """The columns of ``mat``, nonzero entries only."""
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+
+
+def kernel_action_radical(m: AlgebraMorphism, kernel_gens: list, module: FinModule) -> RowSpace:
     """Action-stable span of (kernel generator) . module."""
     if module.owner is not m.source:
         raise ValueError("module must live over the morphism source")
-    seeds: list[Vec] = []
-    for k in kernel_gens:
-        mat = module.evaluate(k.poly)
-        for j in range(module.dim):
-            col = [mat[i][j] for i in range(module.dim)]
-            if any(col):
-                seeds.append(col)
+    seeds = [col for k in kernel_gens for col in _columns(module.evaluate(k.poly), module.dim)]
     return submodule_closure(module, seeds)
 
 
@@ -85,7 +83,7 @@ def induce(
     if target.basis is None:
         raise ValueError("induction needs a finite-dimensional target")
     radical = kernel_action_radical(m, kernel_gens, module)
-    reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical else module
+    reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical.dim else module
 
     nt = len(target.basis)
     nm = reduced.dim
@@ -105,7 +103,7 @@ def induce(
             left_nz = products[i]  # a_i * m(g) over the target basis
             gmat = reduced.actions[g]
             for j in range(nm):
-                vec = {k * nm + j: x for k, x in left_nz}
+                vec = {k * nm + j: x for k, x in left_nz.items()}
                 for l in range(nm):
                     if gmat[l][j]:
                         vec[i * nm + l] = vec.get(i * nm + l, 0) - gmat[l][j]
@@ -117,9 +115,9 @@ def induce(
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {flat: row for row, flat in enumerate(comp)}
 
-    def quotient_column(coords: Coords, j: int, out: Mat, col: int) -> None:
+    def quotient_column(coords: Sparse, j: int, out: Mat, col: int) -> None:
         """Write the quotient coordinates of (target element) (x) v_j into column ``col``."""
-        vec = {k * nm + j: x for k, x in coords}
+        vec = {k * nm + j: x for k, x in coords.items()}
         for flat, x in relations.reduce(vec).items():
             out[pos[flat]][col] = x
 
@@ -134,7 +132,7 @@ def induce(
     induced = FinModule(target, qdim, actions, label)
 
     unit = zeros(qdim, nm)
-    one_coords = [(target.basis_index[w], x) for w, x in target.system.reduce(NcPoly.one()).terms.items()]
+    one_coords = target.coords(target.system.reduce(NcPoly.one()))
     for j in range(nm):
         quotient_column(one_coords, j, unit, j)
 
@@ -160,8 +158,7 @@ def generated_by_unit_image(result: InductionResult) -> bool:
     module = result.module
     if module.dim == 0:
         return True
-    seeds = [[result.unit_map[i][j] for i in range(module.dim)] for j in range(result.reduced_dim)]
-    return len(submodule_closure(module, seeds)) == module.dim
+    return submodule_closure(module, _columns(result.unit_map, result.reduced_dim)).dim == module.dim
 
 
 def frobenius_check(
@@ -184,8 +181,6 @@ def composition_check(
     irreducibles: list[FinModule],
 ) -> tuple[DecompositionRecord, DecompositionRecord]:
     """Two-step induction versus the composite morphism, as multiplicity records."""
-    from zhuind.morphism import compose
-
     if irreducibles is None:
         raise ValueError("composition check needs irreducibles to decompose both inductions")
     step1 = induce(m1, kernel_gens_1, module)

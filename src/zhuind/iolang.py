@@ -351,7 +351,7 @@ def parse_poly_text(text: str, gen_names: tuple[str, ...] | list[str]) -> NcPoly
 # -- pretty printing ----------------------------------------------------
 
 
-def _format_fraction(c: Fraction) -> str:
+def format_fraction(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -365,11 +365,11 @@ def format_poly(poly: NcPoly, gen_names: list[str] | tuple[str, ...], order: Mon
         mag = abs(c)
         body = " ".join(gen_names[g] for g in w)
         if not w:
-            piece = _format_fraction(mag)
+            piece = format_fraction(mag)
         elif mag == 1:
             piece = body
         else:
-            piece = f"{_format_fraction(mag)} {body}"
+            piece = f"{format_fraction(mag)} {body}"
         if i == 0:
             chunks.append(piece if c > 0 else f"- {piece}")
         else:
@@ -398,7 +398,7 @@ def pretty_print(source: SourceFile) -> str:
         else:
             lines.append(f"module {block.name} over {block.algebra} dim {block.dim}")
             for g, mat in block.actions.items():
-                rows = " ; ".join(" ".join(_format_fraction(x) for x in row) for row in mat)
+                rows = " ; ".join(" ".join(format_fraction(x) for x in row) for row in mat)
                 lines.append(f"  act {g} = [ {rows} ]")
             lines.append("end")
         lines.append("")

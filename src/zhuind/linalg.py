@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
-``RowSpace`` takes and returns sparse vectors (``Sparse``: column ->
-nonzero ``Fraction``) and keeps a reduced row echelon basis as sparse
+Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``); dense
+matrices (``Mat``) are kept only for module actions and the maps built
+from them.  ``RowSpace`` keeps a reduced row echelon basis as sparse
 primitive integer rows (pivot column -> {column: int}), each with a
 positive pivot entry and zero at every other pivot, so reducing a mostly
 zero vector touches only its nonzero entries.  Elimination inside it is
 fraction-free; ``Fraction`` values are built only where results leave
-it.  It never modifies a caller's vector.  The matrix functions
-(``rref``, ``rank``, ``nullspace``, ``invert``) and ``RowSpace.basis``
-and ``RowSpace.nullspace`` use dense lists of ``Fraction`` with a unit
-pivot in each echelon row; the matrix functions insert their rows into a
-``RowSpace``, so there is one elimination loop and one kernel routine.
-All arithmetic is exact.
+it.  It never modifies a caller's vector.  ``RowSpace.basis`` and
+``RowSpace.nullspace`` return sparse vectors with a unit pivot or free
+entry, in ascending columns.  ``rank`` and ``invert`` insert the rows of
+a dense matrix into a ``RowSpace``, so there is one elimination loop and
+one kernel routine.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from math import gcd, lcm
 
 from zhuind.freealg import _add_scaled
 
-Vec = list[Fraction]
 Mat = list[list[Fraction]]
 Sparse = dict[int, Fraction]
 
@@ -56,46 +55,20 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
-
-
-def is_zero_mat(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    if not rows:
-        return [], []
-    space = _space(rows)
-    return space.basis(), space.pivots
-
-
 def rank(rows: Mat) -> int:
-    return len(rref(rows)[0])
-
-
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : a x = 0}."""
-    return _space(a).nullspace() if a else []
+    return _space(rows).dim
 
 
 def invert(a: Mat) -> Mat | None:
     n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(red) != n:
+    space = _space([list(row) + unit for row, unit in zip(a, identity(n))])
+    if space.pivots[:n] != list(range(n)) or space.dim != n:
         return None
-    return [row[n:] for row in red]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in space.basis()]
 
 
 def _space(rows: Mat) -> "RowSpace":
-    space = RowSpace(len(rows[0]))
+    space = RowSpace(len(rows[0]) if rows else 0)
     for r in rows:
         space._insert(dict(enumerate(r)))
     return space
@@ -164,27 +137,21 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def basis(self) -> Mat:
+    def basis(self) -> list[Sparse]:
+        """The echelon rows by pivot column, each with pivot entry 1."""
         out = []
         for p in self.pivots:
             r = self.rows[p]
-            b = r[p]
-            row = [Fraction(0)] * self.ncols
-            for c, x in r.items():
-                row[c] = Fraction(x, b)
-            out.append(row)
+            out.append({c: Fraction(x, r[p]) for c, x in sorted(r.items())})
         return out
 
-    def nullspace(self) -> list[Vec]:
+    def nullspace(self) -> list[Sparse]:
         """Right kernel: per free column fc, ascending, 1 at fc and -row[fc] / row[p] at each pivot p."""
         out = []
         for fc in self.complement_columns():
-            v = [Fraction(0)] * self.ncols
+            v = {p: Fraction(-r[fc], r[p]) for p, r in self.rows.items() if fc in r}
             v[fc] = Fraction(1)
-            for p in self.pivots:
-                r = self.rows[p]
-                v[p] = Fraction(-r.get(fc, 0), r[p])
-            out.append(v)
+            out.append(dict(sorted(v.items())))
         return out
 
     def complement_columns(self) -> list[int]:

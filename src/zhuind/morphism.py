@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from zhuind.algebra import AlgebraHandle, Coords, Element, normal_words
+from zhuind.algebra import AlgebraHandle, Element, normal_words, subalgebra_basis
 from zhuind.freealg import NcPoly, Word, _add_scaled
 from zhuind.linalg import RowSpace, Sparse
 
@@ -50,7 +50,7 @@ class AlgebraMorphism:
         self.name = name or f"{source.name}->{target.name}"
 
     @cached_property
-    def image_products(self) -> list[list[Coords]]:
+    def image_products(self) -> list[list[Sparse]]:
         """``image_products[g][i]``: target coordinates of ``basis[i] * m(g)`` (finite target).
 
         Built on first use and kept: it depends only on the images and the
@@ -98,8 +98,6 @@ def check_well_defined(m: AlgebraMorphism) -> list[Violation]:
 
 
 def image_basis(m: AlgebraMorphism) -> list[Element]:
-    from zhuind.algebra import subalgebra_basis
-
     if m.target.basis is None:
         raise ValueError("image basis needs a finite-dimensional target")
     return subalgebra_basis(m.target, list(m.images))

@@ -8,25 +8,12 @@ semisimple decompositions read multiplicities off hom dimensions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from zhuind.algebra import AlgebraHandle
 from zhuind.freealg import NcPoly, Word
-from zhuind.linalg import (
-    Mat,
-    RowSpace,
-    Sparse,
-    Vec,
-    identity,
-    invert,
-    is_zero_mat,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    zeros,
-)
+from zhuind.linalg import Mat, RowSpace, Sparse, identity, mat_mul, zeros
 
 
 class FinModule:
@@ -117,7 +104,7 @@ def check_module(module: FinModule) -> list[NcPoly]:
     """Relations of the owner that fail to act as zero (empty list = pass)."""
     bad = []
     for rel in module.owner.presentation.relations:
-        if not is_zero_mat(module.evaluate(rel)):
+        if any(x for row in module.evaluate(rel) for x in row):
             bad.append(rel)
     return bad
 
@@ -141,7 +128,8 @@ def hom_space(source: FinModule, target: FinModule) -> HomBasis:
                 for k, x in a_row:
                     row[k * m + j] = row.get(k * m + j, 0) - x
                 space.add(row)
-    mats = [[[v[i * m + j] for j in range(m)] for i in range(n)] for v in space.nullspace()]
+    zero = Fraction(0)
+    mats = [[[v.get(i * m + j, zero) for j in range(m)] for i in range(n)] for v in space.nullspace()]
     return HomBasis(source, target, tuple(mats))
 
 
@@ -171,25 +159,22 @@ def _act(mat: Mat, v: Sparse) -> Sparse:
     return out
 
 
-def submodule_closure(module: FinModule, seeds: list[Vec]) -> list[Vec]:
-    """Smallest action-stable subspace containing the seeds (echelon basis)."""
+def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
+    """Smallest action-stable subspace containing the seeds."""
     space = RowSpace(module.dim)
-    queue = [{i: Fraction(x) for i, x in enumerate(s) if x} for s in seeds]
+    queue = list(seeds)
     while queue:
         v = queue.pop()
         if not space.add(v):
             continue
         for mat in module.actions.values():
             queue.append(_act(mat, v))
-    return space.basis()
+    return space
 
 
-def quotient_module(module: FinModule, sub_basis: list[Vec], label: str = "") -> FinModule:
-    """Quotient by an action-stable subspace, in complement coordinates."""
-    space = RowSpace(module.dim)
-    subs = [{i: x for i, x in enumerate(v) if x} for v in sub_basis]
-    for v in subs:
-        space.add(v)
+def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinModule:
+    """Quotient by an action-stable subspace of the module (left unchanged), in complement coordinates."""
+    subs = space.basis()
     for mat in module.actions.values():
         for v in subs:
             if not space.contains(_act(mat, v)):
@@ -225,37 +210,6 @@ def direct_sum(a: FinModule, b: FinModule, label: str = "") -> FinModule:
     return FinModule(a.owner, dim, actions, label or f"{a.label}+{b.label}")
 
 
-def permuted_copy(module: FinModule, perm: list[int], label: str = "") -> FinModule:
-    """Same module in a shuffled basis (an explicit isomorphism test case)."""
-    p = zeros(module.dim, module.dim)
-    for i, j in enumerate(perm):
-        p[i][j] = Fraction(1)
-    pinv = invert(p)
-    assert pinv is not None
-    actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
-    return FinModule(module.owner, module.dim, actions, label or f"{module.label}~")
-
-
-def find_isomorphism(a: FinModule, b: FinModule, seed: int = 0, tries: int = 32) -> Mat | None:
-    """An invertible intertwiner a -> b, if one exists in the hom space."""
-    if a.dim != b.dim:
-        return None
-    hom = hom_space(a, b)
-    if not hom.basis:
-        return None
-    rng = random.Random(seed)
-    for mat in hom.basis:
-        if invert(mat) is not None:
-            return mat
-    for _ in range(tries):
-        combo = zeros(b.dim, a.dim)
-        for mat in hom.basis:
-            combo = mat_add(combo, mat_scale(mat, Fraction(rng.randint(-5, 5))))
-        if invert(combo) is not None:
-            return combo
-    return None
-
-
 def regular_module(handle: AlgebraHandle) -> FinModule:
     """The left regular module of a finite-dimensional algebra, from ``handle.gen_products``."""
     if handle.basis is None:
@@ -265,7 +219,7 @@ def regular_module(handle: AlgebraHandle) -> FinModule:
     for g, products in enumerate(handle.gen_products):
         mat = zeros(n, n)
         for j, col in enumerate(products):  # column j: g * basis[j]
-            for i, x in col:
+            for i, x in col.items():
                 mat[i][j] = x
         actions[g] = mat
     return FinModule(handle, n, actions, f"{handle.name}-regular")

@@ -24,9 +24,10 @@ from zhuind import catalog
 from zhuind.algebra import normal_words
 from zhuind.chars import artin_solve, symmetry_violations
 from zhuind.freealg import NcPoly, Word
-from zhuind.induct import frobenius_check, induce, kernel_action_radical, composition_check
+from zhuind.induct import frobenius_check, induce, kernel_action_radical, composition_check, restrict
 from zhuind.iolang import parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
+from zhuind.repmod import decompose
 from zhuind.rewrite import confluence_fuzz
 
 F = Fraction
@@ -56,10 +57,6 @@ class CaseResult:
 
 def _word_str(handle, w: Word) -> str:
     return " ".join(handle.gen_names[g] for g in w) or "1"
-
-
-def _decomp_str(rec) -> str:
-    return str(rec)
 
 
 def _induce_id(mor_id: str, fam: str, params: tuple, with_labels: bool = True):
@@ -149,7 +146,7 @@ def _grid_case(mor_id: str, fam: str, grid: list[tuple[Fraction, str]]) -> tuple
     ok = True
     for s, expected in grid:
         r = _induce_id(mor_id, fam, (s,))
-        actual = _decomp_str(r.decomposition)
+        actual = str(r.decomposition)
         good = actual == expected
         ok = ok and good
         details.append(f"{fam}({s}) -> {actual} (expected {expected}){'' if good else '  <-- FAIL'}")
@@ -187,17 +184,14 @@ def case_06() -> tuple[bool, str, str, list[str]]:
 
 
 def case_07() -> tuple[bool, str, str, list[str]]:
-    from zhuind.induct import restrict
-    from zhuind.repmod import decompose
-
     details = []
     ok = True
     r = _induce_id("va1_to_va2", "va1_trivial", ())
-    good = r.dim == 7 and _decomp_str(r.decomposition) == "L0:1 + L_lambda_alpha:1 + L_lambda_beta:1"
+    good = r.dim == 7 and str(r.decomposition) == "L0:1 + L_lambda_alpha:1 + L_lambda_beta:1"
     ok = ok and good
     details.append(f"Ind(trivial): dim {r.dim}, {r.decomposition}")
     r = _induce_id("va1_to_va2", "va1_L_half", ())
-    good = r.dim == 6 and _decomp_str(r.decomposition) == "L_lambda_alpha:1 + L_lambda_beta:1"
+    good = r.dim == 6 and str(r.decomposition) == "L_lambda_alpha:1 + L_lambda_beta:1"
     ok = ok and good
     details.append(f"Ind(L_half): dim {r.dim}, {r.decomposition}")
     m = catalog.morphism("va1_to_va2")
@@ -208,7 +202,7 @@ def case_07() -> tuple[bool, str, str, list[str]]:
         ("va2_L_lambda_beta", "trivial:1 + L_half:1"),
     ]:
         rec = decompose(restrict(m, catalog.module(mod_id)), irr1)
-        good = _decomp_str(rec) == expected
+        good = str(rec) == expected
         ok = ok and good
         details.append(f"Res({mod_id}): {rec} (expected {expected})")
     return ok, "Thm-level induction/restriction table", "all match" if ok else "mismatch", details
@@ -329,10 +323,10 @@ def case_12() -> tuple[bool, str, str, list[str]]:
     for t in sorted(special_u0 | special_uh) + pool:
         r0 = kernel_action_radical(m, ker, catalog.module("vp_mod_U0", (t,)))
         rh = kernel_action_radical(m, ker, catalog.module("vp_mod_Uhalf", (t,)))
-        good0 = (len(r0) == 0) == (t in special_u0)
-        goodh = (len(rh) == 0) == (t in special_uh)
+        good0 = (r0.dim == 0) == (t in special_u0)
+        goodh = (rh.dim == 0) == (t in special_uh)
         ok = ok and good0 and goodh
-        details.append(f"t={t}: U0 radical dim {len(r0)}, Uhalf radical dim {len(rh)}")
+        details.append(f"t={t}: U0 radical dim {r0.dim}, Uhalf radical dim {rh.dim}")
     return ok, "radical vanishes exactly at t in {0,1,-1} resp. {1/2,-1/2}", "table as predicted" if ok else "mismatch", details
 
 
@@ -350,7 +344,7 @@ def case_13() -> tuple[bool, str, str, list[str]]:
     ok = True
     for fam, t, expected, label in grid:
         r = _induce_id("vp_to_va2", fam, (t,))
-        actual = _decomp_str(r.decomposition)
+        actual = str(r.decomposition)
         good = actual == expected and r.voa_label == label
         ok = ok and good
         details.append(f"{fam}({t}) -> {actual}, label {r.voa_label}{'' if good else '  <-- FAIL'}")

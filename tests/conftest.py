@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from zhuind import catalog
+from zhuind.linalg import invert, mat_mul, zeros
+from zhuind.repmod import FinModule
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +35,18 @@ def heis():
 @pytest.fixture(scope="session")
 def vir():
     return catalog.algebra("vir")
+
+
+@pytest.fixture(scope="session")
+def permuted_copy():
+    """``permuted_copy(module, perm)``: the same module in a shuffled basis, an explicit isomorphic copy."""
+
+    def build(module, perm, label=""):
+        p = zeros(module.dim, module.dim)
+        for i, j in enumerate(perm):
+            p[i][j] = Fraction(1)
+        pinv = invert(p)
+        actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
+        return FinModule(module.owner, module.dim, actions, label or f"{module.label}~")
+
+    return build

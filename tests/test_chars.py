@@ -12,7 +12,7 @@ from zhuind.chars import (
     independence_check,
     symmetry_violations,
 )
-from zhuind.repmod import direct_sum, permuted_copy
+from zhuind.repmod import direct_sum
 
 F = Fraction
 
@@ -52,7 +52,7 @@ def test_char_symmetric_on_all_basis_pairs():
         assert symmetry_violations(catalog.module(mod_id)) == []
 
 
-def test_char_isomorphism_invariant(va2):
+def test_char_isomorphism_invariant(va2, permuted_copy):
     L = catalog.module("va2_L_lambda_beta")
     assert char_vector(permuted_copy(L, [1, 2, 0])) == char_vector(L)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import zhuind
 from zhuind import catalog
 from zhuind.cli import main
 
@@ -248,3 +253,20 @@ def test_zero_relation_is_a_parse_error(tmp_path, capsys, rel, argv, json_flag):
     code, out, err = run(capsys, *(a.format(path=path) for a in argv), *json_flag)
     assert code == 2 and out == ""
     assert err == "parse error: 3:3: relation is zero\n"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # as in `zhuind verify c01 --json | head -1` when head has exited before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(zhuind.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zhuind.cli", "verify", "c01", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, word_cmp
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly
 from zhuind.iolang import parse_poly_text
 
 GENS = ("e", "f", "h")
@@ -21,20 +21,23 @@ def w(text):
     return tuple(GENS.index(c) for c in text)
 
 
-# -- word_cmp ------------------------------------------------------------
+# -- the order, compared on MonomialOrder.key ------------------------------
+
+K = HFE.key
 
 
 def test_cmp_identity():
-    assert word_cmp(HFE, EPSILON, EPSILON) == 0
+    assert K(EPSILON) == K(EPSILON)
+    assert K(EPSILON) < K(w("e"))
 
 
 def test_cmp_shorter_smaller():
-    assert word_cmp(HFE, w("e"), w("eh")) == -1
+    assert K(w("e")) < K(w("eh"))
 
 
 def test_cmp_letterwise_at_equal_length():
     # with h > f > e: "hh" > "fe"
-    assert word_cmp(HFE, w("hh"), w("fe")) == 1
+    assert K(w("hh")) > K(w("fe"))
 
 
 def test_cmp_total_and_multiplicative():
@@ -42,18 +45,18 @@ def test_cmp_total_and_multiplicative():
     words = [tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))) for _ in range(60)]
     for a in words:
         for b in words:
-            c = word_cmp(HFE, a, b)
-            assert c == -word_cmp(HFE, b, a)
-            if c == 0:
+            ka, kb = K(a), K(b)
+            assert (ka < kb) + (ka == kb) + (ka > kb) == 1
+            if ka == kb:
                 assert a == b
-            if c == -1:
+            if ka < kb:
                 left, right = words[0], words[1]
-                assert word_cmp(HFE, left + a + right, left + b + right) == -1
+                assert K(left + a + right) < K(left + b + right)
     for a in words:
         for b in words:
             for c in words:
-                if word_cmp(HFE, a, b) <= 0 and word_cmp(HFE, b, c) <= 0:
-                    assert word_cmp(HFE, a, c) <= 0
+                if K(a) <= K(b) and K(b) <= K(c):
+                    assert K(a) <= K(c)
 
 
 # -- arithmetic ----------------------------------------------------------

@@ -4,22 +4,21 @@ Every routine is checked on generated rational matrices, from 5% dense
 to full, with zero rows, zero columns and dependent rows, against two
 oracles: sympy, and the dense ``Fraction`` row operations that ``linalg``
 used before its rows became sparse (copied below as ``DenseRowSpace`` and
-``dense_rref``, with the kernel read off it as ``dense_nullspace``).
-The reduced row echelon form is unique, so every result must agree
-exactly.  ``RowSpace`` takes sparse vectors: the dense test rows are
-converted with ``sp`` at each call and its results with ``dense``.
+``dense_rref``, with the kernel read off it as ``dense_nullspace`` and
+the inverse as ``dense_invert``).  The reduced row echelon form is
+unique, so every result must agree exactly.  ``RowSpace`` takes and
+returns sparse vectors: the dense test rows are converted with ``sp`` at
+each call and its results with ``dense``.
 """
 
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuind import linalg
-from zhuind.linalg import RowSpace, invert, nullspace, rank, rref
+from zhuind.linalg import RowSpace, invert, rank
 
 # -- the dense reference ----------------------------------------------------
 
@@ -68,6 +67,14 @@ def dense_nullspace(a):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def dense_invert(a):
+    n = len(a)
+    red, pivots = dense_rref([list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)) or len(red) != n:
+        return None
+    return [row[n:] for row in red]
 
 
 class DenseRowSpace:
@@ -123,10 +130,26 @@ def dense(vec, ncols):
     return [vec.get(i, Fraction(0)) for i in range(ncols)]
 
 
-def with_dense_core(fn, *args):
-    """Run a public routine with the dense reference in place of ``rref``."""
-    with mock.patch.object(linalg, "rref", dense_rref):
-        return fn(*args)
+def space_of(rows):
+    space = RowSpace(len(rows[0]))
+    for row in rows:
+        space.add(sp(row))
+    return space
+
+
+def dense_basis(space):
+    return [dense(v, space.ncols) for v in space.basis()]
+
+
+def dense_kernel(space):
+    return [dense(v, space.ncols) for v in space.nullspace()]
+
+
+def assert_sparse(vecs, lead):
+    """Nonzero entries only, in ascending columns, with 1 at column ``lead[i]`` of vector i."""
+    for v, c in zip(vecs, lead, strict=True):
+        assert list(v) == sorted(v) and all(v.values())
+        assert v[c] == 1
 
 
 # -- generated input ----------------------------------------------------------
@@ -200,13 +223,15 @@ def sympy_rref(sympy, rows):
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
-# -- rref and the routines built on it -----------------------------------------
+# -- the echelon basis, the kernel and the routines built on them ---------------
 
 
 @SETTINGS
 @given(matrices())
 def test_rref_matches_dense_reference(a):
-    assert rref(a) == dense_rref(a)
+    space = space_of(a)
+    assert (dense_basis(space), space.pivots) == dense_rref(a)
+    assert_sparse(space.basis(), space.pivots)
     assert rank(a) == len(dense_rref(a)[0])
 
 
@@ -214,7 +239,8 @@ def test_rref_matches_dense_reference(a):
 @given(matrices())
 def test_rref_matches_sympy(a):
     sympy = pytest.importorskip("sympy")
-    assert rref(a) == sympy_rref(sympy, a)
+    space = space_of(a)
+    assert (dense_basis(space), space.pivots) == sympy_rref(sympy, a)
     assert rank(a) == sympy.Matrix(a).rank()
 
 
@@ -222,9 +248,11 @@ def test_rref_matches_sympy(a):
 @given(matrices())
 def test_nullspace_matches_references(a):
     sympy = pytest.importorskip("sympy")
-    basis = nullspace(a)
+    space = space_of(a)
+    basis = dense_kernel(space)
     assert basis == dense_nullspace(a)
     assert basis == [[_frac(x) for x in v] for v in sympy.Matrix(a).nullspace()]
+    assert_sparse(space.nullspace(), space.complement_columns())
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
 
@@ -237,7 +265,7 @@ def test_invert_matches_references(a):
     while len(a) < len(a[0]):
         a.append([Fraction(0)] * len(a[0]))
     inv = invert(a)
-    assert inv == with_dense_core(invert, a)
+    assert inv == dense_invert(a)
     ma = sympy.Matrix(a)
     if ma.det() == 0:
         assert inv is None
@@ -256,10 +284,10 @@ def test_rowspace_matches_dense_reference(a, rng):
     for row in a:
         assert space.add(sp(row)) == ref.add(row)
         assert space.pivots == ref.pivots
-        assert space.basis() == ref.basis()
+        assert dense_basis(space) == ref.basis()
     assert space.dim == ref.dim
     assert space.complement_columns() == ref.complement_columns()
-    assert space.nullspace() == dense_nullspace(a)
+    assert dense_kernel(space) == dense_nullspace(a)
     for v in [vectors(ncols, rng) for _ in range(4)] + a:
         assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
         assert space.contains(sp(v)) == ref.contains(v)
@@ -273,8 +301,8 @@ def test_rowspace_matches_dense_reference_on_large_denominators(a, rng):
     for row in a:
         assert space.add(sp(row)) == ref.add(row)
         assert space.pivots == ref.pivots
-        assert space.basis() == ref.basis()
-    assert space.nullspace() == dense_nullspace(a)
+        assert dense_basis(space) == ref.basis()
+    assert dense_kernel(space) == dense_nullspace(a)
     for v in a + [vectors(ncols, rng)] + [[f * x for x in row] for row in a for f in (7, Fraction(-5, 999983))]:
         assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
         assert space.contains(sp(v)) == ref.contains(v)
@@ -299,6 +327,7 @@ def test_rowspace_rows_stay_primitive(a):
         assert_rows_primitive(space)
     # each stored row is the reduced row with a unit pivot times its pivot entry
     for (p, row), unit in zip(sorted(space.rows.items()), space.basis()):
+        assert unit.keys() == row.keys()
         assert all(x == unit[c] * row[p] for c, x in row.items())
 
 
@@ -321,7 +350,7 @@ def test_rowspace_matches_sympy(a, rng):
     for row in a:
         space.add(sp(row))
     red, pivots = sympy_rref(sympy, a)
-    assert (space.basis(), space.pivots) == (red, pivots)
+    assert (dense_basis(space), space.pivots) == (red, pivots)
     assert space.complement_columns() == [c for c in range(ncols) if c not in pivots]
     r = len(pivots)
     for v in [vectors(ncols, rng) for _ in range(4)]:
@@ -344,7 +373,8 @@ def test_rowspace_basis_does_not_depend_on_insertion_order(a, rng):
     for row in shuffled:
         second.add(sp(row))
     assert first.pivots == second.pivots
-    assert first.basis() == second.basis()
+    # the same vectors, with entries in the same order
+    assert [list(v.items()) for v in first.basis()] == [list(v.items()) for v in second.basis()]
 
 
 @SETTINGS
@@ -365,20 +395,23 @@ def test_rowspace_drops_explicit_zeros():
     assert space.add({0: Fraction(0), 2: Fraction(3)})
     assert space.pivots == [2]
     assert space.reduce({0: Fraction(0), 1: Fraction(1), 2: Fraction(5)}) == {1: 1}
-    assert space.nullspace() == [[1, 0, 0], [0, 1, 0]]
+    assert space.nullspace() == [{0: 1}, {1: 1}]
 
 
 def test_rowspace_integer_input_gives_fraction_rows():
     space = RowSpace(3)
     assert space.add(sp([0, 2, 4]))
     assert not space.add(sp([0, 1, 2]))
-    assert space.basis() == [[0, 1, 2]]
-    assert all(type(x) is Fraction for x in space.basis()[0])
-    assert rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert space.basis() == [{1: 1, 2: 2}]
+    assert all(type(x) is Fraction for x in space.basis()[0].values())
+    space = space_of([[2, 4], [1, 3]])
+    assert (space.basis(), space.pivots) == ([{0: 1}, {1: 1}], [0, 1])
+    assert all(type(x) is Fraction for v in space.basis() for x in v.values())
 
 
 def test_empty_inputs():
-    assert rref([]) == ([], [])
+    assert rank([]) == 0 and invert([]) == []
+    assert RowSpace(0).basis() == [] and RowSpace(0).nullspace() == []
     assert rank([[Fraction(0)] * 3]) == 0
-    assert nullspace([[Fraction(0), Fraction(0)]]) == [[1, 0], [0, 1]]
+    assert space_of([[Fraction(0), Fraction(0)]]).nullspace() == [{0: 1}, {1: 1}]
     assert dense(RowSpace(2).reduce(sp([Fraction(1), Fraction(2)])), 2) == [1, 2]

@@ -148,6 +148,8 @@ def module(mod_id: str, params: tuple = ()) -> FinModule:
     if fixed is not None:
         label = mod_id.split("_", 1)[1]
         return FinModule.from_named_actions(algebra(fixed.algebra), fixed.dim, fixed.actions, label=label)
+    if mod_id in FAMILY_IDS and len(params) != 1:
+        raise ValueError(f"{mod_id} takes 1 parameter, got {len(params)}")
     params = tuple(Fraction(p) for p in params)
     if mod_id == "heis_mod":
         (s,) = params

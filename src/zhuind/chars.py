@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from zhuind.algebra import AlgebraHandle, Element, Presentation
-from zhuind.linalg import invert, rank
+from zhuind.linalg import Sparse, invert, rank
 from zhuind.repmod import FinModule
 
 
@@ -36,9 +36,14 @@ def char_vector(module: FinModule) -> CharacterVector:
         raise ValueError("characters need a finite-dimensional owner")
     values = []
     for w in owner.basis:
-        mat = module.action_of_word(w)
-        values.append(sum((mat[i][i] for i in range(module.dim)), Fraction(0)))
+        cols = module.action_of_word(w)
+        values.append(sum((col.get(i, 0) for i, col in enumerate(cols)), Fraction(0)))
     return CharacterVector(owner.name, tuple(values))
+
+
+def _trace_of_product(a: list[Sparse], b: list[Sparse]) -> Fraction:
+    """trace(A B) = sum of A[r][k] * B[k][r], for matrices given as sparse columns."""
+    return sum((x * b[r].get(k, 0) for k, col in enumerate(a) for r, x in col.items()), Fraction(0))
 
 
 def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
@@ -49,9 +54,7 @@ def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
     bad = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            ab = sum((sum(mats[i][r][k] * mats[j][k][r] for k in range(module.dim)) for r in range(module.dim)), Fraction(0))
-            ba = sum((sum(mats[j][r][k] * mats[i][k][r] for k in range(module.dim)) for r in range(module.dim)), Fraction(0))
-            if ab != ba:
+            if _trace_of_product(mats[i], mats[j]) != _trace_of_product(mats[j], mats[i]):
                 bad.append((i, j))
     return bad
 
@@ -108,12 +111,8 @@ def artin_solve(
     if omega_image.algebra is not target:
         raise ArtinError("omega image must live in the target algebra")
     for w, irr in zip(weights, irreducibles):
-        mat = irr.evaluate(omega_image.poly)
-        for i in range(irr.dim):
-            for j in range(irr.dim):
-                expect = w if i == j else Fraction(0)
-                if mat[i][j] != expect:
-                    raise ArtinError(f"omega image does not act as {w} on {irr.label}")
+        if irr.evaluate(omega_image.poly) != [{j: w} if w else {} for j in range(irr.dim)]:
+            raise ArtinError(f"omega image does not act as {w} on {irr.label}")
 
     # one-variable source algebra C[y]
     poly_line = AlgebraHandle.build(Presentation("poly_line", ("y",), MonomialOrder((0,)), ()))

@@ -85,10 +85,7 @@ def _load_module(spec: str):
         if not rest.endswith(")"):
             raise CliError(f"malformed module spec {spec!r}")
         args = rest[:-1].strip()
-        try:
-            params = tuple(Fraction(a.strip()) for a in args.split(",")) if args else ()
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad parameters for {name.strip()}: {exc}")
+        params = tuple(_parameter(name.strip(), a.strip()) for a in args.split(",")) if args else ()
     else:
         name, params = spec, ()
     name = name.strip()
@@ -100,6 +97,15 @@ def _load_module(spec: str):
         except (ValueError, TypeError) as exc:
             raise CliError(f"bad parameters for {name}: {exc}")
     raise CliError(f"unknown module {spec!r}")
+
+
+def _parameter(name: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"bad parameters for {name}: zero denominator in {text!r}")
+    except ValueError as exc:
+        raise CliError(f"bad parameters for {name}: {exc}")
 
 
 def _morphism(mor_id: str):

@@ -16,6 +16,8 @@ What depends only on the morphism is built once and kept: the products
 ``g * a_i`` on the target (``AlgebraHandle.gen_products``, shared by every
 morphism into it).  Each ``induce`` call builds only what depends on the
 module: the relation rows, their ``RowSpace`` and the quotient columns.
+The relation rows stop once they span the whole tensor product, where
+the induced module is 0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zhuind.freealg import NcPoly
-from zhuind.linalg import Mat, RowSpace, Sparse, zeros
+from zhuind.linalg import Mat, RowSpace, Sparse, mat_of_columns
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
     DecompositionRecord,
@@ -53,20 +55,15 @@ def restrict(m: AlgebraMorphism, module: FinModule, label: str = "") -> FinModul
     """Pull a target module back to the source through generator images."""
     if module.owner is not m.target:
         raise ValueError("restrict expects a module over the morphism target")
-    actions = {g: module.evaluate(el.poly) for g, el in enumerate(m.images)}
-    return FinModule(m.source, module.dim, actions, label or f"Res({module.label})")
-
-
-def _columns(mat: Mat, ncols: int) -> list[Sparse]:
-    """The columns of ``mat``, nonzero entries only."""
-    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+    columns = [module.evaluate(el.poly) for el in m.images]
+    return FinModule.from_columns(m.source, module.dim, columns, label or f"Res({module.label})")
 
 
 def kernel_action_radical(m: AlgebraMorphism, kernel_gens: list, module: FinModule) -> RowSpace:
     """Action-stable span of (kernel generator) . module."""
     if module.owner is not m.source:
         raise ValueError("module must live over the morphism source")
-    seeds = [col for k in kernel_gens for col in _columns(module.evaluate(k.poly), module.dim)]
+    seeds = [col for k in kernel_gens for col in module.evaluate(k.poly)]
     return submodule_closure(module, seeds)
 
 
@@ -85,9 +82,7 @@ def induce(
     radical = kernel_action_radical(m, kernel_gens, module)
     reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical.dim else module
 
-    nt = len(target.basis)
     nm = reduced.dim
-    total = nt * nm
     label = label or f"Ind({module.label})"
 
     if nm == 0:
@@ -95,49 +90,41 @@ def induce(
         rec = DecompositionRecord((), 0) if irreducibles is not None else None
         return InductionResult(zero, [], 0, 0, rec, _voa_label(rec, voa_labels))
 
-    # relation subspace: (a * m(g)) (x) v - a (x) (g.v), over the flat index k * nm + j of a_k (x) v_j
-    relations = RowSpace(total)
-    image_products = m.image_products
-    for i in range(nt):
-        for g, products in enumerate(image_products):
-            left_nz = products[i]  # a_i * m(g) over the target basis
-            gmat = reduced.actions[g]
-            for j in range(nm):
-                vec = {k * nm + j: x for k, x in left_nz.items()}
-                for l in range(nm):
-                    if gmat[l][j]:
-                        vec[i * nm + l] = vec.get(i * nm + l, 0) - gmat[l][j]
-                if any(vec.values()):
-                    relations.add(vec)
-
+    relations = _relations(m, reduced)
     comp = relations.complement_columns()
-    qdim = len(comp)
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {flat: row for row, flat in enumerate(comp)}
 
-    def quotient_column(coords: Sparse, j: int, out: Mat, col: int) -> None:
-        """Write the quotient coordinates of (target element) (x) v_j into column ``col``."""
-        vec = {k * nm + j: x for k, x in coords.items()}
-        for flat, x in relations.reduce(vec).items():
-            out[pos[flat]][col] = x
+    def quotient_column(coords: Sparse, j: int) -> Sparse:
+        """The quotient coordinates of (target element) (x) v_j."""
+        vec = relations.reduce({k * nm + j: x for k, x in coords.items()})
+        return {pos[flat]: x for flat, x in vec.items()}
 
-    # left action of each target generator on the quotient coordinates
-    actions: dict[int, Mat] = {}
-    for g, products in enumerate(target.gen_products):
-        mat = zeros(qdim, qdim)
-        for col, flat in enumerate(comp):
-            i, j = divmod(flat, nm)
-            quotient_column(products[i], j, mat, col)  # g * a_i
-        actions[g] = mat
-    induced = FinModule(target, qdim, actions, label)
-
-    unit = zeros(qdim, nm)
+    # left action of each target generator on the quotient coordinates: column of a_i (x) v_j from g * a_i
+    columns = [[quotient_column(products[flat // nm], flat % nm) for flat in comp] for products in target.gen_products]
+    induced = FinModule.from_columns(target, len(comp), columns, label)
     one_coords = target.coords(target.system.reduce(NcPoly.one()))
-    for j in range(nm):
-        quotient_column(one_coords, j, unit, j)
+    unit = mat_of_columns([quotient_column(one_coords, j) for j in range(nm)], len(comp))
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
     return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))
+
+
+def _relations(m: AlgebraMorphism, reduced: FinModule) -> RowSpace:
+    """Span of (a_i * m(g)) (x) v_j - a_i (x) (g v_j), over the flat index k * nm + l of a_k (x) v_l."""
+    nt, nm = len(m.target.basis), reduced.dim
+    relations = RowSpace(nt * nm)
+    for i in range(nt):
+        for products, g_cols in zip(m.image_products, reduced.columns):
+            left_nz = products[i]  # a_i * m(g) over the target basis
+            for j, col in enumerate(g_cols):
+                vec = {k * nm + j: x for k, x in left_nz.items()}
+                for l, x in col.items():
+                    vec[i * nm + l] = vec.get(i * nm + l, 0) - x
+                # a full span kills the whole tensor product; no further row can change that
+                if relations.add(vec) and relations.dim == nt * nm:
+                    return relations
+    return relations
 
 
 def _voa_label(rec: DecompositionRecord | None, voa_labels: dict[str, str] | None) -> str | None:
@@ -158,7 +145,9 @@ def generated_by_unit_image(result: InductionResult) -> bool:
     module = result.module
     if module.dim == 0:
         return True
-    return submodule_closure(module, _columns(result.unit_map, result.reduced_dim)).dim == module.dim
+    unit = result.unit_map
+    seeds = [{i: row[j] for i, row in enumerate(unit) if row[j]} for j in range(result.reduced_dim)]
+    return submodule_closure(module, seeds).dim == module.dim
 
 
 def frobenius_check(

@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``); dense
-matrices (``Mat``) are kept only for module actions and the maps built
-from them.  ``RowSpace`` keeps a reduced row echelon basis as sparse
-primitive integer rows (pivot column -> {column: int}), each with a
-positive pivot entry and zero at every other pivot, so reducing a mostly
-zero vector touches only its nonzero entries.  Elimination inside it is
-fraction-free; ``Fraction`` values are built only where results leave
-it.  It never modifies a caller's vector.  ``RowSpace.basis`` and
-``RowSpace.nullspace`` return sparse vectors with a unit pivot or free
-entry, in ascending columns.  ``rank`` and ``invert`` insert the rows of
-a dense matrix into a ``RowSpace``, so there is one elimination loop and
-one kernel routine.  All arithmetic is exact.
+Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``), and a
+module action is a list of sparse columns; dense matrices (``Mat``) are
+kept only for the maps handed back to callers (hom bases, unit maps) and
+for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced row echelon
+basis as sparse primitive integer rows (pivot column -> {column: int}),
+each with a positive pivot entry and zero at every other pivot, so
+reducing a mostly zero vector touches only its nonzero entries.
+Elimination inside it is fraction-free; ``Fraction`` values are built
+only where results leave it.  It never modifies a caller's vector.
+``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
+a unit pivot or free entry, in ascending columns.  ``rank`` and
+``invert`` insert the rows of a dense matrix into a ``RowSpace``, so
+there is one elimination loop and one kernel routine.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -26,52 +28,27 @@ Mat = list[list[Fraction]]
 Sparse = dict[int, Fraction]
 
 
-def zeros(n: int, m: int) -> Mat:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n: int) -> Mat:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if not c:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] += c * bt[j]
-    return out
+def mat_of_columns(columns: list[Sparse], nrows: int) -> Mat:
+    """The dense matrix whose columns are the given sparse vectors."""
+    zero = Fraction(0)
+    return [[col.get(i, zero) for col in columns] for i in range(nrows)]
 
 
 def rank(rows: Mat) -> int:
-    return _space(rows).dim
+    space = RowSpace(len(rows[0]) if rows else 0)
+    for r in rows:
+        space._insert(dict(enumerate(r)))
+    return space.dim
 
 
 def invert(a: Mat) -> Mat | None:
     n = len(a)
-    space = _space([list(row) + unit for row, unit in zip(a, identity(n))])
+    space = RowSpace(2 * n)
+    for i, row in enumerate(a):
+        space._insert({**dict(enumerate(row)), n + i: Fraction(1)})
     if space.pivots[:n] != list(range(n)) or space.dim != n:
         return None
     return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in space.basis()]
-
-
-def _space(rows: Mat) -> "RowSpace":
-    space = RowSpace(len(rows[0]) if rows else 0)
-    for r in rows:
-        space._insert(dict(enumerate(r)))
-    return space
 
 
 class RowSpace:

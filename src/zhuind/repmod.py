@@ -1,70 +1,96 @@
-"""Finite-dimensional left modules as generator action matrices.
+"""Finite-dimensional left modules as generator actions.
 
-A module over a presented algebra is one rational matrix per generator;
-``check_module`` substitutes the actions into every relation of the
-owner.  Hom spaces are computed exactly as intertwiner nullspaces, and
-semisimple decompositions read multiplicities off hom dimensions.
+A module over a presented algebra stores the action of each generator as
+a list of sparse columns (column j: the image of basis vector j, nonzero
+entries only); ``check_module`` substitutes the actions into every
+relation of the owner.  Hom spaces are computed exactly as intertwiner
+nullspaces, and semisimple decompositions read multiplicities off hom
+dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from zhuind.algebra import AlgebraHandle
-from zhuind.freealg import NcPoly, Word
-from zhuind.linalg import Mat, RowSpace, Sparse, identity, mat_mul, zeros
+from zhuind.freealg import NcPoly, Word, _add_scaled
+from zhuind.linalg import Mat, RowSpace, Sparse, mat_of_columns
+
+Columns = list[Sparse]  # one sparse column per basis vector
 
 
 class FinModule:
-    """A module given by one action matrix per generator of ``owner``.
+    """A module given by the action of each generator of ``owner``.
 
-    The actions are fixed after construction.  ``action_of_word`` keeps the
-    action of every word it has computed, in a prefix tree: a word costs
-    one matrix product per letter past its longest known prefix.  The
-    matrices it returns are shared between callers and must not be mutated.
+    ``columns[g]`` is the action of generator g as sparse columns, with no
+    stored zeros: the one stored form, fixed after construction.  The
+    constructor takes dense matrices; ``from_columns`` takes the stored
+    form as is.  ``actions`` is a dense view of it, built on first use.
+    ``action_of_word`` keeps the action of every word it has computed, in
+    a prefix tree: a word costs one sparse product per letter past its
+    longest known prefix.  Columns, word actions and the dense view are
+    shared between callers and must not be mutated.
     """
 
     def __init__(self, owner: AlgebraHandle, dim: int, actions: dict[int, Mat], label: str = ""):
-        self.owner = owner
-        self.dim = dim
-        self.actions = {}
+        columns = []
         for g in range(len(owner.gen_names)):
-            mat = actions.get(g)
-            if mat is None:
-                mat = zeros(dim, dim)
+            mat = actions.get(g, [[0] * dim] * dim)
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError(f"action of {owner.gen_names[g]} must be {dim}x{dim}")
-            # Fraction is immutable, so an entry that already is one is shared, not rebuilt
-            self.actions[g] = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
+            cols: Columns = [{} for _ in range(dim)]
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    if x:
+                        # Fraction is immutable, so an entry that already is one is shared, not rebuilt
+                        cols[j][i] = x if type(x) is Fraction else Fraction(x)
+            columns.append(cols)
+        self._setup(owner, dim, columns, label)
+
+    @classmethod
+    def from_columns(cls, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str = "") -> "FinModule":
+        """A module from one list of sparse ``Fraction`` columns per generator, kept without a copy."""
+        module = cls.__new__(cls)
+        module._setup(owner, dim, columns, label)
+        return module
+
+    def _setup(self, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str) -> None:
+        self.owner = owner
+        self.dim = dim
+        self.columns = columns
         self.label = label or f"{owner.name}-module(dim {dim})"
         # prefix tree of word actions: node = (action of the word, {letter: child node})
-        self._word_actions: tuple[Mat, dict] = (identity(dim), {})
+        self._word_actions: tuple[Columns, dict] = ([{j: Fraction(1)} for j in range(dim)], {})
+
+    @cached_property
+    def actions(self) -> dict[int, Mat]:
+        """One dense matrix per generator: a read-only view of ``columns``."""
+        return {g: mat_of_columns(cols, self.dim) for g, cols in enumerate(self.columns)}
 
     @staticmethod
     def from_named_actions(owner: AlgebraHandle, dim: int, named: dict[str, Mat], label: str = "") -> "FinModule":
         actions = {owner.presentation.gen_index(name): mat for name, mat in named.items()}
         return FinModule(owner, dim, actions, label)
 
-    def action_of_word(self, word: Word) -> Mat:
-        """The action of ``word``: shared and read-only (see the class docstring)."""
+    def action_of_word(self, word: Word) -> Columns:
+        """The action of ``word`` as sparse columns: shared and read-only (see the class docstring)."""
         node = self._word_actions
         for g in word:
             children = node[1]
             if g not in children:
-                children[g] = (mat_mul(node[0], self.actions[g]), {})
+                children[g] = ([_apply(node[0], col) for col in self.columns[g]], {})
             node = children[g]
         return node[0]
 
-    def evaluate(self, p: NcPoly) -> Mat:
-        out = zeros(self.dim, self.dim)
+    def evaluate(self, p: NcPoly) -> Columns:
+        """The action of ``p`` as new sparse columns."""
+        out: Columns = [{} for _ in range(self.dim)]
         for w, c in p.terms.items():
-            if not c:
-                continue
-            for out_row, row in zip(out, self.action_of_word(w)):
-                for k, x in enumerate(row):
-                    if x:
-                        out_row[k] += c * x
+            if c:
+                for acc, col in zip(out, self.action_of_word(w)):
+                    _add_scaled(acc, c, col)
         return out
 
     def __repr__(self) -> str:
@@ -102,11 +128,7 @@ class DecompositionRecord:
 
 def check_module(module: FinModule) -> list[NcPoly]:
     """Relations of the owner that fail to act as zero (empty list = pass)."""
-    bad = []
-    for rel in module.owner.presentation.relations:
-        if any(x for row in module.evaluate(rel) for x in row):
-            bad.append(rel)
-    return bad
+    return [rel for rel in module.owner.presentation.relations if any(module.evaluate(rel))]
 
 
 def hom_space(source: FinModule, target: FinModule) -> HomBasis:
@@ -118,16 +140,19 @@ def hom_space(source: FinModule, target: FinModule) -> HomBasis:
         return HomBasis(source, target, ())
     # unknowns T[i][j] flattened as i*m + j; one equation per (g, i, j)
     space = RowSpace(n * m)
-    for g in source.actions:
-        a = target.actions[g]
-        b = source.actions[g]
-        for i in range(n):
-            a_row = [(k, x) for k, x in enumerate(a[i]) if x]
-            for j in range(m):
-                row = {i * m + k: b[k][j] for k in range(m) if b[k][j]}
-                for k, x in a_row:
+    for g, b_cols in enumerate(source.columns):
+        a_rows: Columns = [{} for _ in range(n)]
+        for k, col in enumerate(target.columns[g]):
+            for i, x in col.items():
+                a_rows[i][k] = x
+        for i, a_row in enumerate(a_rows):
+            for j, b_col in enumerate(b_cols):
+                row = {i * m + k: x for k, x in b_col.items()}
+                for k, x in a_row.items():
                     row[k * m + j] = row.get(k * m + j, 0) - x
-                space.add(row)
+                # equations of full rank leave only T = 0, and no further equation can change that
+                if space.add(row) and space.dim == n * m:
+                    return HomBasis(source, target, ())
     zero = Fraction(0)
     mats = [[[v.get(i * m + j, zero) for j in range(m)] for i in range(n)] for v in space.nullspace()]
     return HomBasis(source, target, tuple(mats))
@@ -149,13 +174,11 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
     return DecompositionRecord(tuple(entries), module.dim - used)
 
 
-def _act(mat: Mat, v: Sparse) -> Sparse:
-    """mat . v for a sparse vector, nonzero entries only."""
-    out = {}
-    for i, row in enumerate(mat):
-        y = sum(row[j] * x for j, x in v.items())
-        if y:
-            out[i] = y
+def _apply(cols: Columns, v: Sparse) -> Sparse:
+    """The matrix with columns ``cols`` times a sparse vector, nonzero entries only."""
+    out: Sparse = {}
+    for j, x in v.items():
+        _add_scaled(out, x, cols[j])
     return out
 
 
@@ -163,63 +186,36 @@ def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
     """Smallest action-stable subspace containing the seeds."""
     space = RowSpace(module.dim)
     queue = list(seeds)
-    while queue:
+    while queue and space.dim < module.dim:
         v = queue.pop()
-        if not space.add(v):
-            continue
-        for mat in module.actions.values():
-            queue.append(_act(mat, v))
+        if space.add(v):
+            queue.extend(_apply(cols, v) for cols in module.columns)
     return space
 
 
 def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinModule:
     """Quotient by an action-stable subspace of the module (left unchanged), in complement coordinates."""
     subs = space.basis()
-    for mat in module.actions.values():
+    for cols in module.columns:
         for v in subs:
-            if not space.contains(_act(mat, v)):
+            if not space.contains(_apply(cols, v)):
                 raise ValueError("subspace is not action-stable")
     comp = space.complement_columns()
-    qdim = len(comp)
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {i: row_idx for row_idx, i in enumerate(comp)}
-    new_actions: dict[int, Mat] = {}
-    for g, mat in module.actions.items():
-        q = zeros(qdim, qdim)
-        for col_idx, j in enumerate(comp):
-            for i, x in space.reduce({i: row[j] for i, row in enumerate(mat)}).items():
-                q[pos[i]][col_idx] = x
-        new_actions[g] = q
-    return FinModule(module.owner, qdim, new_actions, label or f"{module.label}/sub")
+    columns = [[{pos[i]: x for i, x in space.reduce(cols[j]).items()} for j in comp] for cols in module.columns]
+    return FinModule.from_columns(module.owner, len(comp), columns, label or f"{module.label}/sub")
 
 
 def direct_sum(a: FinModule, b: FinModule, label: str = "") -> FinModule:
     if a.owner is not b.owner:
         raise ValueError("direct sum needs a common owner")
-    dim = a.dim + b.dim
-    actions: dict[int, Mat] = {}
-    for g in a.actions:
-        mat = zeros(dim, dim)
-        for i in range(a.dim):
-            for j in range(a.dim):
-                mat[i][j] = a.actions[g][i][j]
-        for i in range(b.dim):
-            for j in range(b.dim):
-                mat[a.dim + i][a.dim + j] = b.actions[g][i][j]
-        actions[g] = mat
-    return FinModule(a.owner, dim, actions, label or f"{a.label}+{b.label}")
+    columns = [ca + [{a.dim + i: x for i, x in col.items()} for col in cb] for ca, cb in zip(a.columns, b.columns)]
+    return FinModule.from_columns(a.owner, a.dim + b.dim, columns, label or f"{a.label}+{b.label}")
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:
-    """The left regular module of a finite-dimensional algebra, from ``handle.gen_products``."""
+    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
     if handle.basis is None:
         raise ValueError("regular module needs a finite-dimensional algebra")
-    n = len(handle.basis)
-    actions: dict[int, Mat] = {}
-    for g, products in enumerate(handle.gen_products):
-        mat = zeros(n, n)
-        for j, col in enumerate(products):  # column j: g * basis[j]
-            for i, x in col.items():
-                mat[i][j] = x
-        actions[g] = mat
-    return FinModule(handle, n, actions, f"{handle.name}-regular")
+    return FinModule.from_columns(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")

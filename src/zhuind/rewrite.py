@@ -173,16 +173,27 @@ def _rewrite(
     found through ``index`` (built from ``rules`` when not given);
     with ``rng`` it draws one of all redexes, listed by term, rule id and position.
     The first step copies ``p`` and every step rewrites the copy in place; ``p`` is never written.
+
+    The canonical search pops the words not yet found normal from a max-heap.  A step
+    adds only words smaller than the one it rewrites, so a word popped as normal never
+    returns, and only the words a step newly brings into the polynomial are pushed.
     """
-    if rng is None and index is None:
-        index = LhsIndex(rules)
+    heap = None
+    if rng is None:
+        if index is None:
+            index = LhsIndex(rules)
+        prec = order.precedence
+        # order.key negated entrywise, so that the least entry is the greatest word
+        heap = [(-len(w), [-prec[g] for g in w], w) for w in p.terms]
+        heapq.heapify(heap)
     cur = p
     steps: list[Step] = []
     while True:
         hit = None
-        if rng is None:
-            for w in sorted(cur.terms, key=order.key, reverse=True):
-                found = _find_redex(w, index)
+        if heap is not None:
+            while heap:
+                w = heapq.heappop(heap)[2]
+                found = _find_redex(w, index) if w in cur.terms else None
                 if found:
                     hit = (w, *found)
                     break
@@ -205,7 +216,12 @@ def _rewrite(
         rule = rules[rid]
         c = cur.terms.pop(w)
         left, right = w[:pos], w[pos + len(rule.lhs) :]
-        _add_scaled(cur.terms, c, {left + t + right: v for t, v in rule.rhs.terms.items()})
+        added = {left + t + right: v for t, v in rule.rhs.terms.items()}
+        if heap is not None:
+            for u in added:
+                if u not in cur.terms:
+                    heapq.heappush(heap, (-len(u), [-prec[g] for g in u], u))
+        _add_scaled(cur.terms, c, added)
         steps.append((c, left, rule, right))
         if len(steps) > STEP_BUDGET:
             raise RuntimeError("reduction step budget exceeded")

@@ -1,9 +1,11 @@
+import contextlib
 from fractions import Fraction
 
 import pytest
 
+from dense import mat_mul, zeros
 from zhuind import catalog
-from zhuind.linalg import invert, mat_mul, zeros
+from zhuind.linalg import RowSpace, invert
 from zhuind.repmod import FinModule
 
 
@@ -50,3 +52,25 @@ def permuted_copy():
         return FinModule(module.owner, module.dim, actions, label or f"{module.label}~")
 
     return build
+
+
+@pytest.fixture(scope="session")
+def recorded_adds():
+    """``with recorded_adds() as grew:`` lists what each ``RowSpace.add`` returned (True: the dimension grew)."""
+
+    @contextlib.contextmanager
+    def record():
+        grew = []
+        original = RowSpace.add
+
+        def add(self, vec):
+            grew.append(original(self, vec))
+            return grew[-1]
+
+        RowSpace.add = add
+        try:
+            yield grew
+        finally:
+            RowSpace.add = original
+
+    return record

@@ -111,6 +111,13 @@ def test_module_families_at_sampled_parameters():
             assert check_module(catalog.module(fam, (t,))) == []
 
 
+@pytest.mark.parametrize("params", [(), (F(1), F(2))])
+def test_module_family_parameter_count_is_checked(params):
+    for fam in catalog.FAMILY_IDS:
+        with pytest.raises(ValueError, match=f"^{fam} takes 1 parameter, got {len(params)}$"):
+            catalog.module(fam, params)
+
+
 def test_uhalf_matrices_match_stated_family():
     mod = catalog.module("vp_mod_Uhalf", (F(1, 2),))
     vp = catalog.algebra("a_vp")

@@ -103,8 +103,8 @@ def test_artin_scalar_action_checked(va1):
     # 1/4 h^2 acts as 0 on the trivial module and as 1/4 on L_half
     omega = va1.element("1/4 h h")
     triv, half = catalog.irreducibles("a_va1")
-    assert triv.evaluate(omega.poly) == [[F(0)]]
-    assert half.evaluate(omega.poly) == [[F(1, 4), F(0)], [F(0), F(1, 4)]]
+    assert triv.evaluate(omega.poly) == [{}]
+    assert half.evaluate(omega.poly) == [{0: F(1, 4)}, {1: F(1, 4)}]
 
 
 def test_artin_rejects_colliding_weights(va1):

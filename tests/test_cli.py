@@ -155,6 +155,20 @@ def test_induce_bad_module_parameter_exits_2(capsys, spec):
     assert err.count("\n") == 1 and "bad parameters for vir_mod" in err
 
 
+@pytest.mark.parametrize(
+    "spec, needle",
+    [
+        ("vp_mod_U0()", "vp_mod_U0 takes 1 parameter, got 0"),
+        ("vp_mod_U0(1,2)", "vp_mod_U0 takes 1 parameter, got 2"),
+        ("vp_mod_U0(1/0)", "zero denominator in '1/0'"),
+    ],
+)
+def test_induce_module_parameter_error_names_the_fault(capsys, spec, needle):
+    code, out, err = run(capsys, "induce", "--via", "vp_to_va2", "--module", spec)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+
+
 _ZERO = "algebra z gens a rel 1 end\n"
 _DIM_TEN = "algebra big gens a rel a a a a a a a a a a - a end\n"
 _TRACE_BLOWUP = """algebra t gens x y z order deglex x > y > z

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import zeros
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Element
 from zhuind.freealg import NcPoly
@@ -20,7 +21,7 @@ from zhuind.induct import (
     kernel_action_radical,
     restrict,
 )
-from zhuind.linalg import RowSpace, zeros
+from zhuind.linalg import RowSpace
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import DecompositionRecord, FinModule, check_module, decompose, quotient_module
 
@@ -360,3 +361,40 @@ def test_composite_builds_its_own_product_table():
     structure = composite.target.structure
     expected = [[dict(_combination((y, row[j]) for j, y in _pairs(composite.target.coords(el.poly)))) for row in structure] for el in composite.images]
     assert table == expected
+
+
+# -- the early stop of the relation rows ------------------------------------------
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(_FAMILIES), st.fractions(min_value=-6, max_value=6, max_denominator=8))
+def test_relation_rows_stop_once_they_fill_the_tensor_product(recorded_adds, case, t):
+    # without the kernel the whole module enters the tensor product, and at most parameters it dies there
+    mor_id, fam = case
+    m = catalog.morphism(mor_id)
+    module = catalog.module(fam, (t,))
+    with recorded_adds() as grew:
+        got = induce(m, [], module)
+    nt, nm = len(m.target.basis), module.dim
+    if got.dim == 0:
+        assert got.relation_rank == sum(grew) == nt * nm and grew[-1]
+    else:
+        assert len(grew) == nt * len(m.images) * nm  # every relation row was offered
+    irreducibles = catalog.irreducibles(m.target.name)
+    want = per_call_induce(m, [], module, irreducibles, catalog.VOA_LABELS)
+    assert _summary(induce(m, [], module, irreducibles, catalog.VOA_LABELS)) == _summary(want)
+
+
+@pytest.mark.parametrize(
+    "mor_id, fam, t",
+    [("vp_to_va2", "vp_mod_U0", F(1, 2)), ("vp_to_va2", "vp_mod_Uhalf", F(3, 7))],
+)
+def test_induction_to_zero_skips_the_rows_after_the_span_is_full(recorded_adds, mor_id, fam, t):
+    m = catalog.morphism(mor_id)
+    module = catalog.module(fam, (t,))
+    with recorded_adds() as grew:
+        got = induce(m, [], module)
+    nt, nm = len(m.target.basis), module.dim
+    assert (got.dim, got.reduced_dim, got.relation_rank, got.unit_map) == (0, nm, nt * nm, [])
+    assert got.module.columns == [[] for _ in m.target.gen_names]
+    assert grew[-1] and len(grew) < nt * len(m.images) * nm

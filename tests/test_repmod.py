@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import identity, mat_mul, zeros
 from zhuind import catalog
 from zhuind.freealg import NcPoly
-from zhuind.linalg import RowSpace, identity, mat_mul, zeros
+from zhuind.linalg import RowSpace, mat_of_columns
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
@@ -191,20 +192,25 @@ def dense_hom_space(source, target):
 
 
 @st.composite
-def action_modules(draw, dim=None):
-    """A module over a_va1 with random actions (the relations need not hold)."""
-    owner = catalog.algebra("a_va1")
+def dense_actions(draw, dim=None):
+    """``(dim, actions)``: one random dense matrix per generator of a_va1, entries ``Fraction`` or ``int``."""
     n = draw(st.integers(0, 4)) if dim is None else dim
     density = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
     rng = draw(st.randoms(use_true_random=False))
 
     def entry():
         if rng.random() >= density:
-            return F(0)
-        return F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+            return rng.choice((F(0), 0))
+        value = F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+        return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
 
-    actions = {g: [[entry() for _ in range(n)] for _ in range(n)] for g in range(len(owner.gen_names))}
-    return FinModule(owner, n, actions)
+    return n, {g: [[entry() for _ in range(n)] for _ in range(n)] for g in range(3)}
+
+
+@st.composite
+def action_modules(draw, dim=None):
+    """A module over a_va1 with random actions (the relations need not hold)."""
+    return FinModule(catalog.algebra("a_va1"), *draw(dense_actions(dim)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +230,94 @@ def test_hom_space_matches_dense_reference(permuted_copy, source, data):
     assert hom.basis == dense_hom_space(source, target)
     if kind != "independent":
         assert hom.dim >= (1 if source.dim else 0)
+
+
+@st.composite
+def disjoint_spectra_pairs(draw):
+    """(source, target) whose first actions are triangular with disjoint diagonals, so Hom is 0.
+
+    T A = B T with spec A and spec B disjoint has only T = 0 (Sylvester), so
+    the n*m equations of the first generator alone fill the space.
+    """
+    owner = catalog.algebra("a_va1")
+    modules = []
+    for sign in (1, -1):
+        n, actions = draw(dense_actions(draw(st.integers(1, 3))))
+        for i, row in enumerate(actions[0]):
+            for j in range(i):
+                row[j] = 0
+            row[i] = F(sign * (i + 1))
+        modules.append(FinModule(owner, n, actions))
+    return tuple(modules)
+
+
+@settings(max_examples=40, deadline=None)
+@given(disjoint_spectra_pairs())
+def test_hom_space_stops_once_the_first_generator_fills_the_space(recorded_adds, pair):
+    source, target = pair
+    with recorded_adds() as grew:
+        hom = hom_space(source, target)
+    assert hom.basis == () == dense_hom_space(source, target)
+    assert grew == [True] * (source.dim * target.dim)
+
+
+def test_hom_space_of_one_dimensional_modules_with_distinct_scalars_is_zero(recorded_adds, va1):
+    a = FinModule(va1, 1, {0: [[F(1)]], 1: [[F(2)]], 2: [[F(3)]]})
+    b = FinModule(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(3)]]})
+    with recorded_adds() as grew:
+        assert hom_space(a, b).dim == 0
+    assert grew == [True]
+    assert hom_space(a, a).basis == ([[F(1)]],)
+
+
+# -- the stored sparse columns against the dense input ------------------------------
+
+
+def assert_sparse_form(module):
+    """One list of ``dim`` sparse columns per generator, with no stored zero."""
+    assert len(module.columns) == len(module.owner.gen_names)
+    for cols in module.columns:
+        assert len(cols) == module.dim
+        assert all(0 <= i < module.dim and type(x) is Fraction and x for col in cols for i, x in col.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_actions(), st.lists(st.lists(st.integers(0, 2), max_size=4).map(tuple), max_size=4))
+def test_stored_columns_hold_no_zero_and_give_back_the_dense_input(dim_actions, words):
+    dim, actions = dim_actions
+    module = FinModule(catalog.algebra("a_va1"), dim, actions)
+    assert_sparse_form(module)
+    assert module.actions == actions
+    assert module.actions is module.actions  # built once
+    for word in words:
+        got = module.action_of_word(word)
+        assert all(x for col in got for x in col.values())
+        assert mat_of_columns(got, dim) == chain_action(module, word)
+
+
+def test_missing_generators_act_as_zero(va1):
+    module = FinModule(va1, 2, {1: [[0, 1], [0, 0]]})
+    assert module.columns == [[{}, {}], [{}, {0: F(1)}], [{}, {}]]
+    assert module.actions == {0: [[F(0), F(0)], [F(0), F(0)]], 1: [[F(0), F(1)], [F(0), F(0)]], 2: [[F(0), F(0)], [F(0), F(0)]]}
+
+
+def test_word_actions_drop_entries_that_cancel(va1):
+    # generator 0 times generator 1 acts as 0: column 0 of the second is v0 - v1, and the first sends both to v0
+    module = FinModule(va1, 2, {0: [[1, 1], [0, 0]], 1: [[1, 0], [-1, 0]]})
+    assert module.action_of_word((0, 1)) == [{}, {}]
+    assert module.evaluate(NcPoly({(0, 1): F(1), (): F(2)})) == [{0: F(2)}, {1: F(2)}]
+
+
+def test_built_modules_keep_the_sparse_form(va1, va2):
+    from zhuind.induct import induce, restrict
+
+    L = catalog.module("va1_L_half")
+    full = submodule_closure(L, [{0: F(1)}])
+    built = [direct_sum(L, catalog.module("va1_trivial")), quotient_module(L, RowSpace(2)), quotient_module(L, full), regular_module(va1), regular_module(va2)]
+    m = catalog.morphism("va1_to_va2")
+    built += [restrict(m, catalog.module("va2_L_lambda_alpha")), induce(m, [], L).module]
+    for module in built:
+        assert_sparse_form(module)
 
 
 # -- evaluate against the matrix sum it replaced ----------------------------------
@@ -253,15 +347,15 @@ _eval_poly = st.dictionaries(_eval_word, st.fractions(min_value=-3, max_value=3,
 @given(action_modules(), _eval_poly)
 def test_evaluate_matches_matrix_sum(module, p):
     got = module.evaluate(p)
-    assert got == sum_evaluate(module, p)
-    assert all(type(x) is Fraction for row in got for x in row)
+    assert mat_of_columns(got, module.dim) == sum_evaluate(module, p)
+    assert all(type(x) is Fraction and x for col in got for x in col.values())
 
 
 def test_evaluate_matches_matrix_sum_on_catalog_relations():
     for mod_id in catalog.MODULE_IDS:
         module = catalog.module(mod_id)
         for rel in module.owner.presentation.relations:
-            assert module.evaluate(rel) == sum_evaluate(module, rel)
+            assert mat_of_columns(module.evaluate(rel), module.dim) == sum_evaluate(module, rel)
 
 
 _memo_call = st.one_of(st.tuples(st.just("word"), _eval_word), st.tuples(st.just("poly"), _eval_poly))
@@ -273,10 +367,10 @@ def test_memoised_word_actions_match_the_product_chain_in_any_order(module, call
     # one module across the calls, so later words meet prefixes memoised by earlier ones
     for kind, arg in calls:
         if kind == "word":
-            assert module.action_of_word(arg) == chain_action(module, arg)
+            assert mat_of_columns(module.action_of_word(arg), module.dim) == chain_action(module, arg)
             assert module.action_of_word(arg) is module.action_of_word(arg)
         else:
-            assert module.evaluate(arg) == sum_evaluate(module, arg)
+            assert mat_of_columns(module.evaluate(arg), module.dim) == sum_evaluate(module, arg)
 
 
 def test_evaluate_walks_a_long_word_without_recursion(va1):
@@ -289,8 +383,8 @@ def test_evaluate_walks_a_long_word_without_recursion(va1):
     half = F(1)
     for g in word[:1500]:
         half *= mod.actions[g][0][0]
-    assert mod.evaluate(NcPoly({word: F(3), word[:1500]: F(-1)})) == [[3 * value - half]]
-    assert mod.action_of_word(word) == [[value]]
+    assert mod.evaluate(NcPoly({word: F(3), word[:1500]: F(-1)})) == [{0: 3 * value - half}]
+    assert mod.action_of_word(word) == [{0: value}]
 
 
 def reduced_regular_module(handle):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zhuind import catalog, rewrite
 from zhuind.algebra import AlgebraHandle, Presentation, _suffixes_normal
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, _add_scaled
 from zhuind.iolang import parse_poly_text
 from zhuind.rewrite import (
     INFINITE,
@@ -858,3 +858,70 @@ def test_complete_keeps_lhs_index_of_live_rules_on_generated_presentations(case)
             pass
     if seen:
         _assert_index_of_live_rules(seen)
+
+
+# -- the heap of the canonical rewrite loop against the sort it replaced --------
+
+
+def _ref_sorted_rewrite(p, rules, order, index):
+    """The canonical rewrite loop as it was, re-sorting every term at each step: the reference."""
+    cur = p
+    steps = []
+    while True:
+        hit = None
+        for w in sorted(cur.terms, key=order.key, reverse=True):
+            found = _find_redex(w, index)
+            if found:
+                hit = (w, *found)
+                break
+        if hit is None:
+            return cur, steps
+        if cur is p:
+            cur = NcPoly()
+            cur.terms = dict(p.terms)
+        w, pos, rid = hit
+        rule = rules[rid]
+        c = cur.terms.pop(w)
+        left, right = w[:pos], w[pos + len(rule.lhs) :]
+        _add_scaled(cur.terms, c, {left + t + right: v for t, v in rule.rhs.terms.items()})
+        steps.append((c, left, rule, right))
+
+
+_short_word = st.lists(_letter, max_size=4).map(tuple)
+_small_coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+@st.composite
+def _terminating_rule_dicts(draw, order=HFE):
+    """``_rule_dicts`` with right-hand sides of smaller words, so every rewrite terminates."""
+    rules = {}
+    for rid, rule in draw(_rule_dicts()).items():
+        smaller = [u for u in draw(st.lists(_short_word, max_size=3)) if order.key(u) < order.key(rule.lhs)]
+        rules[rid] = RewriteRule(rule.lhs, NcPoly({u: draw(_small_coeff) for u in smaller}))
+    return rules
+
+
+# few short words and coefficients of one size, so terms often cancel and come back
+_rewrite_polys = st.dictionaries(_short_word, _small_coeff, max_size=6).map(NcPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terminating_rule_dicts(), _rewrite_polys)
+def test_heap_rewrite_matches_sorted_reference(rules, p):
+    index = LhsIndex(rules)
+    before = dict(p.terms)
+    nf, steps = _rewrite(p, rules, HFE, index=index)
+    ref_nf, ref_steps = _ref_sorted_rewrite(p, rules, HFE, index)
+    assert steps == ref_steps
+    assert list(nf.terms.items()) == list(ref_nf.terms.items())
+    assert p.terms == before
+
+
+def test_heap_rewrite_rewrites_a_word_that_cancels_and_comes_back():
+    # hh -> -fe cancels the term fe, and hf -> fe brings it back
+    rules = {0: RewriteRule(w("hh"), P("- f e")), 1: RewriteRule(w("hf"), P("f e")), 2: RewriteRule(w("fe"), P("e e")), 3: RewriteRule(w("ee"), P("f"))}
+    p = P("h h + h f + f e")
+    nf, steps = _rewrite(p, rules, HFE)
+    assert [rule.lhs for _, _, rule, _ in steps] == [w("hh"), w("hf"), w("fe"), w("ee")]
+    assert nf == P("f")
+    assert (nf, steps) == _ref_sorted_rewrite(p, rules, HFE, LhsIndex(rules))

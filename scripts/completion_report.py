@@ -9,7 +9,14 @@ presentations or monomial precedences.
 
 from zhuind import catalog
 from zhuind.freealg import NcPoly
+from zhuind.iolang import format_poly
 from zhuind.rewrite import INFINITE
+
+
+def _dimension(dim) -> str:
+    if dim.kind == "unknown":
+        return f"unknown beyond degree {dim.value}"
+    return str(dim.value) if dim.is_finite() else "unbounded"
 
 
 def main() -> None:
@@ -23,10 +30,10 @@ def main() -> None:
             f"   completion: {system.pairs_resolved} pairs resolved, "
             f"{system.rules_added} rules added, {system.rules_retired} retired"
         )
-        print(f"   dimension: {dim.value if dim.is_finite() else 'unbounded'}  profile {list(dim.profile)}")
+        print(f"   dimension: {_dimension(dim)}  profile {list(dim.profile)}")
         for rule in system.rules:
-            lhs = NcPoly.monomial(rule.lhs).format(handle.gen_names, system.order)
-            rhs = rule.rhs.format(handle.gen_names, system.order)
+            lhs = format_poly(NcPoly.monomial(rule.lhs), handle.gen_names, system.order)
+            rhs = format_poly(rule.rhs, handle.gen_names, system.order)
             print(f"   {lhs}  ->  {rhs}")
         print()
 

@@ -1,13 +1,13 @@
 """Presented algebras as usable objects.
 
-An ``AlgebraHandle`` owns a completed rewriting system.  When the normal
-words thin out to nothing at some length the algebra is finite
-dimensional; the handle then carries the normal-word basis and the full
-structure-constant cube, and elements can be moved between polynomial and
-sparse coordinate form (``Sparse``: basis index -> nonzero coefficient) at
-will.  Products of basis elements with a fixed element
-(``times_basis``, ``basis_times``) are sums of scaled structure rows; the
-generator table ``gen_products`` is built from them on first use and kept.
+An ``AlgebraHandle`` owns a completed rewriting system.  ``dimension``
+decides finiteness exactly from its left-hand sides; a system confluent
+only to some degree D gives the kind "unknown" (the CLI prints "unknown
+beyond degree D" and exits 1) and the constructor never raises.  A finite
+handle carries the normal-word basis, and elements move between
+polynomial and sparse coordinate form (``Sparse``: basis index -> nonzero
+coefficient).  The structure cube ``structure`` and the generator table
+``gen_products`` are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ class CertificateError(Exception):
     """The confluence certificate does not cover the requested degree."""
 
 
+PROFILE_WINDOW = 8  # an infinite algebra reports its normal-word counts for lengths 0..8
+
+
 @dataclass(frozen=True)
 class DimensionResult:
-    kind: str  # "finite" | "unbounded"
-    value: int  # dimension, or the probe length reached
-    profile: tuple[int, ...]  # normal-word counts per length
+    kind: str  # "finite" | "unbounded" | "unknown"
+    value: int  # the dimension; PROFILE_WINDOW when unbounded; the certificate degree when unknown
+    profile: tuple[int, ...]  # normal-word counts per length; empty when unknown
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
@@ -58,25 +61,20 @@ class DimensionResult:
 class AlgebraHandle:
     """A presentation together with its completed rewriting system."""
 
-    def __init__(self, presentation: Presentation, system: RewriteSystem, probe_len: int = 8):
+    def __init__(self, presentation: Presentation, system: RewriteSystem):
         self.presentation = presentation
         self.system = system
         self.name = presentation.name
         self.gen_names = presentation.gen_names
-        self.basis: list[Word] | None = None
-        self.basis_index: dict[Word, int] | None = None
-        self.structure: list[list[Sparse]] | None = None
-        dim = dimension(self, probe_len)
-        self.dim_result = dim
-        if dim.is_finite():
-            self.basis = normal_words(self, _last_nonempty(dim.profile))
-            self.basis_index = {w: i for i, w in enumerate(self.basis)}
-            self.structure = self._structure_constants()
+        self.dim_result = dimension(self)
+        # a finite profile runs past the longest normal word, so these are all the normal words
+        self.basis = normal_words(self, len(self.dim_result.profile) - 1) if self.dim_result.is_finite() else None
+        self.basis_index = None if self.basis is None else {w: i for i, w in enumerate(self.basis)}
 
     @staticmethod
-    def build(presentation: Presentation, max_degree: int = 12, probe_len: int = 8) -> "AlgebraHandle":
+    def build(presentation: Presentation, max_degree: int = 12) -> "AlgebraHandle":
         system = rewrite.complete(list(presentation.relations), presentation.order, max_degree)
-        return AlgebraHandle(presentation, system, probe_len)
+        return AlgebraHandle(presentation, system)
 
     # -- elements -------------------------------------------------------
 
@@ -108,14 +106,15 @@ class AlgebraHandle:
             raise ValueError(f"{self.name} has no finite basis; coordinates are undefined")
         return Element(self, NcPoly({self.basis[k]: c for k, c in vec.items()}))
 
-    def _structure_constants(self) -> list[list[Sparse]]:
-        """``structure[i][j]``: coordinates of basis[i] * basis[j], nonzero entries only."""
-        assert self.basis is not None and self.basis_index is not None
-        index = self.basis_index
-        return [
-            [{index[w]: c for w, c in self.system.reduce_word(wi + wj).terms.items()} for wj in self.basis]
-            for wi in self.basis
-        ]
+    @cached_property
+    def structure(self) -> list[list[Sparse]]:
+        """``structure[i][j]``: coordinates of basis[i] * basis[j], nonzero entries only.
+
+        Built on first use and kept, so a completion does not pay for the cube.
+        """
+        if self.basis is None:
+            raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
+        return [[self.coords(self.system.reduce_word(wi + wj)) for wj in self.basis] for wi in self.basis]
 
     def times_basis(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
@@ -138,8 +137,6 @@ class AlgebraHandle:
 
     def mul_coords(self, a: Sparse, b: Sparse) -> Sparse:
         """Product via structure constants."""
-        if self.structure is None:
-            raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
         table = self.structure
         return _combination((x * y, table[i][j]) for i, x in a.items() for j, y in b.items())
 
@@ -149,8 +146,6 @@ class AlgebraHandle:
         Both sides are sums of scaled sparse structure rows, so a triple
         costs the nonzero entries of ``e_i e_j`` and ``e_j e_k``.
         """
-        if self.structure is None:
-            raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
         table = self.structure
         nb = len(table)
         failures = []
@@ -224,20 +219,16 @@ class Element:
         return self.poly.is_zero()
 
     def __repr__(self) -> str:
-        return self.poly.format(self.algebra.gen_names, self.algebra.system.order)
+        from zhuind.iolang import format_poly
 
-
-def _require_certificate(handle: AlgebraHandle, needed: float) -> None:
-    cert = handle.system.confluent_to_degree
-    if cert != INFINITE and cert < needed:
-        raise CertificateError(
-            f"{handle.name}: confluence certified to degree {cert}, needed {needed}"
-        )
+        return format_poly(self.poly, self.algebra.gen_names, self.algebra.system.order)
 
 
 def normal_words(handle: AlgebraHandle, max_len: int) -> list[Word]:
     """All normal words of length at most ``max_len``, in monomial order."""
-    _require_certificate(handle, max_len + handle.system.max_rule_degree)
+    cert, needed = handle.system.confluent_to_degree, max_len + handle.system.max_rule_degree
+    if cert < needed:
+        raise CertificateError(f"{handle.name}: confluence certified to degree {cert}, needed {needed}")
     n_gens = len(handle.gen_names)
     system = handle.system
     out: list[Word] = [EPSILON]
@@ -262,28 +253,44 @@ def _suffixes_normal(word: Word, system: RewriteSystem) -> bool:
     return not any(word[n - m :] in ids for m in system.lhs_index.lengths if m <= n)
 
 
-def dimension(handle: AlgebraHandle, probe_len: int) -> DimensionResult:
-    """Finiteness detection by an empty normal-word length level.
+def dimension(handle: AlgebraHandle) -> DimensionResult:
+    """Finiteness decided on the suffix graph of the left-hand sides (Ufnarovski, 1982).
 
-    Subword closure of normal words makes one empty level conclusive:
-    any longer normal word would contain a normal subword of that length.
+    A normal word's state is its last k letters, k the longest left-hand
+    side minus one; they decide which letters may follow.  Level n counts
+    the normal words of length n per state.  A state still reached after
+    as many steps as there are states lies on a cycle: the algebra is
+    infinite, as when a level's state set repeats (each set determines the
+    next), which usually ends the walk far sooner.  Only an ``INFINITE``
+    certificate makes the rules final; any other gives ``"unknown"``.
     """
-    words = normal_words(handle, probe_len)
-    profile = [0] * (probe_len + 1)
-    for w in words:
-        profile[len(w)] += 1
-    for length, count in enumerate(profile):
-        if count == 0:
-            return DimensionResult("finite", sum(profile[:length]), tuple(profile))
-    return DimensionResult("unbounded", probe_len, tuple(profile))
-
-
-def _last_nonempty(profile: tuple[int, ...]) -> int:
-    last = 0
-    for length, count in enumerate(profile):
-        if count:
-            last = length
-    return last
+    system = handle.system
+    if system.confluent_to_degree != INFINITE:
+        return DimensionResult("unknown", int(system.confluent_to_degree), ())
+    k = max(system.max_rule_degree - 1, 0)
+    n_states = len(normal_words(handle, k))
+    n_gens = len(handle.gen_names)
+    profile: list[int] = []
+    level: dict[Word, int] = {EPSILON: 1}
+    seen: set[frozenset[Word]] = set()
+    while level and len(profile) <= max(n_states, PROFILE_WINDOW):
+        profile.append(sum(level.values()))
+        states = frozenset(level)
+        if len(profile) > PROFILE_WINDOW and states in seen:
+            break
+        seen.add(states)
+        nxt: dict[Word, int] = {}
+        for state, count in level.items():
+            for g in range(n_gens):
+                cand = state + (g,)
+                if _suffixes_normal(cand, system):
+                    tail = cand[max(len(cand) - k, 0) :]
+                    nxt[tail] = nxt.get(tail, 0) + count
+        level = nxt
+    if level:
+        return DimensionResult("unbounded", PROFILE_WINDOW, tuple(profile[: PROFILE_WINDOW + 1]))
+    profile += [0] * max(PROFILE_WINDOW + 1 - len(profile), 1)  # lengths 0..max(8, longest + 1)
+    return DimensionResult("finite", sum(profile), tuple(profile))
 
 
 def subalgebra_basis(handle: AlgebraHandle, gens: list[Element]) -> list[Element]:

@@ -91,7 +91,7 @@ def presentation(alg_id: str) -> Presentation:
 @lru_cache(maxsize=None)
 def algebra(alg_id: str) -> AlgebraHandle:
     pres = presentation(alg_id)
-    return AlgebraHandle.build(pres, max_degree=COMPLETION_DEGREE[alg_id], probe_len=8)
+    return AlgebraHandle.build(pres, max_degree=COMPLETION_DEGREE[alg_id])
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +118,6 @@ def kernel_candidates(mor_id: str) -> tuple[Element, ...]:
         xma = NcPoly.gen(vp.presentation.gen_index("x_ma"))
         s = x + y
         polys = [
-            xa * s * s + xa * s,
-            xma * s * s - xma * s,
             xa * y * y - xa * y,
             xma * y * y + xma * y,
             y * y * y - y,

@@ -47,16 +47,20 @@ def _trace_of_product(a: list[Sparse], b: list[Sparse]) -> Fraction:
 
 
 def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
-    """Basis pairs (i, j) with chi(b_i b_j) != chi(b_j b_i); empty = pass."""
+    """Basis pairs (i, j) with chi(b_i b_j) != trace(M_i M_j); empty = pass.
+
+    chi(b_i b_j) is read from the structure row of the product, so an
+    action that breaks a relation fails; a pass gives chi(b_i b_j) = chi(b_j b_i).
+    """
     owner = module.owner
-    assert owner.basis is not None
+    chi = char_vector(module).values
     mats = [module.action_of_word(w) for w in owner.basis]
-    bad = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if _trace_of_product(mats[i], mats[j]) != _trace_of_product(mats[j], mats[i]):
-                bad.append((i, j))
-    return bad
+    return [
+        (i, j)
+        for i, row in enumerate(owner.structure)
+        for j, product in enumerate(row)
+        if sum((c * chi[k] for k, c in product.items()), Fraction(0)) != _trace_of_product(mats[i], mats[j])
+    ]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Subcommands: check, dim, nf, kernel, induce, restrict, char, artin,
 verify.  ``--json`` switches every report to a stable-keyed JSON
 document.  Exit codes: 0 all requested checks pass, 1 a verification or
 check failed or stdout was closed before the report was written, 2
-unknown ids or malformed input.
+unknown ids or malformed input.  ``check`` and ``dim`` exit 1 when a
+completion is confluent only to degree D: its dimension is unknown, the
+report line reads ``NAME: unknown beyond degree D; raise --max-deg`` and
+the JSON ``"dimension"`` is ``"unknown"``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from zhuind import catalog, verify
-from zhuind.algebra import AlgebraHandle, CertificateError, Presentation
+from zhuind.algebra import AlgebraHandle, DimensionResult, Presentation
 from zhuind.chars import artin_solve, char_vector
 from zhuind.induct import induce, restrict
 from zhuind.iolang import ParseError, format_fraction, format_poly, parse, parse_poly_text
@@ -39,8 +42,6 @@ def _build(pres: Presentation, max_degree: int) -> AlgebraHandle:
         return AlgebraHandle.build(pres, max_degree=max_degree)
     except CompletionError as exc:
         raise CliError(f"{pres.name}: completion failed ({exc})")
-    except CertificateError as exc:
-        raise CliError(f"{exc}; raise --max-deg")
 
 
 def _degree(flag: str, value: int | None) -> int | None:
@@ -126,6 +127,15 @@ def _cert_str(cert: float) -> str:
     return "infinite" if cert == INFINITE else str(int(cert))
 
 
+def _dimension(dim: DimensionResult) -> int | str:
+    """The JSON ``"dimension"``: the dimension, "unbounded" or "unknown"."""
+    return dim.value if dim.is_finite() else dim.kind
+
+
+def _unknown_line(name: str, dim: DimensionResult) -> str:
+    return f"{name}: unknown beyond degree {dim.value}; raise --max-deg"
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -146,17 +156,19 @@ def cmd_check(args) -> int:
                 "relations": len(block.relations),
                 "rules": len(handle.system.rules),
                 "confluent_to_degree": _cert_str(handle.system.confluent_to_degree),
-                "dimension": dim.value if dim.is_finite() else "unbounded",
+                "dimension": _dimension(dim),
                 "normal_words_per_degree": list(dim.profile),
             }
         )
         lines.append(
-            f"{name}: {len(block.relations)} relations -> {len(handle.system.rules)} rules, "
+            _unknown_line(name, dim)
+            if dim.kind == "unknown"
+            else f"{name}: {len(block.relations)} relations -> {len(handle.system.rules)} rules, "
             f"confluent to {_cert_str(handle.system.confluent_to_degree)}, "
-            f"dim {dim.value if dim.is_finite() else 'unbounded'}, profile {list(dim.profile)}"
+            f"dim {_dimension(dim)}, profile {list(dim.profile)}"
         )
     _emit({"command": "check", "file": args.file, "algebras": entries}, lines, args.json)
-    return 0
+    return 1 if any(e["dimension"] == "unknown" for e in entries) else 0
 
 
 def cmd_dim(args) -> int:
@@ -165,12 +177,14 @@ def cmd_dim(args) -> int:
     report = {
         "command": "dim",
         "algebra": handle.name,
-        "dimension": dim.value if dim.is_finite() else "unbounded",
+        "dimension": _dimension(dim),
         "kind": dim.kind,
         "normal_words_per_degree": list(dim.profile),
     }
-    _emit(report, [f"{handle.name}: {'dim %d' % dim.value if dim.is_finite() else 'unbounded at probe %d' % dim.value}"], args.json)
-    return 0
+    unknown = dim.kind == "unknown"
+    line = _unknown_line(handle.name, dim) if unknown else f"{handle.name}: {'dim ' if dim.is_finite() else ''}{_dimension(dim)}"
+    _emit(report, [line], args.json)
+    return 1 if unknown else 0
 
 
 def cmd_nf(args) -> int:

@@ -182,31 +182,6 @@ class NcPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    # -- display ------------------------------------------------------
-
-    def format(self, gen_names: list[str] | tuple[str, ...], order: MonomialOrder | None = None) -> str:
-        """Render with named generators, terms in descending order."""
-        if not self.terms:
-            return "0"
-        words = sorted(self.terms, key=order.key if order else None, reverse=order is not None)
-        parts: list[str] = []
-        for i, w in enumerate(words):
-            c = self.terms[w]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = " ".join(gen_names[g] for g in w) if w else "1"
-            if w and mag == 1:
-                chunk = body
-            elif w:
-                chunk = f"{mag} {body}"
-            else:
-                chunk = str(mag)
-            if i == 0:
-                parts.append(chunk if sign == "+" else f"-{chunk}")
-            else:
-                parts.append(f"{sign} {chunk}")
-        return " ".join(parts)
-
     def __repr__(self) -> str:
         return f"NcPoly({self.terms!r})"
 

@@ -3,18 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhuind import catalog
 from zhuind.algebra import (
     AlgebraHandle,
+    PROFILE_WINDOW,
     CertificateError,
+    DimensionResult,
     Presentation,
-    dimension,
     normal_words,
     subalgebra_basis,
 )
 from zhuind.freealg import MonomialOrder, NcPoly
 from zhuind.linalg import RowSpace
+from zhuind.rewrite import INFINITE, CompletionError
 
 
 def sp(vec):
@@ -39,7 +43,9 @@ def test_normal_words_free_algebra_counts():
 
 
 def test_normal_words_certificate_guard(va1):
-    limited = AlgebraHandle(va1.presentation, _recertified(va1.system, 4), probe_len=0)
+    limited = AlgebraHandle(va1.presentation, _recertified(va1.system, 4))
+    assert limited.dim_result == DimensionResult("unknown", 4, ())
+    assert limited.basis is None
     with pytest.raises(CertificateError):
         normal_words(limited, 6)
 
@@ -68,14 +74,109 @@ def test_dimension_vb_profile(vb):
     assert res.profile[:3] == (1, 2, 1) and set(res.profile[3:]) == {1}
 
 
-def test_dimension_stability():
-    for alg_id in catalog.ALGEBRA_IDS:
-        h = catalog.algebra(alg_id)
-        a = dimension(h, 6)
-        b = dimension(h, 8)
-        assert a.kind == b.kind
-        if a.kind == "finite":
-            assert a.value == b.value
+def _enumerated_profile(handle, length):
+    """Normal-word counts for lengths 0..length by enumeration: every extension of a normal word
+    is tested for every left-hand side anywhere in it, not only at its end."""
+    lhss = [rule.lhs for rule in handle.system.rules]
+    layer, counts = [()], [1]
+    for _ in range(length):
+        layer = [
+            w + (g,)
+            for w in layer
+            for g in range(len(handle.gen_names))
+            if not any((w + (g,))[i : i + len(l)] == l for l in lhss for i in range(len(w) + 2 - len(l)))
+        ]
+        counts.append(len(layer))
+    return counts
+
+
+def _assert_graph_matches_enumeration(handle, n_states_bound):
+    """With at most ``n_states_bound`` suffix states a finite algebra has no normal word that long,
+    so enumerating to that length (and over the profile window) settles the kind."""
+    res = handle.dim_result
+    counts = _enumerated_profile(handle, max(n_states_bound, PROFILE_WINDOW))
+    if counts[-1]:
+        assert res.kind == "unbounded" and handle.basis is None
+        assert res.profile == tuple(counts[: PROFILE_WINDOW + 1])
+        return None
+    longest = max(n for n, c in enumerate(counts) if c)
+    assert res.kind == "finite" and res.value == sum(counts) == len(handle.basis)
+    assert res.profile == tuple(counts[: max(PROFILE_WINDOW, longest + 1) + 1])
+    assert max(len(w) for w in handle.basis) == longest
+    return longest
+
+
+# per generator count, the longest generated left-hand side: the suffix states stay few
+# enough that enumerating every normal word to their number is cheap
+_LHS_LEN = {1: 6, 2: 3, 3: 2}
+
+
+@st.composite
+def _monomial_antichains(draw):
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), min_size=1, max_size=_LHS_LEN[n]).map(tuple)
+    words = draw(st.lists(word, min_size=0, max_size=5, unique=True))
+    order = MonomialOrder.from_ranking(draw(st.permutations(range(n))))
+    pres = Presentation("antichain", tuple("xyz"[:n]), order, tuple(NcPoly.monomial(w) for w in words))
+    return pres, sum(n**i for i in range(_LHS_LEN[n]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_antichains())
+def test_graph_dimension_matches_enumeration_on_monomial_antichains(case):
+    pres, n_states_bound = case
+    handle = AlgebraHandle.build(pres)
+    assert handle.system.confluent_to_degree == INFINITE
+    _assert_graph_matches_enumeration(handle, n_states_bound)
+
+
+def test_a_long_rule_ends_the_walk_at_a_repeated_state_set():
+    # about 3^7 suffix states: walking that many levels instead of stopping at the repeat is ~50x slower
+    rel = NcPoly.monomial((0, 1, 2) * 2 + (0, 1))
+    handle = AlgebraHandle.build(Presentation("long", ("x", "y", "z"), MonomialOrder((2, 1, 0)), (rel,)), max_degree=16)
+    assert handle.system.confluent_to_degree == INFINITE
+    assert handle.dim_result == DimensionResult("unbounded", PROFILE_WINDOW, tuple(_enumerated_profile(handle, PROFILE_WINDOW)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 12), st.booleans())
+def test_graph_dimension_of_a_power(n, minus_a):
+    rel = NcPoly.monomial((0,) * n) - (NcPoly.gen(0) if minus_a and n > 1 else NcPoly())
+    handle = AlgebraHandle.build(Presentation("pow", ("a",), MonomialOrder((0,)), (rel,)), max_degree=2 * n)
+    assert handle.dim_result.value == n
+    assert _assert_graph_matches_enumeration(handle, n) == n - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+def test_graph_dimension_of_a_truncated_quantum_plane(a, b, q):
+    x, y = NcPoly.gen(0), NcPoly.gen(1)
+    rels = (NcPoly.monomial((0,) * a), NcPoly.monomial((1,) * b), y * x - NcPoly.monomial((0, 1), q))
+    handle = AlgebraHandle.build(Presentation("plane", ("x", "y"), MonomialOrder.from_ranking([1, 0]), rels))
+    states = len(normal_words(handle, handle.system.max_rule_degree - 1))
+    assert handle.dim_result.value == a * b
+    assert _assert_graph_matches_enumeration(handle, states) == a + b - 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_generated_presentation_makes_the_constructor_raise(data):
+    n = data.draw(st.integers(1, 2))
+    term = st.tuples(st.lists(st.integers(0, n - 1), max_size=3).map(tuple), st.integers(-2, 2).filter(bool))
+    rels = [NcPoly(dict(ts)) for ts in data.draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3))]
+    rels = tuple(r for r in rels if not r.is_zero())
+    degree = data.draw(st.integers(0, 6))
+    pres = Presentation("generated", tuple("xy"[:n]), MonomialOrder.from_ranking(list(range(n))), rels)
+    try:
+        handle = AlgebraHandle.build(pres, max_degree=degree)
+    except CompletionError:
+        return  # inconsistent or over budget: bad input, reported as such
+    res, cert = handle.dim_result, handle.system.confluent_to_degree
+    if cert == INFINITE:
+        assert res.kind in ("finite", "unbounded")
+        assert (handle.basis is not None) == (res.kind == "finite")
+    else:
+        assert res == DimensionResult("unknown", cert, ()) and handle.basis is None
 
 
 def test_mul_matches_rewriting_on_random_pairs(va1, va2):
@@ -160,6 +261,15 @@ def test_gen_products_built_on_first_use_only():
     assert vars(fresh)["gen_products"] is table
     with pytest.raises(ValueError):
         catalog.algebra("a_vp").gen_products
+
+
+def test_structure_built_on_first_use_only():
+    fresh = AlgebraHandle(catalog.presentation("a_va2"), catalog.algebra("a_va2").system)
+    assert "structure" not in vars(fresh)
+    table = fresh.structure
+    assert vars(fresh)["structure"] is table and table == catalog.algebra("a_va2").structure
+    with pytest.raises(ValueError):
+        catalog.algebra("a_vp").structure
 
 
 def test_mul_examples(va1, va2):

@@ -184,12 +184,10 @@ end
     [
         (_ZERO, ("check", "{path}"), "z: completion failed (inconsistent"),
         (_ZERO, ("dim", "{path}#z"), "z: completion failed (inconsistent"),
-        (_DIM_TEN, ("check", "{path}"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
-        (_DIM_TEN, ("nf", "{path}#big", "a"), "big: confluence certified to degree 12, needed 18; raise --max-deg"),
         (None, ("check", "{path}", "--max-deg", "-3"), "--max-deg must be >= 0, got -3"),
         (_TRACE_BLOWUP, ("check", "{path}"), "t: completion failed (budget: a rule trace exceeds 10000 atoms"),
     ],
-    ids=["check-zero", "dim-zero", "check-dim-ten", "nf-dim-ten", "check-negative-max-deg", "check-trace-blowup"],
+    ids=["check-zero", "dim-zero", "check-negative-max-deg", "check-trace-blowup"],
 )
 def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv, needle):
     path = tmp_path / "bad.alg"
@@ -197,6 +195,55 @@ def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+_PLANE = """algebra q gens x y order deglex y > x
+  rel x x x x x x
+  rel y y y y
+  rel y x - 2/3 x y
+end
+"""
+# acyclic with 5 normal words under its degree-3 rules, but a longer ambiguity adds a short rule
+_SHORT_RULE = """algebra c gens x y order deglex x > y
+  rel x x + 2 y
+  rel y x y - y x x y
+  rel 2 y y y + y - x
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "source, argv, want_code, needle",
+    [
+        (_DIM_TEN, ("check", "{path}"), 1, "big: unknown beyond degree 12; raise --max-deg\n"),
+        (_DIM_TEN, ("nf", "{path}#big", "a a a a a a a a a a a"), 0, "a a\n"),
+        (_DIM_TEN, ("check", "{path}", "--max-deg", "20"), 0, "confluent to infinite, dim 10, profile [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]\n"),
+        (_PLANE, ("dim", "{path}#q"), 0, "q: dim 24\n"),
+        (_PLANE, ("check", "{path}"), 0, "dim 24, profile [1, 2, 3, 4, 4, 4, 3, 2, 1, 0]\n"),
+        (_SHORT_RULE, ("check", "{path}", "--max-deg", "3"), 1, "c: unknown beyond degree 3; raise --max-deg\n"),
+        (_SHORT_RULE, ("check", "{path}", "--max-deg", "16"), 0, "confluent to infinite, dim 1, profile [1, 0, 0, 0, 0, 0, 0, 0, 0]\n"),
+    ],
+    ids=["check-dim-ten", "nf-dim-ten", "check-dim-ten-at-20", "dim-plane", "check-plane", "check-short-rule-at-3", "check-short-rule-at-16"],
+)
+def test_dimension_decided_from_the_rules(tmp_path, capsys, source, argv, want_code, needle):
+    path = tmp_path / "fin.zi"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == want_code and err == ""
+    assert out.endswith(needle) and out.count("\n") == 1
+
+
+def test_unknown_dimension_in_json(tmp_path, capsys):
+    path = tmp_path / "fin.zi"
+    path.write_text(_SHORT_RULE + _PLANE, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "--max-deg", "3", "--json")
+    rows = {row["algebra"]: row for row in json.loads(out)["algebras"]}
+    assert code == 1 and err == ""
+    assert rows["c"]["dimension"] == "unknown" and rows["c"]["confluent_to_degree"] == "3"
+    assert rows["c"]["normal_words_per_degree"] == []
+    assert rows["q"]["dimension"] == "unknown"  # x^6 needs more than degree 3
+    code, out, _ = run(capsys, "check", str(path), "--max-deg", "16", "--json")
+    assert code == 0 and [row["dimension"] for row in json.loads(out)["algebras"]] == [1, 24]
 
 
 @pytest.mark.parametrize(
@@ -216,8 +263,11 @@ def test_negative_max_deg_exits_2(tmp_path, capsys, argv, json_flag):
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_dim_catalog_honours_max_deg(capsys, json_flag):
     code, out, err = run(capsys, "dim", "a_va2", "--max-deg", "2", *json_flag)
-    assert code == 2 and out == ""
-    assert err == "error: a_va2: confluence certified to degree 2, needed 11; raise --max-deg\n"
+    assert code == 1 and err == ""
+    if json_flag:
+        assert json.loads(out)["dimension"] == "unknown" and json.loads(out)["kind"] == "unknown"
+    else:
+        assert out == "a_va2: unknown beyond degree 2; raise --max-deg\n"
     default = run(capsys, "dim", "a_va2", *json_flag)
     assert default[0] == 0
     assert run(capsys, "dim", "a_va2", "--max-deg", "12", *json_flag) == default

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Presentation, normal_words
 from zhuind.freealg import MonomialOrder, NcPoly
+from zhuind.iolang import format_poly
 from zhuind.linalg import RowSpace
 from zhuind.morphism import (
     AlgebraMorphism,
@@ -31,7 +32,7 @@ def test_wrong_map_violates(va1, va2):
     violations = check_well_defined(bad)
     assert violations
     gens = va1.gen_names
-    violated = {v.relation.format(gens, va1.system.order) for v in violations}
+    violated = {format_poly(v.relation, gens, va1.system.order) for v in violations}
     assert "e h + e" in violated
 
 
@@ -214,7 +215,8 @@ def test_certify_kernel_matches_sandwich_reference_on_candidate_subsets():
         cert = certify_kernel(m, subset, 5)
         assert cert == _ref_certify_kernel(m, subset, 5)
         statuses.append(cert.status)
-    assert (statuses.count("contained"), statuses.count("exact")) == (55, 9)
+    # only all four candidates together span the kernel
+    assert (statuses.count("contained"), statuses.count("exact")) == (15, 1)
 
 
 # sources without a finite basis, with the highest degree generated examples certify to

@@ -11,7 +11,7 @@ PINNED_DIGESTS = [
     "92085b71d1c6603c10de34fd3d80164d1311bf3fb5b4ec536a0096d95324a946  exit=0  kernel --via vb_to_va1 --json",
     "53114b70fdc040f2c9375aa50b9241e0d30698a54a9de6100b3f4828c4f6f7a2  exit=0  kernel --via vir_to_va1 --json",
     "b719837a729fd80228491f4e4f411f92078aef106c83cd797148d143bec801b6  exit=0  kernel --via va1_to_va2 --json",
-    "9c02ae8c784db1c8c40d8044ed3c7a618684a9144c8783a6e8e8467de88fe36b  exit=0  kernel --via vp_to_va2 --json",
+    "0527c23b4cc1a43518889d197ea953a7265115995a90b37da143625ccfe97113  exit=0  kernel --via vp_to_va2 --json",
     "390d4b7d7279c463af4b01c9c96128f2ca9d6b8394ac73170542079ebd04550a  exit=0  kernel --via heis_to_va2 --json",
     "cbee65391d7e719d05e343a9cd2f28e0e357bcd32ec24e66cdccc6bdf27fc77e  exit=0  dim a_va2 --json",
     "8493ea1c9100245dd6c89bb599cd86aa38ba6d062a48d8a0d8bc1d9d96d166ac  exit=0  induce --via va1_to_va2 --module va1_trivial",

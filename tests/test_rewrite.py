@@ -174,7 +174,7 @@ def test_quotient_relations_alone_do_not_present_va2():
     full = catalog.presentation("a_va2")
     quotient_only = full.relations[28:]
     h = AlgebraHandle.build(
-        Presentation("va2_relonly", full.gen_names, full.order, tuple(quotient_only)), max_degree=8, probe_len=4
+        Presentation("va2_relonly", full.gen_names, full.order, tuple(quotient_only)), max_degree=8
     )
     assert h.dim_result.kind == "unbounded"
     # the first cross product is not a consequence of the quotient relations

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from zhuind import rewrite
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
-from zhuind.linalg import RowSpace, Sparse
+from zhuind.linalg import Sparse
 from zhuind.rewrite import INFINITE, RewriteSystem
 
 
@@ -249,8 +249,13 @@ def normal_words(handle: AlgebraHandle, max_len: int) -> list[Word]:
 
 def _suffixes_normal(word: Word, system: RewriteSystem) -> bool:
     """No left-hand side ends ``word``: one suffix probe per left-hand-side length."""
-    ids, n = system.lhs_index.ids, len(word)
-    return not any(word[n - m :] in ids for m in system.lhs_index.lengths if m <= n)
+    index, n = system.lhs_index, len(word)
+    for m in index.lengths:  # ascending
+        if m > n:
+            return True
+        if word[n - m :] in index.ids:
+            return False
+    return True
 
 
 def dimension(handle: AlgebraHandle) -> DimensionResult:
@@ -268,12 +273,13 @@ def dimension(handle: AlgebraHandle) -> DimensionResult:
     if system.confluent_to_degree != INFINITE:
         return DimensionResult("unknown", int(system.confluent_to_degree), ())
     k = max(system.max_rule_degree - 1, 0)
-    n_states = len(normal_words(handle, k))
     n_gens = len(handle.gen_names)
     profile: list[int] = []
     level: dict[Word, int] = {EPSILON: 1}
     seen: set[frozenset[Word]] = set()
-    while level and len(profile) <= max(n_states, PROFILE_WINDOW):
+    # the states are the normal words of length <= k, one path each in the first k + 1 levels; until
+    # those are walked every level is nonempty, so the partial count bounds the walk from above
+    while level and len(profile) <= max(sum(profile[: k + 1]), PROFILE_WINDOW):
         profile.append(sum(level.values()))
         states = frozenset(level)
         if len(profile) > PROFILE_WINDOW and states in seen:
@@ -284,34 +290,10 @@ def dimension(handle: AlgebraHandle) -> DimensionResult:
             for g in range(n_gens):
                 cand = state + (g,)
                 if _suffixes_normal(cand, system):
-                    tail = cand[max(len(cand) - k, 0) :]
+                    tail = cand[1:] if len(cand) > k else cand  # the last k letters
                     nxt[tail] = nxt.get(tail, 0) + count
         level = nxt
     if level:
         return DimensionResult("unbounded", PROFILE_WINDOW, tuple(profile[: PROFILE_WINDOW + 1]))
     profile += [0] * max(PROFILE_WINDOW + 1 - len(profile), 1)  # lengths 0..max(8, longest + 1)
     return DimensionResult("finite", sum(profile), tuple(profile))
-
-
-def subalgebra_basis(handle: AlgebraHandle, gens: list[Element]) -> list[Element]:
-    """Linear basis of the unital subalgebra generated by ``gens``.
-
-    Span closure under right multiplication by the generators, starting
-    from the identity; valid only for finite-dimensional handles.
-    """
-    if handle.basis is None:
-        raise ValueError(f"{handle.name} is not finite-dimensional")
-    span = RowSpace(len(handle.basis))
-    picked: list[Element] = []
-    queue: list[Element] = [handle.one()]
-    for g in gens:
-        if g.algebra is not handle:
-            raise ValueError("generator from a different algebra")
-    while queue:
-        el = queue.pop(0)
-        if not span.add(handle.coords(el.poly)):
-            continue
-        picked.append(el)
-        for g in gens:
-            queue.append(el * g)
-    return picked

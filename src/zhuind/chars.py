@@ -21,14 +21,6 @@ class CharacterVector:
     owner_name: str
     values: tuple[Fraction, ...]  # trace on each basis word, in basis order
 
-    def __add__(self, other: "CharacterVector") -> "CharacterVector":
-        if other.owner_name != self.owner_name:
-            raise ValueError("characters over different algebras")
-        return CharacterVector(self.owner_name, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c: Fraction | int) -> "CharacterVector":
-        return CharacterVector(self.owner_name, tuple(Fraction(c) * v for v in self.values))
-
 
 def char_vector(module: FinModule) -> CharacterVector:
     owner = module.owner
@@ -63,29 +55,9 @@ def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class CharacterRing:
-    """Integer combinations of the irreducible characters of one algebra."""
-
-    owner_name: str
-    irreducibles: tuple[CharacterVector, ...]
-
-    def element(self, coefficients: list[int]) -> CharacterVector:
-        if len(coefficients) != len(self.irreducibles):
-            raise ValueError("one integer per irreducible character")
-        total = CharacterVector(self.owner_name, tuple([Fraction(0)] * len(self.irreducibles[0].values)))
-        for c, chi in zip(coefficients, self.irreducibles):
-            total = total + chi.scale(c)
-        return total
-
-
-def independence_check(ring: "CharacterRing | list[CharacterVector]") -> bool:
+def independence_check(characters: list[CharacterVector]) -> bool:
     """True when the stacked character vectors have full rank."""
-    characters = list(ring.irreducibles) if isinstance(ring, CharacterRing) else list(ring)
-    if not characters:
-        return True
-    rows = [list(c.values) for c in characters]
-    return rank(rows) == len(characters)
+    return rank([list(c.values) for c in characters]) == len(characters)
 
 
 class ArtinError(Exception):

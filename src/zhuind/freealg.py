@@ -4,7 +4,7 @@ Words are tuples of generator indices (the empty tuple is the identity),
 polynomials are finite maps from words to nonzero ``Fraction`` values, and
 the only monomial order is degree-lexicographic with a per-presentation
 precedence on generators.  Everything here is immutable and pure.
-``NcPoly.sandwich`` forms one rewrite step's ``c * left * p * right``
+``NcPoly.sandwich`` forms one rewrite step's ``left * p * right``
 without the general product, and ``_add_scaled`` accumulates a linear
 combination of term maps in place.
 """
@@ -100,12 +100,6 @@ class NcPoly:
     def is_scalar(self) -> bool:
         return not self.terms or set(self.terms) == {EPSILON}
 
-    def coeff(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def support(self) -> list[Word]:
-        return list(self.terms)
-
     def degree(self) -> int:
         """Length of the longest word, -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
@@ -146,15 +140,14 @@ class NcPoly:
             out.terms = {w: c * v for w, v in self.terms.items()}
         return out
 
-    def sandwich(self, left: Word, right: Word, c: Fraction | int = 1) -> "NcPoly":
-        """``c * left * self * right`` for words ``left`` and ``right``.
+    def sandwich(self, left: Word, right: Word) -> "NcPoly":
+        """``left * self * right`` for words ``left`` and ``right``.
 
         Distinct words stay distinct, so nothing cancels and the terms keep
         the order of the general product.
         """
         out = NcPoly()
-        if c:
-            out.terms = {left + w + right: c * v for w, v in self.terms.items()}
+        out.terms = {left + w + right: v for w, v in self.terms.items()}
         return out
 
     def __mul__(self, other: "NcPoly | Fraction | int") -> "NcPoly":
@@ -184,4 +177,3 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self.terms!r})"
-

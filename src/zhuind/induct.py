@@ -51,12 +51,12 @@ class InductionResult:
         return self.module.dim
 
 
-def restrict(m: AlgebraMorphism, module: FinModule, label: str = "") -> FinModule:
+def restrict(m: AlgebraMorphism, module: FinModule) -> FinModule:
     """Pull a target module back to the source through generator images."""
     if module.owner is not m.target:
         raise ValueError("restrict expects a module over the morphism target")
     columns = [module.evaluate(el.poly) for el in m.images]
-    return FinModule.from_columns(m.source, module.dim, columns, label or f"Res({module.label})")
+    return FinModule.from_columns(m.source, module.dim, columns, f"Res({module.label})")
 
 
 def kernel_action_radical(m: AlgebraMorphism, kernel_gens: list, module: FinModule) -> RowSpace:
@@ -73,7 +73,6 @@ def induce(
     module: FinModule,
     irreducibles: list[FinModule] | None = None,
     voa_labels: dict[str, str] | None = None,
-    label: str = "",
 ) -> InductionResult:
     """The induced module over the morphism target (must be finite)."""
     target = m.target
@@ -83,7 +82,7 @@ def induce(
     reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical.dim else module
 
     nm = reduced.dim
-    label = label or f"Ind({module.label})"
+    label = f"Ind({module.label})"
 
     if nm == 0:
         zero = FinModule(target, 0, {}, label)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from zhuind.algebra import AlgebraHandle, Element, normal_words, subalgebra_basis
+from zhuind.algebra import AlgebraHandle, Element, normal_words
 from zhuind.freealg import NcPoly, Word, _add_scaled
 from zhuind.linalg import RowSpace, Sparse
 
@@ -70,11 +70,6 @@ class AlgebraMorphism:
             _add_scaled(out.terms, c, self.apply_word(w).terms)
         return self.target.system.reduce(out)
 
-    def apply(self, el: Element) -> Element:
-        if el.algebra is not self.source:
-            raise ValueError("element not in the source algebra")
-        return Element(self.target, self.apply_poly(el.poly))
-
     def __repr__(self) -> str:
         return f"<morphism {self.name}>"
 
@@ -95,12 +90,6 @@ def check_well_defined(m: AlgebraMorphism) -> list[Violation]:
         if not residue.is_zero():
             violations.append(Violation(rel, residue))
     return violations
-
-
-def image_basis(m: AlgebraMorphism) -> list[Element]:
-    if m.target.basis is None:
-        raise ValueError("image basis needs a finite-dimensional target")
-    return subalgebra_basis(m.target, list(m.images))
 
 
 def _image_rows(m: AlgebraMorphism, words: list[Word]) -> tuple[list[Sparse], int]:

@@ -116,9 +116,6 @@ class DecompositionRecord:
     def as_dict(self) -> dict[str, int]:
         return dict(self.entries)
 
-    def total_dim(self, dims: dict[str, int]) -> int:
-        return sum(m * dims[lbl] for lbl, m in self.entries) + self.residual
-
     def __str__(self) -> str:
         if not self.entries and self.residual == 0:
             return "0"
@@ -205,13 +202,6 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
     pos = {i: row_idx for row_idx, i in enumerate(comp)}
     columns = [[{pos[i]: x for i, x in space.reduce(cols[j]).items()} for j in comp] for cols in module.columns]
     return FinModule.from_columns(module.owner, len(comp), columns, label or f"{module.label}/sub")
-
-
-def direct_sum(a: FinModule, b: FinModule, label: str = "") -> FinModule:
-    if a.owner is not b.owner:
-        raise ValueError("direct sum needs a common owner")
-    columns = [ca + [{a.dim + i: x for i, x in col.items()} for col in cb] for ca, cb in zip(a.columns, b.columns)]
-    return FinModule.from_columns(a.owner, a.dim + b.dim, columns, label or f"{a.label}+{b.label}")
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:

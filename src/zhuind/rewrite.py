@@ -43,6 +43,7 @@ from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
 INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
 TRACE_BUDGET = 10_000  # cofactor atoms allowed in one rule trace
+RULE_BUDGET = 4000  # rules allowed at once during one completion
 
 # one summand  c * (left) * relation[idx] * (right)
 TraceAtom = tuple[Fraction, Word, int, Word]
@@ -303,9 +304,6 @@ class RewriteSystem:
 
     # -- normal forms ---------------------------------------------------
 
-    def is_normal_word(self, word: Word) -> bool:
-        return _find_redex(word, self.lhs_index) is None
-
     def reduce_word(self, word: Word) -> NcPoly:
         memo = self._memo
         cached = memo.get(word)
@@ -350,7 +348,6 @@ def complete(
     relations: list[NcPoly],
     order: MonomialOrder,
     max_degree: int = 12,
-    max_rules: int = 4000,
 ) -> RewriteSystem:
     """Saturate a relation set into an interreduced rewriting system.
 
@@ -441,8 +438,8 @@ def complete(
                 rules[other_id] = new_rule(other.lhs, new_rhs, other.trace + delta)
                 marked.add(other_id)
         push_ambiguities(rid)
-        if len(rules) > max_rules:
-            raise CompletionError("budget", f"more than {max_rules} rules at degree bound {max_degree}")
+        if len(rules) > RULE_BUDGET:
+            raise CompletionError("budget", f"more than {RULE_BUDGET} rules at degree bound {max_degree}")
 
     while True:
         if pending:

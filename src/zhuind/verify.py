@@ -59,12 +59,12 @@ def _word_str(handle, w: Word) -> str:
     return " ".join(handle.gen_names[g] for g in w) or "1"
 
 
-def _induce_id(mor_id: str, fam: str, params: tuple, with_labels: bool = True):
+def _induce_id(mor_id: str, fam: str, params: tuple):
     m = catalog.morphism(mor_id)
     ker = list(catalog.kernel_candidates(mor_id))
     irr = catalog.irreducibles(m.target.name)
     module = catalog.module(fam, params)
-    return induce(m, ker, module, irr, catalog.VOA_LABELS if with_labels else None)
+    return induce(m, ker, module, irr, catalog.VOA_LABELS)
 
 
 # -- individual cases ----------------------------------------------------
@@ -130,7 +130,8 @@ def case_02() -> tuple[bool, str, str, list[str]]:
 def case_03() -> tuple[bool, str, str, list[str]]:
     details = []
     ok = True
-    for mor_id, deg in [("heis_to_va1", 10), ("vir_to_va1", 10), ("vb_to_va1", 10), ("vp_to_va2", 8)]:
+    for mor_id in ("heis_to_va1", "vir_to_va1", "vb_to_va1", "vp_to_va2"):
+        deg = catalog.KERNEL_PROBE_DEGREE[mor_id]
         cert = certify_kernel(catalog.morphism(mor_id), list(catalog.kernel_candidates(mor_id)), deg)
         good = cert.status == "exact"
         ok = ok and good

@@ -55,6 +55,18 @@ def permuted_copy():
 
 
 @pytest.fixture(scope="session")
+def direct_sum():
+    """``direct_sum(a, b)``: the block-diagonal module over the common owner, ``a``'s basis first."""
+
+    def build(a, b):
+        assert a.owner is b.owner
+        columns = [ca + [{a.dim + i: x for i, x in col.items()} for col in cb] for ca, cb in zip(a.columns, b.columns)]
+        return FinModule.from_columns(a.owner, a.dim + b.dim, columns, f"{a.label}+{b.label}")
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def recorded_adds():
     """``with recorded_adds() as grew:`` lists what each ``RowSpace.add`` returned (True: the dimension grew)."""
 

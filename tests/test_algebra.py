@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zhuind import catalog
+from zhuind import algebra, catalog
 from zhuind.algebra import (
     AlgebraHandle,
     PROFILE_WINDOW,
@@ -14,10 +14,8 @@ from zhuind.algebra import (
     DimensionResult,
     Presentation,
     normal_words,
-    subalgebra_basis,
 )
 from zhuind.freealg import MonomialOrder, NcPoly
-from zhuind.linalg import RowSpace
 from zhuind.rewrite import INFINITE, CompletionError
 
 
@@ -136,6 +134,68 @@ def test_a_long_rule_ends_the_walk_at_a_repeated_state_set():
     handle = AlgebraHandle.build(Presentation("long", ("x", "y", "z"), MonomialOrder((2, 1, 0)), (rel,)), max_degree=16)
     assert handle.system.confluent_to_degree == INFINITE
     assert handle.dim_result == DimensionResult("unbounded", PROFILE_WINDOW, tuple(_enumerated_profile(handle, PROFILE_WINDOW)))
+
+
+def test_dimension_counts_its_states_without_enumerating_normal_words(monkeypatch):
+    # one monomial of length 10 over three letters: 3^9 suffix states, which were once built and sorted only to be counted
+    calls = []
+
+    def counting(handle, max_len):
+        calls.append(max_len)
+        return normal_words(handle, max_len)
+
+    monkeypatch.setattr(algebra, "normal_words", counting)
+    rel = NcPoly.monomial((0, 1, 2) * 3 + (0,))
+    handle = AlgebraHandle.build(Presentation("l", ("x", "y", "z"), MonomialOrder((2, 1, 0)), (rel,)), max_degree=20)
+    assert handle.dim_result == DimensionResult("unbounded", PROFILE_WINDOW, tuple(_enumerated_profile(handle, PROFILE_WINDOW)))
+    assert calls == []
+
+
+def _avoiding_counts(n, monomials, max_len):
+    """Per length 0..max_len, the words over n letters with no monomial as a factor anywhere.
+
+    The set is closed under factors, so growing only its own words one letter at a time misses none."""
+    layer, counts = [()], [1]
+    for _ in range(max_len):
+        layer = [
+            w
+            for u in layer
+            for w in (u + (g,) for g in range(n))
+            if not any(w[i : i + len(m)] == m for m in monomials for i in range(len(w) - len(m) + 1))
+        ]
+        counts.append(len(layer))
+    return counts
+
+
+@st.composite
+def _monomial_presentations(draw):
+    """1-3 letters, 1-3 monomials of length 2-4 (one may contain another), a reordering of them and two precedences."""
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4).map(tuple), min_size=1, max_size=3))
+    return n, words, draw(st.permutations(words)), draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_presentations())
+@example((2, [(0, 0), (0, 1), (1, 0), (1, 1)], [(1, 1), (1, 0), (0, 1), (0, 0)], [0, 1], [1, 0]))  # dim 3
+@example((2, [(0, 0), (1, 1), (0, 1)], [(0, 1), (0, 0), (1, 1)], [0, 1], [1, 0]))  # 1, x, y, y x: dim 4
+@example((1, [(0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 0)], [0], [0]))  # dim 3
+@example((3, [(0, 1, 2, 0)], [(0, 1, 2, 0)], [0, 1, 2], [2, 0, 1]))  # infinite
+def test_profile_matches_brute_force_on_monomial_presentations(case):
+    n, words, reordered, ranking, other_ranking = case
+    gens = tuple("xyz"[:n])
+    results = []
+    for rels, rank in ((words, ranking), (reordered, other_ranking)):
+        pres = Presentation("monomial", gens, MonomialOrder.from_ranking(rank), tuple(NcPoly.monomial(w) for w in rels))
+        results.append(AlgebraHandle.build(pres).dim_result)
+    res = results[0]
+    assert results[1] == res  # neither the relation order nor the precedence moves it
+    counts = _avoiding_counts(n, words, PROFILE_WINDOW)
+    assert res.profile[: PROFILE_WINDOW + 1] == tuple(counts)
+    if counts[-1] == 0:  # no word of length 8, so none longer: the profile is all of it
+        assert res == DimensionResult("finite", sum(counts), tuple(counts))
+    else:
+        assert res.kind in ("finite", "unbounded")
 
 
 @settings(max_examples=20, deadline=None)
@@ -281,40 +341,6 @@ def test_mul_examples(va1, va2):
 def test_mul_owner_mismatch(va1, va2):
     with pytest.raises(ValueError):
         va1.gen("e") * va2.gen("x")
-
-
-def test_subalgebra_of_cartan(va1):
-    basis = subalgebra_basis(va1, [va1.gen("h")])
-    polys = {el.poly for el in basis}
-    assert polys == {NcPoly.one(), va1.gen("h").poly, va1.element("h h").poly}
-
-
-def test_subalgebra_empty_gens(va1):
-    basis = subalgebra_basis(va1, [])
-    assert len(basis) == 1 and basis[0].poly == NcPoly.one()
-
-
-def test_subalgebra_of_squared_cartan(va1):
-    basis = subalgebra_basis(va1, [va1.element("1/4 h h")])
-    assert len(basis) == 2
-
-
-def test_subalgebra_closure_idempotent_and_product_closed(va1):
-    gens = [va1.gen("h"), va1.gen("e")]
-    basis = subalgebra_basis(va1, gens)
-    again = subalgebra_basis(va1, basis)
-    assert len(again) == len(basis)
-    span = RowSpace(len(va1.basis))
-    for el in basis:
-        span.add(va1.coords(el.poly))
-    for a in basis:
-        for b in basis:
-            assert span.contains(va1.coords((a * b).poly))
-
-
-def test_subalgebra_requires_finite(vp):
-    with pytest.raises(ValueError):
-        subalgebra_basis(vp, [vp.gen("x")])
 
 
 def test_elements_stored_reduced(va1):

@@ -125,15 +125,12 @@ def test_ring_axioms(p, q, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_poly, _word, _word, _coeff)
-def test_sandwich_is_the_triple_product(p, a, b, c):
-    expected = (NcPoly.monomial(a) * p * NcPoly.monomial(b)).scale(c)
-    got = p.sandwich(a, b, c)
+@given(_poly, _word, _word)
+def test_sandwich_is_the_triple_product(p, a, b):
+    expected = NcPoly.monomial(a) * p * NcPoly.monomial(b)
+    got = p.sandwich(a, b)
     assert got == expected
     assert list(got.terms.items()) == list(expected.terms.items())
-    plain = NcPoly.monomial(a) * p * NcPoly.monomial(b)
-    assert list(p.sandwich(a, b).terms.items()) == list(plain.terms.items())
-    assert p.sandwich(a, b, 0).is_zero()
 
 
 @settings(max_examples=60, deadline=None)

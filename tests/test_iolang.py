@@ -31,8 +31,8 @@ def test_parse_algebra_block():
 
 def test_parse_coefficient_term():
     poly = parse_poly_text("1/2 x y - y x", ("x", "y"))
-    assert poly.coeff((0, 1)) == F(1, 2)
-    assert poly.coeff((1, 0)) == F(-1)
+    assert poly.terms.get((0, 1)) == F(1, 2)
+    assert poly.terms.get((1, 0)) == F(-1)
 
 
 def test_parse_unknown_generator_positioned():
@@ -71,7 +71,7 @@ def test_parse_morphism_and_module_blocks():
     src = parse(text)
     f = src.morphisms()["f"]
     assert f.source == "a" and f.target == "b"
-    assert f.images["x"].coeff((0, 0)) == F(1, 4)
+    assert f.images["x"].terms.get((0, 0)) == F(1, 4)
     m = src.modules()["m"]
     assert m.dim == 2 and m.actions["u"][1][1] == F(-1)
 

@@ -16,7 +16,6 @@ from zhuind.morphism import (
     certify_kernel,
     check_well_defined,
     compose,
-    image_basis,
     kernel_basis_finite,
 )
 
@@ -36,22 +35,29 @@ def test_wrong_map_violates(va1, va2):
     assert "e h + e" in violated
 
 
+def _image_rank(mor_id):
+    """The rank of the image of the normal words up to the probe degree: the last entry of the certificate table."""
+    cert = certify_kernel(catalog.morphism(mor_id), list(catalog.kernel_candidates(mor_id)), catalog.KERNEL_PROBE_DEGREE[mor_id])
+    return cert.table[-1][2]
+
+
 def test_image_basis_heisenberg(va1):
-    basis = image_basis(catalog.morphism("heis_to_va1"))
-    assert {el.poly for el in basis} == {va1.one().poly, va1.gen("h").poly, va1.element("h h").poly}
+    # 1, h and h h: x x x - x maps to zero
+    assert _image_rank("heis_to_va1") == 3
 
 
 def test_image_basis_virasoro(va1):
-    assert len(image_basis(catalog.morphism("vir_to_va1"))) == 2
+    assert _image_rank("vir_to_va1") == 2
 
 
 def test_image_basis_injective_embedding():
-    assert len(image_basis(catalog.morphism("va1_to_va2"))) == 5
+    m = catalog.morphism("va1_to_va2")
+    assert len(m.source.basis) - len(kernel_basis_finite(m)) == 5
 
 
 def test_image_basis_parabolic():
     # pi(A(V_P)) inside the nineteen-dimensional algebra
-    assert len(image_basis(catalog.morphism("vp_to_va2"))) == 15
+    assert _image_rank("vp_to_va2") == 15
 
 
 def test_kernel_basis_injective():
@@ -235,7 +241,7 @@ def _kernel_elements(draw):
     for terms in draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3)):
         poly = NcPoly.zero()
         for q, a, c, b in terms:
-            poly = poly + c.poly.sandwich(a, b, q)
+            poly = poly + c.poly.sandwich(a, b).scale(q)
         elements.append(m.source.element(poly))
     return m, elements, draw(st.integers(0, _GENERATED_DEGREE[mor_id]))
 

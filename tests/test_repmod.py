@@ -14,7 +14,6 @@ from zhuind.repmod import (
     FinModule,
     check_module,
     decompose,
-    direct_sum,
     hom_space,
     quotient_module,
     regular_module,
@@ -63,7 +62,7 @@ def test_hom_inequivalent_is_zero(va1):
     assert hom_space(catalog.module("va1_trivial"), catalog.module("va1_L_half")).dim == 0
 
 
-def test_hom_additive(va1):
+def test_hom_additive(va1, direct_sum):
     L = catalog.module("va1_L_half")
     assert hom_space(L, direct_sum(L, L)).dim == 2
 
@@ -76,13 +75,13 @@ def test_hom_dimension_symmetric_for_semisimple_owners():
                 assert hom_space(a, b).dim == hom_space(b, a).dim
 
 
-def test_decompose_direct_sum(va1):
+def test_decompose_direct_sum(va1, direct_sum):
     L = catalog.module("va1_L_half")
     rec = decompose(direct_sum(L, L), catalog.irreducibles("a_va1"))
     assert rec.as_dict() == {"L_half": 2} and rec.residual == 0
 
 
-def test_decompose_additive_on_random_sums():
+def test_decompose_additive_on_random_sums(direct_sum):
     rng = random.Random(23)
     irr = catalog.irreducibles("a_va2")
     for _ in range(5):
@@ -313,7 +312,7 @@ def test_built_modules_keep_the_sparse_form(va1, va2):
 
     L = catalog.module("va1_L_half")
     full = submodule_closure(L, [{0: F(1)}])
-    built = [direct_sum(L, catalog.module("va1_trivial")), quotient_module(L, RowSpace(2)), quotient_module(L, full), regular_module(va1), regular_module(va2)]
+    built = [quotient_module(L, RowSpace(2)), quotient_module(L, full), regular_module(va1), regular_module(va2)]
     m = catalog.morphism("va1_to_va2")
     built += [restrict(m, catalog.module("va2_L_lambda_alpha")), induce(m, [], L).module]
     for module in built:

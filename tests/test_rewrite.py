@@ -190,7 +190,7 @@ def test_interreduced_rules(va2):
                 assert not any(a[p : p + len(b)] == b for p in range(len(a) - len(b) + 1))
     for rule in va2.system.rules:
         for word in rule.rhs.terms:
-            assert va2.system.is_normal_word(word)
+            assert _find_redex(word, va2.system.lhs_index) is None
 
 
 def test_rule_traces_certify_membership(va1):
@@ -436,7 +436,7 @@ def test_reduce_keeps_reference_term_order():
         )
         ref = NcPoly.zero()
         for c, left, idx, right in trace:
-            ref = ref + h.presentation.relations[idx].sandwich(left, right, c)
+            ref = ref + h.presentation.relations[idx].sandwich(left, right).scale(c)
         assert list(expand_trace(h.presentation.relations, trace).terms.items()) == list(ref.terms.items())
 
 
@@ -460,7 +460,7 @@ def _ref_s_poly(amb, rules):
     return s, trace
 
 
-def _ref_complete(relations, order, max_degree=12, max_rules=4000):
+def _ref_complete(relations, order, max_degree=12):
     """``complete`` with a full final sweep, as it was before the pair ledger: the reference.
 
     Its one addition is the trace budget of ``complete``, so that an input
@@ -504,7 +504,7 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
             if delta:
                 rules[other_id] = budgeted(other.lhs, new_rhs, other.trace + delta)
         push_ambiguities(rid)
-        if len(rules) > max_rules:
+        if len(rules) > rewrite.RULE_BUDGET:
             raise CompletionError("budget", "rules")
 
     def drain():
@@ -549,10 +549,10 @@ def _ref_complete(relations, order, max_degree=12, max_rules=4000):
             return RewriteSystem(order, list(rules.values()), max_degree if leftover else INFINITE, base)
 
 
-def _completion_outcome(complete_fn, relations, order, max_degree, max_rules=4000):
+def _completion_outcome(complete_fn, relations, order, max_degree):
     """Rules (lhs, rhs terms in order, trace) and certificate, or the error kind."""
     try:
-        system = complete_fn(list(relations), order, max_degree, max_rules)
+        system = complete_fn(list(relations), order, max_degree)
     except CompletionError as exc:
         return ("error", exc.kind)
     rules = [(r.lhs, list(r.rhs.terms.items()), r.trace) for r in system.rules]
@@ -578,9 +578,11 @@ def _presentations(draw):
 def test_complete_matches_full_sweep_on_generated_presentations(case):
     relations, order, max_degree = case
     # a small rule bound keeps the few inputs that blow up cheap on both sides
-    assert _completion_outcome(complete, relations, order, max_degree, 60) == _completion_outcome(
-        _ref_complete, relations, order, max_degree, 60
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rewrite, "RULE_BUDGET", 60)
+        assert _completion_outcome(complete, relations, order, max_degree) == _completion_outcome(
+            _ref_complete, relations, order, max_degree
+        )
 
 
 def test_complete_matches_full_sweep_on_reordered_catalog():
@@ -798,7 +800,6 @@ def test_lhs_index_matches_rule_scan(rules, words):
     for word in words:
         assert _find_redex(word, index) == _ref_find_redex(word, rules)
         assert _find_redex(word, system.lhs_index) == _ref_find_redex(word, system._rule_dict)
-        assert system.is_normal_word(word) == (_ref_find_redex(word, system._rule_dict) is None)
         assert _suffixes_normal(word, system) == _ref_suffixes_normal(word, system)
 
 
@@ -852,8 +853,9 @@ def test_complete_keeps_lhs_index_of_live_rules_on_generated_presentations(case)
     relations, order, max_degree = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = _recording_index_checks(monkeypatch)
+        monkeypatch.setattr(rewrite, "RULE_BUDGET", 60)
         try:
-            complete(list(relations), order, max_degree, 60)
+            complete(list(relations), order, max_degree)
         except CompletionError:
             pass
     if seen:

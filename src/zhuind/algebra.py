@@ -85,12 +85,6 @@ class AlgebraHandle:
             value = parse_poly_text(value, self.gen_names)
         return Element(self, self.system.reduce(value))
 
-    def one(self) -> "Element":
-        return Element(self, NcPoly.one())
-
-    def gen(self, name: str) -> "Element":
-        return self.element(NcPoly.gen(self.presentation.gen_index(name)))
-
     def dim(self) -> int | None:
         return len(self.basis) if self.basis is not None else None
 
@@ -177,46 +171,16 @@ def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Sparse:
 
 
 class Element:
-    """An algebra element stored in normal form; equality is syntactic."""
+    """An algebra element stored in normal form: the owner and its reduced polynomial.
+
+    Arithmetic happens on ``poly``; a product is ``algebra.system.reduce(a.poly * b.poly)``.
+    """
 
     __slots__ = ("algebra", "poly")
 
     def __init__(self, algebra: AlgebraHandle, poly: NcPoly):
         self.algebra = algebra
         self.poly = poly
-
-    def _check(self, other: "Element") -> None:
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.poly + other.poly)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.poly - other.poly)
-
-    def __mul__(self, other: "Element | Fraction | int") -> "Element":
-        if isinstance(other, (Fraction, int)):
-            return Element(self.algebra, self.poly.scale(other))
-        self._check(other)
-        return Element(self.algebra, self.algebra.system.reduce(self.poly * other.poly))
-
-    def __rmul__(self, other: "Fraction | int") -> "Element":
-        return Element(self.algebra, self.poly.scale(other))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.poly)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and other.algebra is self.algebra and other.poly == self.poly
-
-    def __hash__(self) -> int:
-        return hash((id(self.algebra), self.poly))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
 
     def __repr__(self) -> str:
         from zhuind.iolang import format_poly

@@ -14,8 +14,9 @@ five irreducible modules -- is written in the source language in the
 package file ``catalog.zi`` and built from it through ``iolang.parse``,
 the same path that ``zhuind check`` and ``FILE#NAME`` take.  The order of
 the relations in that file is part of the data: completion traces index
-into it.  Only the completion degrees, the kernel candidates and the
-parameterised module families are Python.
+into it.  The kernel candidates are source-language texts in a Python
+table; only the completion degrees and the parameterised module families
+are Python code.
 
 The sl2 and sl3 quotients are presented by the enveloping-algebra
 commutator table plus the extra quotient relations; the quotient
@@ -38,7 +39,6 @@ from functools import lru_cache
 from importlib import resources
 
 from zhuind.algebra import AlgebraHandle, Element, Presentation
-from zhuind.freealg import NcPoly
 from zhuind.iolang import SourceFile, parse
 from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import FinModule
@@ -101,30 +101,21 @@ def morphism(mor_id: str) -> AlgebraMorphism:
     return AlgebraMorphism(src, tgt, [tgt.element(block.images[g]) for g in src.gen_names], name=mor_id)
 
 
+# kernel candidates in the source language, read over the morphism source by ``AlgebraHandle.element``
+KERNEL_CANDIDATES = {
+    "heis_to_va1": ("x x x - x",),
+    "vb_to_va1": ("x x x - x",),
+    "vir_to_va1": ("y y - 1/4 y",),
+    "va1_to_va2": (),
+    "vp_to_va2": ("x_a y y - x_a y", "x_ma y y + x_ma y", "y y y - y", "3 x x y + 3 x y y + y y y - y"),
+    "heis_to_va2": ("x x x - x",),
+}
+
+
 @lru_cache(maxsize=None)
 def kernel_candidates(mor_id: str) -> tuple[Element, ...]:
-    if mor_id in ("heis_to_va1", "vb_to_va1", "heis_to_va2"):
-        src = morphism(mor_id).source
-        return (src.element("x x x - x"),)
-    if mor_id == "vir_to_va1":
-        return (algebra("vir").element("y y - 1/4 y"),)
-    if mor_id == "va1_to_va2":
-        return ()
-    if mor_id == "vp_to_va2":
-        vp = algebra("a_vp")
-        x = NcPoly.gen(vp.presentation.gen_index("x"))
-        y = NcPoly.gen(vp.presentation.gen_index("y"))
-        xa = NcPoly.gen(vp.presentation.gen_index("x_a"))
-        xma = NcPoly.gen(vp.presentation.gen_index("x_ma"))
-        s = x + y
-        polys = [
-            xa * y * y - xa * y,
-            xma * y * y + xma * y,
-            y * y * y - y,
-            s * s * s - s,
-        ]
-        return tuple(vp.element(p) for p in polys)
-    raise UnknownId(mor_id)
+    source = algebra(_block(_source().morphisms(), mor_id).source)
+    return tuple(source.element(text) for text in _block(KERNEL_CANDIDATES, mor_id))
 
 
 KERNEL_PROBE_DEGREE = {

@@ -18,7 +18,6 @@ from zhuind.repmod import FinModule
 
 @dataclass(frozen=True)
 class CharacterVector:
-    owner_name: str
     values: tuple[Fraction, ...]  # trace on each basis word, in basis order
 
 
@@ -30,7 +29,7 @@ def char_vector(module: FinModule) -> CharacterVector:
     for w in owner.basis:
         cols = module.action_of_word(w)
         values.append(sum((col.get(i, 0) for i, col in enumerate(cols)), Fraction(0)))
-    return CharacterVector(owner.name, tuple(values))
+    return CharacterVector(tuple(values))
 
 
 def _trace_of_product(a: list[Sparse], b: list[Sparse]) -> Fraction:

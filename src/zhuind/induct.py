@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zhuind.freealg import NcPoly
-from zhuind.linalg import Mat, RowSpace, Sparse, mat_of_columns
+from zhuind.linalg import RowSpace, Sparse
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
     DecompositionRecord,
@@ -40,9 +40,8 @@ from zhuind.repmod import (
 @dataclass
 class InductionResult:
     module: FinModule
-    unit_map: Mat  # columns: images of the reduced-module basis vectors
+    unit_map: list[Sparse]  # one sparse column per reduced-module basis vector: its image 1 (x) v_j
     reduced_dim: int  # dim of M / kernel-radical
-    relation_rank: int
     decomposition: DecompositionRecord | None = None
     voa_label: str | None = None
 
@@ -87,7 +86,7 @@ def induce(
     if nm == 0:
         zero = FinModule(target, 0, {}, label)
         rec = DecompositionRecord((), 0) if irreducibles is not None else None
-        return InductionResult(zero, [], 0, 0, rec, _voa_label(rec, voa_labels))
+        return InductionResult(zero, [], 0, rec, _voa_label(rec, voa_labels))
 
     relations = _relations(m, reduced)
     comp = relations.complement_columns()
@@ -103,10 +102,10 @@ def induce(
     columns = [[quotient_column(products[flat // nm], flat % nm) for flat in comp] for products in target.gen_products]
     induced = FinModule.from_columns(target, len(comp), columns, label)
     one_coords = target.coords(target.system.reduce(NcPoly.one()))
-    unit = mat_of_columns([quotient_column(one_coords, j) for j in range(nm)], len(comp))
+    unit = [quotient_column(one_coords, j) for j in range(nm)]
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
-    return InductionResult(induced, unit, nm, relations.dim, rec, _voa_label(rec, voa_labels))
+    return InductionResult(induced, unit, nm, rec, _voa_label(rec, voa_labels))
 
 
 def _relations(m: AlgebraMorphism, reduced: FinModule) -> RowSpace:
@@ -142,11 +141,7 @@ def _voa_label(rec: DecompositionRecord | None, voa_labels: dict[str, str] | Non
 def generated_by_unit_image(result: InductionResult) -> bool:
     """True when the unit-map image generates the induced module."""
     module = result.module
-    if module.dim == 0:
-        return True
-    unit = result.unit_map
-    seeds = [{i: row[j] for i, row in enumerate(unit) if row[j]} for j in range(result.reduced_dim)]
-    return submodule_closure(module, seeds).dim == module.dim
+    return module.dim == 0 or submodule_closure(module, result.unit_map).dim == module.dim
 
 
 def frobenius_check(
@@ -154,8 +149,8 @@ def frobenius_check(
 ) -> tuple[int, int]:
     """(dim Hom(Ind M, K), dim Hom(M, Res K)); equal on success."""
     ind = induce(m, kernel_gens, source_module)
-    left = hom_space(ind.module, target_module).dim
-    right = hom_space(source_module, restrict(m, target_module)).dim
+    left = len(hom_space(ind.module, target_module))
+    right = len(hom_space(source_module, restrict(m, target_module)))
     return left, right
 
 

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``), and a
-module action is a list of sparse columns; dense matrices (``Mat``) are
-kept only for the maps handed back to callers (hom bases, unit maps) and
-for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced row echelon
-basis as sparse primitive integer rows (pivot column -> {column: int}),
-each with a positive pivot entry and zero at every other pivot, so
-reducing a mostly zero vector touches only its nonzero entries.
+module action, an intertwiner or a unit map is a list of sparse columns;
+dense matrices (``Mat``) are kept only for the dense view of a module's
+actions and for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced
+row echelon basis as sparse primitive integer rows (pivot column ->
+{column: int}), each with a positive pivot entry and zero at every other
+pivot, so reducing a mostly zero vector touches only its nonzero entries.
 Elimination inside it is fraction-free; ``Fraction`` values are built
 only where results leave it.  It never modifies a caller's vector.
 ``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with

@@ -28,7 +28,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    generators: tuple[Element, ...]
     status: str  # "exact" | "contained"
     degree: int
     # per degree: (source slice dim, ideal slice dim, image rank)
@@ -197,4 +196,4 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
         table.append((slice_dim, ideal.dim, image.dim))
 
     exact = all(s - i == r for s, i, r in table)
-    return KernelCertificate(tuple(candidates), "exact" if exact else "contained", degree, tuple(table), products)
+    return KernelCertificate("exact" if exact else "contained", degree, tuple(table), products)

@@ -98,17 +98,6 @@ class FinModule:
 
 
 @dataclass(frozen=True)
-class HomBasis:
-    source: FinModule
-    target: FinModule
-    basis: tuple[Mat, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
 class DecompositionRecord:
     entries: tuple[tuple[str, int], ...]  # (irreducible label, multiplicity >= 1)
     residual: int
@@ -128,13 +117,16 @@ def check_module(module: FinModule) -> list[NcPoly]:
     return [rel for rel in module.owner.presentation.relations if any(module.evaluate(rel))]
 
 
-def hom_space(source: FinModule, target: FinModule) -> HomBasis:
-    """All intertwiners T with T.rho_source(g) = rho_target(g).T."""
+def hom_space(source: FinModule, target: FinModule) -> list[Columns]:
+    """A basis of the intertwiners T with T.rho_source(g) = rho_target(g).T, each as sparse columns.
+
+    Column j of an intertwiner is the image of source basis vector j.
+    """
     if source.owner is not target.owner:
         raise ValueError("hom spaces need a common owner algebra")
     n, m = target.dim, source.dim
     if n * m == 0:
-        return HomBasis(source, target, ())
+        return []
     # unknowns T[i][j] flattened as i*m + j; one equation per (g, i, j)
     space = RowSpace(n * m)
     for g, b_cols in enumerate(source.columns):
@@ -149,10 +141,14 @@ def hom_space(source: FinModule, target: FinModule) -> HomBasis:
                     row[k * m + j] = row.get(k * m + j, 0) - x
                 # equations of full rank leave only T = 0, and no further equation can change that
                 if space.add(row) and space.dim == n * m:
-                    return HomBasis(source, target, ())
-    zero = Fraction(0)
-    mats = [[[v.get(i * m + j, zero) for j in range(m)] for i in range(n)] for v in space.nullspace()]
-    return HomBasis(source, target, tuple(mats))
+                    return []
+    intertwiners = []
+    for v in space.nullspace():
+        cols: Columns = [{} for _ in range(m)]
+        for flat, x in v.items():
+            cols[flat % m][flat // m] = x
+        intertwiners.append(cols)
+    return intertwiners
 
 
 def decompose(module: FinModule, irreducibles: list[FinModule]) -> DecompositionRecord:
@@ -164,7 +160,7 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
     entries = []
     used = 0
     for irr in irreducibles:
-        mult = hom_space(irr, module).dim
+        mult = len(hom_space(irr, module))
         if mult:
             entries.append((irr.label, mult))
             used += mult * irr.dim

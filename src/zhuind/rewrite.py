@@ -102,14 +102,6 @@ def _trace(steps: list[Step], sign: int = 1) -> Trace:
     return tuple((c * a, left + l, i, r + right) for c, left, rule, right in steps for a, l, i, r in rule.trace)
 
 
-def expand_trace(relations: list[NcPoly] | tuple[NcPoly, ...], trace: Trace) -> NcPoly:
-    """Evaluate a trace with free multiplication only (no rewriting)."""
-    total = NcPoly.zero()
-    for c, left, idx, right in trace:
-        _add_scaled(total.terms, c, relations[idx].sandwich(left, right).terms)
-    return total
-
-
 class LhsIndex:
     """The left-hand sides of a rule dict: each to its lowest rule id, and their lengths.
 
@@ -228,14 +220,6 @@ def _rewrite(
             raise RuntimeError("reduction step budget exceeded")
 
 
-def _reduce_traced(
-    p: NcPoly, rules: dict[int, RewriteRule], order: MonomialOrder, index: LhsIndex | None = None
-) -> tuple[NcPoly, Trace]:
-    """Canonical reduction with its trace: p - result = sum(trace)."""
-    result, steps = _rewrite(p, rules, order, index=index)
-    return result, _trace(steps)
-
-
 def _overlaps(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
     out = []
     for k in range(1, min(len(li), len(lj))):
@@ -330,8 +314,9 @@ class RewriteSystem:
         return out
 
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:
-        """Reduction plus a cofactor certificate over the input relations."""
-        return _reduce_traced(p, self._rule_dict, self.order, self.lhs_index)
+        """Reduction plus a cofactor certificate over the input relations: p - result = sum(trace)."""
+        result, steps = _rewrite(p, self._rule_dict, self.order, index=self.lhs_index)
+        return result, _trace(steps)
 
     def find_ambiguities(self) -> list[Ambiguity]:
         out: list[Ambiguity] = []
@@ -433,7 +418,8 @@ def complete(
         for other_id, other in list(rules.items()):
             if other_id == rid or not any(_contains(w, lw) for w in other.rhs.terms):
                 continue
-            new_rhs, delta = _reduce_traced(other.rhs, {rid: rule}, order)
+            new_rhs, steps = _rewrite(other.rhs, {rid: rule}, order)
+            delta = _trace(steps)
             if delta:
                 rules[other_id] = new_rule(other.lhs, new_rhs, other.trace + delta)
                 marked.add(other_id)

@@ -1,10 +1,14 @@
-"""Every public function, class and method in the package has a caller outside its own definition.
+"""Every public function, class, method and class field in the package has a reader outside its own definition.
 
-The scan is by name: a definition counts as used when its name appears as
-a Python name token (comments and strings do not count) somewhere in the
-package, the scripts or the benchmark harness beyond its own ``def`` or
-``class`` line.  Tests are not callers: API that only tests use belongs in
-the tests.
+The scan of definitions is by name: a definition counts as used when its
+name appears as a Python name token (comments and strings do not count)
+somewhere in the package, the scripts or the benchmark harness beyond its
+own ``def`` or ``class`` line.  A script or harness file's tokens do not
+count for a name that the file defines itself, so a harness helper does
+not stand in for the package function it shares a name with.  An
+annotated class field counts as used when some ``ast.Attribute`` load of
+its name (reads inside f-strings included) appears in those files.  Tests
+are not callers: API that only tests use belongs in the tests.
 """
 
 import ast
@@ -15,6 +19,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zhuind"
+HARNESS = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+CHECK_REASON = "validates the morphism blocks of a source file in check"
 
 # names kept without a caller in the package, each for a reason
 ALLOWED = {
@@ -23,15 +30,29 @@ ALLOWED = {
     "generated_by_unit_image": "certifies the Frobenius bijection once reciprocity is checked as an explicit map",
     "regular_module": "the trace form of the regular module certifies the semisimple targets",
     "independence_check": "decompositions read from character vectors need the irreducible characters independent",
-    "check_well_defined": "validates the morphism blocks of a source file in check",
+    "check_well_defined": CHECK_REASON,
 }
+
+# class fields kept without a reader in the package, each for a reason
+ALLOWED_FIELDS = {
+    "Violation.relation": CHECK_REASON,
+    "Violation.residue": CHECK_REASON,
+}
+
+
+def _trees(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
 def _definitions() -> Counter:
     """Public module-level functions and classes, and public methods of those classes, by name."""
     defs: Counter = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for tree in _trees(sorted(PACKAGE.glob("*.py"))).values():
+        for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *members]:
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
@@ -39,17 +60,62 @@ def _definitions() -> Counter:
     return defs
 
 
-def _name_tokens() -> Counter:
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+def _name_tokens(paths) -> Counter:
     names: Counter = Counter()
-    for path in files:
-        for tok in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline):
-            if tok.type == tokenize.NAME:
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        own = set() if path.parent == PACKAGE else _defined_names(ast.parse(text))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME and tok.string not in own:
                 names[tok.string] += 1
     return names
 
 
+def _fields() -> set[tuple[str, str]]:
+    """(class, field) for every annotated field in a class body of the package."""
+    return {
+        (node.name, item.target.id)
+        for tree in _trees(PACKAGE.glob("*.py")).values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def _attribute_reads(paths) -> set[str]:
+    return {
+        node.attr
+        for tree in _trees(paths).values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_no_public_name_without_a_caller():
-    defs, names = _definitions(), _name_tokens()
+    defs, names = _definitions(), _name_tokens([*PACKAGE.glob("*.py"), *HARNESS])
     uncalled = {name for name, n in defs.items() if names[name] <= n}
     assert uncalled == set(ALLOWED)
+
+
+def test_no_class_field_without_a_reader():
+    reads = _attribute_reads([*PACKAGE.glob("*.py"), *HARNESS])
+    unread = {f"{cls}.{name}" for cls, name in _fields() if name not in reads}
+    assert unread == set(ALLOWED_FIELDS)
+
+
+def test_a_harness_file_does_not_call_the_names_it_defines(tmp_path):
+    # one file defines and calls its own helper, the other calls the package's
+    own = tmp_path / "own.py"
+    own.write_text("def helper(x):\n    return x\n\n\nhelper(1)\n", encoding="utf-8")
+    other = tmp_path / "other.py"
+    other.write_text("from zhuind.rewrite import complete\n\ncomplete([], None)\n", encoding="utf-8")
+    names = _name_tokens([own, other])
+    assert names["helper"] == 0 and names["complete"] == 2
+
+
+def test_field_reads_inside_f_strings_count(tmp_path):
+    path = tmp_path / "report.py"
+    # a store and a comment are not reads
+    path.write_text('r.unit_map = []\nprint(f"{r.reduced_dim} {r.module.dim}")\n# r.voa_label\n', encoding="utf-8")
+    assert _attribute_reads([path]) == {"reduced_dim", "module", "dim"}

@@ -38,6 +38,16 @@ def test_dim_unknown_id_exits_2(capsys):
     assert code == 2 and "unknown" in err
 
 
+def test_json_before_the_subcommand_is_refused(capsys):
+    # --json belongs to the subcommand; before it, it used to be accepted and ignored (text, exit 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "dim", "a_va1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "--json" in captured.err
+    code, out, _ = run(capsys, "dim", "a_va1", "--json")
+    assert code == 0 and json.loads(out)["command"] == "dim"
+
+
 def test_check_file(tmp_path, capsys):
     path = tmp_path / "cat.alg"
     path.write_text(catalog.catalog_source(), encoding="utf-8")

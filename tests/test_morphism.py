@@ -27,7 +27,7 @@ def test_all_catalog_morphisms_well_defined():
 
 def test_wrong_map_violates(va1, va2):
     # e -> x_b breaks the source relation e h + e
-    bad = AlgebraMorphism(va1, va2, [va2.gen("x_b"), va2.gen("x_ma"), va2.gen("x")])
+    bad = AlgebraMorphism(va1, va2, [va2.element("x_b"), va2.element("x_ma"), va2.element("x")])
     violations = check_well_defined(bad)
     assert violations
     gens = va1.gen_names
@@ -65,7 +65,7 @@ def test_kernel_basis_injective():
 
 
 def test_kernel_basis_identity(va1):
-    ident = AlgebraMorphism(va1, va1, [va1.gen(n) for n in va1.gen_names])
+    ident = AlgebraMorphism(va1, va1, [va1.element(n) for n in va1.gen_names])
     assert kernel_basis_finite(ident) == []
 
 
@@ -203,7 +203,7 @@ def _ref_certify_kernel(m, candidates, degree):
         if slice_dim - ideal_slice_dim != img_rank:
             exact = False
 
-    return KernelCertificate(tuple(candidates), "exact" if exact else "contained", degree, tuple(table))
+    return KernelCertificate("exact" if exact else "contained", degree, tuple(table))
 
 
 @pytest.mark.parametrize("mor_id", catalog.MORPHISM_IDS)

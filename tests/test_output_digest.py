@@ -1,5 +1,10 @@
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
+
+import zhuind
 
 # the lines scripts/output_digest.py prints: sha256 of each byte-stable report, its exit code
 # and the command; a change that moves a --json report, a verbose verification detail or an
@@ -20,9 +25,11 @@ PINNED_DIGESTS = [
 ]
 
 
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+
+
 def _output_digest():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -32,3 +39,17 @@ def test_output_digests_are_pinned():
     mod = _output_digest()
     assert [line.split("  ", 2)[2] for line in PINNED_DIGESTS] == [" ".join(argv) for argv in mod.COMMANDS]
     assert mod.digest_lines() == PINNED_DIGESTS
+
+
+def test_output_digests_are_pinned_under_a_fixed_hash_seed():
+    # the digests above are taken in this process under one hash seed; a cold command runs in a
+    # fresh interpreter under its own, so an order drawn from str hashing would show here
+    src = str(pathlib.Path(zhuind.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == PINNED_DIGESTS

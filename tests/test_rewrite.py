@@ -25,12 +25,10 @@ from zhuind.rewrite import (
     _contains,
     _find_redex,
     _overlaps,
-    _reduce_traced,
     _rewrite,
     _scale_trace,
     complete,
     confluence_fuzz,
-    expand_trace,
 )
 
 GENS = ("e", "f", "h")
@@ -48,6 +46,14 @@ def w(text):
 def system_from_rules(pairs, order=HFE):
     rules = [RewriteRule(w(lhs), P(rhs)) for lhs, rhs in pairs]
     return RewriteSystem(order, rules, INFINITE)
+
+
+def expand_trace(relations, trace):
+    """The oracle for traces: evaluate one with free multiplication only (no rewriting)."""
+    total = NcPoly.zero()
+    for c, left, idx, right in trace:
+        _add_scaled(total.terms, c, relations[idx].sandwich(left, right).terms)
+    return total
 
 
 # -- reduce ---------------------------------------------------------------
@@ -346,10 +352,9 @@ def test_canonical_rewrite_matches_reference_loops():
         for _ in range(40):
             p = _random_poly(rng, len(h.gen_names))
             ref_nf, ref_trace = _ref_reduce_traced(p, system._rule_dict, system.order)
-            nf, trace = _reduce_traced(p, system._rule_dict, system.order)
+            nf, trace = system.reduce_traced(p)
             assert (nf, trace) == (ref_nf, ref_trace)
             assert list(nf.terms.items()) == list(ref_nf.terms.items())
-            assert system.reduce_traced(p) == (ref_nf, ref_trace)
             _, steps = _rewrite(p, system._rule_dict, system.order)
             assert len(steps) == _ref_reduce_counting(system, p)[1]
 
@@ -674,15 +679,17 @@ def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
 @pytest.mark.parametrize("alg_id", ["a_va1", "a_va2", "a_vp"])
 def test_complete_rereduces_only_right_hand_sides_the_new_rule_rewrites(monkeypatch, alg_id):
     # a right-hand side with no word containing the new left-hand side is left alone
+    # only the right-hand-side rebuild rewrites without the live index, against a one-rule dict
     deltas = []
-    reduce_traced = rewrite._reduce_traced
+    rewrite_ = rewrite._rewrite
 
-    def recording_reduce_traced(p, rules, order):
-        out = reduce_traced(p, rules, order)
-        deltas.append(out[1])
+    def recording_rewrite(p, rules, order, rng=None, index=None):
+        out = rewrite_(p, rules, order, rng, index)
+        if index is None:
+            deltas.append(out[1])
         return out
 
-    monkeypatch.setattr(rewrite, "_reduce_traced", recording_reduce_traced)
+    monkeypatch.setattr(rewrite, "_rewrite", recording_rewrite)
     pres = catalog.presentation(alg_id)
     system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
     assert system.rules == catalog.algebra(alg_id).system.rules
@@ -702,7 +709,6 @@ def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):
             before = list(p.terms.items())
             _rewrite(p, rules, order)
             _rewrite(p, rules, order, random.Random(seed))
-            _reduce_traced(p, rules, order)
             system.reduce_traced(p)
             assert list(p.terms.items()) == before
         assert [list(r.rhs.terms.items()) for r in system.rules] == rhs

@@ -12,14 +12,12 @@ coefficient).  The structure cube ``structure`` and the generator table
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from zhuind import rewrite
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
-from zhuind.linalg import Sparse
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
+from zhuind.linalg import Sparse, linear_combination
 from zhuind.rewrite import INFINITE, RewriteSystem
 
 
@@ -36,9 +34,6 @@ class Presentation:
         for r in self.relations:
             if r.is_zero():
                 raise ValueError("relations must be nonzero")
-
-    def gen_index(self, name: str) -> int:
-        return self.gen_names.index(name)
 
 
 class CertificateError(Exception):
@@ -113,12 +108,12 @@ class AlgebraHandle:
     def times_basis(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
         coords, table = self.coords(p).items(), self.structure
-        return [_combination((x, table[h][i]) for h, x in coords) for i in range(len(table))]
+        return [linear_combination((x, table[h][i]) for h, x in coords) for i in range(len(table))]
 
     def basis_times(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``basis[i] * p`` (``p`` reduced)."""
         coords = self.coords(p).items()
-        return [_combination((y, row[j]) for j, y in coords) for row in self.structure]
+        return [linear_combination((y, row[j]) for j, y in coords) for row in self.structure]
 
     @cached_property
     def gen_products(self) -> list[list[Sparse]]:
@@ -132,7 +127,7 @@ class AlgebraHandle:
     def mul_coords(self, a: Sparse, b: Sparse) -> Sparse:
         """Product via structure constants."""
         table = self.structure
-        return _combination((x * y, table[i][j]) for i, x in a.items() for j, y in b.items())
+        return linear_combination((x * y, table[i][j]) for i, x in a.items() for j, y in b.items())
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """Basis triples (i, j, k) with ``(e_i e_j) e_k != e_i (e_j e_k)`` in the structure constants.
@@ -147,12 +142,8 @@ class AlgebraHandle:
             for j in range(nb):
                 ij = table[i][j]
                 for k in range(nb):
-                    left: Sparse = {}
-                    for m, x in ij.items():
-                        _add_scaled(left, x, table[m][k])
-                    right: Sparse = {}
-                    for m, x in table[j][k].items():
-                        _add_scaled(right, x, table[i][m])
+                    left = linear_combination((x, table[m][k]) for m, x in ij.items())
+                    right = linear_combination((x, table[i][m]) for m, x in table[j][k].items())
                     if left != right:
                         failures.append((i, j, k))
         return failures
@@ -160,14 +151,6 @@ class AlgebraHandle:
     def __repr__(self) -> str:
         d = self.dim()
         return f"<algebra {self.name}: {'dim %d' % d if d is not None else 'infinite-dimensional'}>"
-
-
-def _combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Sparse:
-    """A sum of scaled sparse rows, nonzero entries only."""
-    acc: Sparse = {}
-    for c, row in terms:
-        _add_scaled(acc, c, row)
-    return acc
 
 
 class Element:

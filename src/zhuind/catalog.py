@@ -142,27 +142,25 @@ def module(mod_id: str, params: tuple = ()) -> FinModule:
     params = tuple(Fraction(p) for p in params)
     if mod_id == "heis_mod":
         (s,) = params
-        return FinModule(algebra("heis"), 1, {0: [[s]]}, label=f"heis_mod({s})")
+        return FinModule.from_named_actions(algebra("heis"), 1, {"x": [[s]]}, label=f"heis_mod({s})")
     if mod_id == "vb_mod":
         (s,) = params
-        return FinModule(algebra("vb"), 1, {0: [[s]], 1: [[0]]}, label=f"vb_mod({s})")
+        return FinModule.from_named_actions(algebra("vb"), 1, {"x": [[s]]}, label=f"vb_mod({s})")
     if mod_id == "vir_mod":
         (k,) = params
-        return FinModule(algebra("vir"), 1, {0: [[k]]}, label=f"vir_mod({k})")
+        return FinModule.from_named_actions(algebra("vir"), 1, {"y": [[k]]}, label=f"vir_mod({k})")
     if mod_id == "vp_mod_U0":
         (t,) = params
-        vp = algebra("a_vp")
-        return FinModule.from_named_actions(vp, 1, {"y": [[t]]}, label=f"U0({t})")
+        return FinModule.from_named_actions(algebra("a_vp"), 1, {"y": [[t]]}, label=f"U0({t})")
     if mod_id == "vp_mod_Uhalf":
         (t,) = params
-        vp = algebra("a_vp")
         named = {
             "x": [[1, 0], [0, -1]],
             "x_a": [[0, 1], [0, 0]],
             "x_ma": [[0, 0], [1, 0]],
             "y": [[t - Fraction(1, 2), 0], [0, t + Fraction(1, 2)]],
         }
-        return FinModule.from_named_actions(vp, 2, named, label=f"Uhalf({t})")
+        return FinModule.from_named_actions(algebra("a_vp"), 2, named, label=f"Uhalf({t})")
     raise UnknownId(mod_id)
 
 

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from zhuind.algebra import AlgebraHandle, Element, Presentation
+from zhuind.freealg import MonomialOrder
+from zhuind.induct import induce
 from zhuind.linalg import Sparse, invert, rank
+from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import FinModule
 
 
@@ -77,10 +80,6 @@ def artin_solve(
     returned row ``i`` gives rational coefficients c_ij with
     chi_i = sum_j c_ij * chi(Ind_j).
     """
-    from zhuind.freealg import MonomialOrder, NcPoly
-    from zhuind.induct import induce
-    from zhuind.morphism import AlgebraMorphism
-
     if len(set(weights)) != len(weights):
         raise ArtinError("weights must be pairwise distinct")
     if omega_image.algebra is not target:
@@ -92,16 +91,12 @@ def artin_solve(
     # one-variable source algebra C[y]
     poly_line = AlgebraHandle.build(Presentation("poly_line", ("y",), MonomialOrder((0,)), ()))
     morphism = AlgebraMorphism(poly_line, target, [omega_image], name=f"line->{target.name}")
-    y = NcPoly.gen(0)
-    kernel_poly = NcPoly.one()
-    for w in weights:
-        kernel_poly = kernel_poly * (y - NcPoly.one().scale(w))
-    kernel = [poly_line.element(kernel_poly)]
 
     mult_matrix: list[list[int]] = [[0] * len(weights) for _ in irreducibles]
     for j, w in enumerate(weights):
-        point = FinModule(poly_line, 1, {0: [[w]]}, label=f"line@{w}")
-        result = induce(morphism, kernel, point, irreducibles)
+        point = FinModule.from_named_actions(poly_line, 1, {"y": [[w]]}, label=f"line@{w}")
+        # no kernel radical: a kernel element q with q(w) != 0 makes omega_image - w invertible, so Ind is 0 either way
+        result = induce(morphism, [], point, irreducibles)
         assert result.decomposition is not None
         if result.decomposition.residual:
             raise ArtinError("induced module does not decompose over the given irreducibles")

@@ -31,9 +31,7 @@ USAGE_EXIT = 2
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_EXIT):
-        super().__init__(message)
-        self.code = code
+    """Bad input: ``main`` prints the message and returns ``USAGE_EXIT``."""
 
 
 def _build(pres: Presentation, max_degree: int) -> AlgebraHandle:
@@ -398,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_EXIT
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -17,14 +17,15 @@ What depends only on the morphism is built once and kept: the products
 morphism into it).  Each ``induce`` call builds only what depends on the
 module: the relation rows, their ``RowSpace`` and the quotient columns.
 The relation rows stop once they span the whole tensor product, where
-the induced module is 0.
+the induced module is 0; a module that is 0 after the kernel radical
+takes the same path, with no relation rows at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zhuind.freealg import NcPoly
+from zhuind.freealg import EPSILON
 from zhuind.linalg import RowSpace, Sparse
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
@@ -55,7 +56,7 @@ def restrict(m: AlgebraMorphism, module: FinModule) -> FinModule:
     if module.owner is not m.target:
         raise ValueError("restrict expects a module over the morphism target")
     columns = [module.evaluate(el.poly) for el in m.images]
-    return FinModule.from_columns(m.source, module.dim, columns, f"Res({module.label})")
+    return FinModule(m.source, module.dim, columns, f"Res({module.label})")
 
 
 def kernel_action_radical(m: AlgebraMorphism, kernel_gens: list, module: FinModule) -> RowSpace:
@@ -81,13 +82,6 @@ def induce(
     reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical.dim else module
 
     nm = reduced.dim
-    label = f"Ind({module.label})"
-
-    if nm == 0:
-        zero = FinModule(target, 0, {}, label)
-        rec = DecompositionRecord((), 0) if irreducibles is not None else None
-        return InductionResult(zero, [], 0, rec, _voa_label(rec, voa_labels))
-
     relations = _relations(m, reduced)
     comp = relations.complement_columns()
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
@@ -100,8 +94,8 @@ def induce(
 
     # left action of each target generator on the quotient coordinates: column of a_i (x) v_j from g * a_i
     columns = [[quotient_column(products[flat // nm], flat % nm) for flat in comp] for products in target.gen_products]
-    induced = FinModule.from_columns(target, len(comp), columns, label)
-    one_coords = target.coords(target.system.reduce(NcPoly.one()))
+    induced = FinModule(target, len(comp), columns, f"Ind({module.label})")
+    one_coords = target.coords(target.system.reduce_word(EPSILON))
     unit = [quotient_column(one_coords, j) for j in range(nm)]
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
@@ -112,10 +106,9 @@ def _relations(m: AlgebraMorphism, reduced: FinModule) -> RowSpace:
     """Span of (a_i * m(g)) (x) v_j - a_i (x) (g v_j), over the flat index k * nm + l of a_k (x) v_l."""
     nt, nm = len(m.target.basis), reduced.dim
     relations = RowSpace(nt * nm)
-    for i in range(nt):
-        for products, g_cols in zip(m.image_products, reduced.columns):
-            left_nz = products[i]  # a_i * m(g) over the target basis
-            for j, col in enumerate(g_cols):
+    for products, g_cols in zip(m.image_products, reduced.columns):
+        for j, col in enumerate(g_cols):
+            for i, left_nz in enumerate(products):  # a_i * m(g) over the target basis
                 vec = {k * nm + j: x for k, x in left_nz.items()}
                 for l, x in col.items():
                     vec[i * nm + l] = vec.get(i * nm + l, 0) - x

@@ -70,7 +70,6 @@ class AlgebraBlock:
     gens: list[str]
     precedence: list[str]  # names, greatest first; defaults to declaration order
     relations: list[NcPoly]
-    line: int = 0
 
     def order(self) -> MonomialOrder:
         ranked = [self.gens.index(n) for n in self.precedence]
@@ -86,7 +85,6 @@ class MorphismBlock:
     source: str
     target: str
     images: dict[str, NcPoly]  # source generator name -> target polynomial
-    line: int = 0
 
 
 @dataclass
@@ -95,7 +93,6 @@ class ModuleBlock:
     algebra: str
     dim: int
     actions: dict[str, list[list[Fraction]]]
-    line: int = 0
 
 
 Block = AlgebraBlock | MorphismBlock | ModuleBlock
@@ -235,7 +232,7 @@ class _Parser:
                 raise ParseError("relation is zero", rel_tok.line, rel_tok.col)
             relations.append(rel)
         self.expect("end")
-        return AlgebraBlock(name, gens, precedence, relations, head.line)
+        return AlgebraBlock(name, gens, precedence, relations)
 
     def parse_matrix(self, dim: int) -> list[list[Fraction]]:
         open_tok = self.expect("[")
@@ -304,7 +301,7 @@ def parse(text: str) -> SourceFile:
                 parser.expect("=>")
                 images[g_tok.text] = parser.parse_poly(tgt_map)
             parser.expect("end")
-            block = MorphismBlock(name, source, target, images, head.line)
+            block = MorphismBlock(name, source, target, images)
         elif tok.text == "module":
             head = parser.expect("module")
             name = parser.expect_name().text
@@ -327,7 +324,7 @@ def parse(text: str) -> SourceFile:
                 parser.expect("=")
                 actions[g_tok.text] = parser.parse_matrix(dim)
             parser.expect("end")
-            block = ModuleBlock(name, owner, dim, actions, head.line)
+            block = ModuleBlock(name, owner, dim, actions)
         else:
             raise ParseError(f"expected a block keyword, found {tok.text!r}", tok.line, tok.col)
         if (tok.text, block.name) in seen:

@@ -2,23 +2,25 @@
 
 Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``), and a
 module action, an intertwiner or a unit map is a list of sparse columns;
-dense matrices (``Mat``) are kept only for the dense view of a module's
-actions and for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced
-row echelon basis as sparse primitive integer rows (pivot column ->
-{column: int}), each with a positive pivot entry and zero at every other
-pivot, so reducing a mostly zero vector touches only its nonzero entries.
-Elimination inside it is fraction-free; ``Fraction`` values are built
-only where results leave it.  It never modifies a caller's vector.
-``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
-a unit pivot or free entry, in ascending columns.  ``rank`` and
-``invert`` insert the rows of a dense matrix into a ``RowSpace``, so
-there is one elimination loop and one kernel routine.  All arithmetic is
-exact.
+``linear_combination`` is the one sum of scaled sparse vectors (a matrix
+times a vector, a product of algebra elements); dense matrices (``Mat``)
+are kept only for the dense view of a module's actions and for ``rank``
+and ``invert``.  ``RowSpace`` keeps a reduced row echelon basis as
+sparse primitive integer rows (pivot column -> {column: int}), each with
+a positive pivot entry and zero at every other pivot, so reducing a
+mostly zero vector touches only its nonzero entries.  Elimination inside
+it is fraction-free; ``Fraction`` values are built only where results
+leave it.  It never modifies a caller's vector.  ``RowSpace.basis`` and
+``RowSpace.nullspace`` return sparse vectors with a unit pivot or free
+entry, in ascending columns.  ``rank`` and ``invert`` insert the rows of
+a dense matrix into a ``RowSpace``, so there is one elimination loop and
+one kernel routine.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +28,14 @@ from zhuind.freealg import _add_scaled
 
 Mat = list[list[Fraction]]
 Sparse = dict[int, Fraction]
+
+
+def linear_combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Sparse:
+    """The sum of ``c * v`` over the ``(c, v)`` pairs, as a new sparse vector with nonzero entries only."""
+    acc: Sparse = {}
+    for c, v in terms:
+        _add_scaled(acc, c, v)
+    return acc
 
 
 def mat_of_columns(columns: list[Sparse], nrows: int) -> Mat:

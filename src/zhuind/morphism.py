@@ -73,12 +73,12 @@ class AlgebraMorphism:
         return f"<morphism {self.name}>"
 
 
-def compose(first: AlgebraMorphism, second: AlgebraMorphism, name: str = "") -> AlgebraMorphism:
+def compose(first: AlgebraMorphism, second: AlgebraMorphism) -> AlgebraMorphism:
     """second after first; images of ``first`` pushed through ``second``."""
     if first.target is not second.source:
         raise ValueError("morphisms do not compose")
     images = [Element(second.target, second.apply_poly(el.poly)) for el in first.images]
-    return AlgebraMorphism(first.source, second.target, images, name or f"{second.name}o{first.name}")
+    return AlgebraMorphism(first.source, second.target, images, f"{second.name}o{first.name}")
 
 
 def check_well_defined(m: AlgebraMorphism) -> list[Violation]:

@@ -2,10 +2,11 @@
 
 A module over a presented algebra stores the action of each generator as
 a list of sparse columns (column j: the image of basis vector j, nonzero
-entries only); ``check_module`` substitutes the actions into every
-relation of the owner.  Hom spaces are computed exactly as intertwiner
-nullspaces, and semisimple decompositions read multiplicities off hom
-dimensions.
+entries only), taken as is by the constructor or built by
+``from_named_actions`` from dense matrices keyed by generator name.
+``check_module`` substitutes the actions into every relation of the
+owner.  Hom spaces are computed exactly as intertwiner nullspaces, and
+semisimple decompositions read multiplicities off hom dimensions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 from zhuind.algebra import AlgebraHandle
 from zhuind.freealg import NcPoly, Word, _add_scaled
-from zhuind.linalg import Mat, RowSpace, Sparse, mat_of_columns
+from zhuind.linalg import Mat, RowSpace, Sparse, linear_combination, mat_of_columns
 
 Columns = list[Sparse]  # one sparse column per basis vector
 
@@ -24,39 +25,19 @@ Columns = list[Sparse]  # one sparse column per basis vector
 class FinModule:
     """A module given by the action of each generator of ``owner``.
 
-    ``columns[g]`` is the action of generator g as sparse columns, with no
-    stored zeros: the one stored form, fixed after construction.  The
-    constructor takes dense matrices; ``from_columns`` takes the stored
-    form as is.  ``actions`` is a dense view of it, built on first use.
-    ``action_of_word`` keeps the action of every word it has computed, in
-    a prefix tree: a word costs one sparse product per letter past its
-    longest known prefix.  Columns, word actions and the dense view are
-    shared between callers and must not be mutated.
+    ``columns[g]`` is the action of generator g as sparse ``Fraction``
+    columns, with no stored zeros: the one stored form, kept as given and
+    fixed after construction.  ``from_named_actions`` builds it from dense
+    matrices keyed by generator name.  ``actions`` is a dense view of it,
+    built on first use.  ``action_of_word`` keeps the action of every word
+    it has computed, in a prefix tree: a word costs one sparse product per
+    letter past its longest known prefix.  Columns, word actions and the
+    dense view are shared between callers and must not be mutated.
     """
 
-    def __init__(self, owner: AlgebraHandle, dim: int, actions: dict[int, Mat], label: str = ""):
-        columns = []
-        for g in range(len(owner.gen_names)):
-            mat = actions.get(g, [[0] * dim] * dim)
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise ValueError(f"action of {owner.gen_names[g]} must be {dim}x{dim}")
-            cols: Columns = [{} for _ in range(dim)]
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        # Fraction is immutable, so an entry that already is one is shared, not rebuilt
-                        cols[j][i] = x if type(x) is Fraction else Fraction(x)
-            columns.append(cols)
-        self._setup(owner, dim, columns, label)
-
-    @classmethod
-    def from_columns(cls, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str = "") -> "FinModule":
-        """A module from one list of sparse ``Fraction`` columns per generator, kept without a copy."""
-        module = cls.__new__(cls)
-        module._setup(owner, dim, columns, label)
-        return module
-
-    def _setup(self, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str) -> None:
+    def __init__(self, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str = ""):
+        if type(columns) is not list or len(columns) != len(owner.gen_names):
+            raise ValueError("columns must be a list with one entry per generator; dense matrices go through from_named_actions")
         self.owner = owner
         self.dim = dim
         self.columns = columns
@@ -64,15 +45,25 @@ class FinModule:
         # prefix tree of word actions: node = (action of the word, {letter: child node})
         self._word_actions: tuple[Columns, dict] = ([{j: Fraction(1)} for j in range(dim)], {})
 
+    @staticmethod
+    def from_named_actions(owner: AlgebraHandle, dim: int, named: dict[str, Mat], label: str = "") -> "FinModule":
+        """A module from one dense ``dim x dim`` matrix per generator name; a generator not named acts as 0."""
+        columns: list[Columns] = [[{} for _ in range(dim)] for _ in owner.gen_names]
+        for name, mat in named.items():
+            cols = columns[owner.gen_names.index(name)]
+            if len(mat) != dim or any(len(row) != dim for row in mat):
+                raise ValueError(f"action of {name} must be {dim}x{dim}")
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    if x:
+                        # Fraction is immutable, so an entry that already is one is shared, not rebuilt
+                        cols[j][i] = x if type(x) is Fraction else Fraction(x)
+        return FinModule(owner, dim, columns, label)
+
     @cached_property
     def actions(self) -> dict[int, Mat]:
         """One dense matrix per generator: a read-only view of ``columns``."""
         return {g: mat_of_columns(cols, self.dim) for g, cols in enumerate(self.columns)}
-
-    @staticmethod
-    def from_named_actions(owner: AlgebraHandle, dim: int, named: dict[str, Mat], label: str = "") -> "FinModule":
-        actions = {owner.presentation.gen_index(name): mat for name, mat in named.items()}
-        return FinModule(owner, dim, actions, label)
 
     def action_of_word(self, word: Word) -> Columns:
         """The action of ``word`` as sparse columns: shared and read-only (see the class docstring)."""
@@ -169,10 +160,7 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
 
 def _apply(cols: Columns, v: Sparse) -> Sparse:
     """The matrix with columns ``cols`` times a sparse vector, nonzero entries only."""
-    out: Sparse = {}
-    for j, x in v.items():
-        _add_scaled(out, x, cols[j])
-    return out
+    return linear_combination((x, cols[j]) for j, x in v.items())
 
 
 def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
@@ -181,7 +169,7 @@ def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
     queue = list(seeds)
     while queue and space.dim < module.dim:
         v = queue.pop()
-        if space.add(v):
+        if space.add(v) and space.dim < module.dim:
             queue.extend(_apply(cols, v) for cols in module.columns)
     return space
 
@@ -197,11 +185,11 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
     # a reduced vector is zero at every pivot, so its entries sit in complement columns
     pos = {i: row_idx for row_idx, i in enumerate(comp)}
     columns = [[{pos[i]: x for i, x in space.reduce(cols[j]).items()} for j in comp] for cols in module.columns]
-    return FinModule.from_columns(module.owner, len(comp), columns, label or f"{module.label}/sub")
+    return FinModule(module.owner, len(comp), columns, label or f"{module.label}/sub")
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:
     """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
     if handle.basis is None:
         raise ValueError("regular module needs a finite-dimensional algebra")
-    return FinModule.from_columns(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")
+    return FinModule(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")

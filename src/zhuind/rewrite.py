@@ -44,6 +44,7 @@ INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
 TRACE_BUDGET = 10_000  # cofactor atoms allowed in one rule trace
 RULE_BUDGET = 4000  # rules allowed at once during one completion
+FUZZ_MAX_LEN = 5  # the longest word in a random polynomial of confluence_fuzz
 
 # one summand  c * (left) * relation[idx] * (right)
 TraceAtom = tuple[Fraction, Word, int, Word]
@@ -477,7 +478,6 @@ def confluence_fuzz(
     trials: int,
     n_gens: int,
     seed: int = 0,
-    max_len: int = 5,
     seeds: list[NcPoly] | None = None,
 ) -> NcPoly | None:
     """Compare random-strategy reduction against the canonical one.
@@ -492,7 +492,7 @@ def confluence_fuzz(
         else:
             terms: dict[Word, Fraction] = {}
             for _ in range(rng.randint(1, 4)):
-                w = tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, max_len)))
+                w = tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, FUZZ_MAX_LEN)))
                 terms[w] = terms.get(w, Fraction(0)) + Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             p = NcPoly(terms)
         if _rewrite(p, system._rule_dict, system.order, rng)[0] != system.reduce(p):

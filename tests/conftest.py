@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense import mat_mul, zeros
+from dense import dense_module, mat_mul, zeros
 from zhuind import catalog
 from zhuind.linalg import RowSpace, invert
 from zhuind.repmod import FinModule
@@ -49,7 +49,7 @@ def permuted_copy():
             p[i][j] = Fraction(1)
         pinv = invert(p)
         actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
-        return FinModule(module.owner, module.dim, actions, label or f"{module.label}~")
+        return dense_module(module.owner, module.dim, actions, label or f"{module.label}~")
 
     return build
 
@@ -61,7 +61,7 @@ def direct_sum():
     def build(a, b):
         assert a.owner is b.owner
         columns = [ca + [{a.dim + i: x for i, x in col.items()} for col in cb] for ca, cb in zip(a.columns, b.columns)]
-        return FinModule.from_columns(a.owner, a.dim + b.dim, columns, f"{a.label}+{b.label}")
+        return FinModule(a.owner, a.dim + b.dim, columns, f"{a.label}+{b.label}")
 
     return build
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from zhuind.repmod import FinModule
+
 
 def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
@@ -24,3 +26,8 @@ def mat_mul(a, b):
                 for j in range(m):
                     out[i][j] += a[i][t] * b[t][j]
     return out
+
+
+def dense_module(owner, dim, actions, label=""):
+    """A module from dense matrices keyed by generator index; a generator not given acts as 0."""
+    return FinModule.from_named_actions(owner, dim, {owner.gen_names[g]: mat for g, mat in actions.items()}, label)

@@ -283,7 +283,7 @@ def test_associativity_failures_empty_on_catalog(va1, va2):
 def test_associativity_failures_catch_one_corrupted_structure_constant(va2):
     broken = copy.copy(va2)
     broken.structure = copy.deepcopy(va2.structure)
-    g = va2.presentation.gen_index
+    g = va2.gen_names.index
     i, j = va2.basis_index[(g("x_a"),)], va2.basis_index[(g("x_ma"),)]  # x_a x_ma = 1/2 x x + 1/2 x
     k = next(iter(broken.structure[i][j]))
     broken.structure[i][j][k] *= 2

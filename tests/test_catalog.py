@@ -121,7 +121,7 @@ def test_module_family_parameter_count_is_checked(params):
 def test_uhalf_matrices_match_stated_family():
     mod = catalog.module("vp_mod_Uhalf", (F(1, 2),))
     vp = catalog.algebra("a_vp")
-    gi = vp.presentation.gen_index
+    gi = vp.gen_names.index
     assert mod.actions[gi("x")] == [[F(1), F(0)], [F(0), F(-1)]]
     assert mod.actions[gi("y")] == [[F(0), F(0)], [F(0), F(1)]]
     assert mod.actions[gi("x_b")] == [[F(0), F(0)], [F(0), F(0)]]
@@ -130,7 +130,7 @@ def test_uhalf_matrices_match_stated_family():
 def test_u0_module_is_scalar_line():
     mod = catalog.module("vp_mod_U0", (F(7, 3),))
     vp = catalog.algebra("a_vp")
-    gi = vp.presentation.gen_index
+    gi = vp.gen_names.index
     assert mod.dim == 1
     assert mod.actions[gi("y")] == [[F(7, 3)]]
     for name in ("x", "x_a", "x_ma", "x_b", "x_ab"):
@@ -141,7 +141,7 @@ def test_rank_two_irreducibles_highest_weight_pairs():
     # highest vector: killed by the raising generators, Cartan eigenvalues
     # (1, 0) on the 3-dim module L_lambda_alpha and (0, 1) on L_lambda_beta
     va2 = catalog.algebra("a_va2")
-    gi = va2.presentation.gen_index
+    gi = va2.gen_names.index
     for mod_id, pair in (("va2_L_lambda_alpha", (1, 0)), ("va2_L_lambda_beta", (0, 1))):
         mod = catalog.module(mod_id)
         highest = [F(1), F(0), F(0)]

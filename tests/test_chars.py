@@ -54,7 +54,7 @@ def test_symmetry_check_catches_a_module_that_breaks_relations(va1):
     # h acts with eigenvalues 2, -1, so e h + e and h h - h - 2 f e fail; trace(M_i M_j)
     # still equals trace(M_j M_i), but not the character of the reduced product b_i b_j
     bad = FinModule.from_named_actions(va1, 2, {"e": [[0, 1], [0, 0]], "f": [[0, 0], [1, 0]], "h": [[2, 0], [0, -1]]})
-    g = va1.presentation.gen_index
+    g = va1.gen_names.index
     e, f, h, hh = (va1.basis_index[w] for w in [(g("e"),), (g("f"),), (g("h"),), (g("h"), g("h"))])
     assert sorted(symmetry_violations(bad)) == sorted([(e, f), (f, e), (h, hh), (hh, h), (hh, hh)])
 

@@ -10,8 +10,8 @@ import zhuind
 # and the command; a change that moves a --json report, a verbose verification detail or an
 # induction report changes one of them
 PINNED_DIGESTS = [
-    "b3d598d075621c6d93718e55390d193ffe4c73f64b0fe8a2ae3ce6b52dc18e2d  exit=1  verify all --json",
-    "e8c49cdccb85c52b396a62599c4585cd716e045501951b444799b24a2f54bef4  exit=1  verify all --verbose",
+    "f9d9e60f930c89f6be8419975d1b90c442423eb757e2a5217fab2f528c8e43ee  exit=1  verify all --json",
+    "5ca46c713194e38aaee9769dd7934358ab3914700cdc7ce641d6d18108c76d3c  exit=1  verify all --verbose",
     "4e76135938d66c57c89490bcecfebb6b6b1cb073b6a2cc2008aed242ef7bb6d6  exit=0  kernel --via heis_to_va1 --json",
     "92085b71d1c6603c10de34fd3d80164d1311bf3fb5b4ec536a0096d95324a946  exit=0  kernel --via vb_to_va1 --json",
     "53114b70fdc040f2c9375aa50b9241e0d30698a54a9de6100b3f4828c4f6f7a2  exit=0  kernel --via vir_to_va1 --json",

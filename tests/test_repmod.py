@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import identity, mat_mul, zeros
+from dense import dense_module, identity, mat_mul, zeros
 from zhuind import catalog
 from zhuind.freealg import NcPoly
 from zhuind.linalg import RowSpace, mat_of_columns
@@ -28,7 +28,7 @@ def test_check_module_l_half_passes(va1):
 
 
 def test_check_module_zero_dimensional(va1):
-    assert check_module(FinModule(va1, 0, {})) == []
+    assert check_module(dense_module(va1, 0, {})) == []
 
 
 def test_check_module_bad_cartan_violates(va1):
@@ -109,6 +109,17 @@ def test_submodule_closure_empty(va1):
 def test_submodule_closure_irreducible_fills(va1):
     L = catalog.module("va1_L_half")
     assert submodule_closure(L, [{0: F(1)}]).dim == 2
+
+
+def test_submodule_closure_maps_no_vector_once_the_space_is_full(va1, monkeypatch):
+    from zhuind import repmod
+
+    L, calls = catalog.module("va1_L_half"), []
+    apply = repmod._apply
+    monkeypatch.setattr(repmod, "_apply", lambda cols, v: calls.append(v) or apply(cols, v))
+    assert submodule_closure(L, [{0: F(1)}]).dim == 2
+    # the seed's images under the three generators; the vector that fills the space is not mapped
+    assert len(calls) == len(va1.gen_names) == 3
 
 
 def test_submodule_closure_left_ideal_of_squared_cartan(va1):
@@ -209,7 +220,7 @@ def dense_actions(draw, dim=None):
 @st.composite
 def action_modules(draw, dim=None):
     """A module over a_va1 with random actions (the relations need not hold)."""
-    return FinModule(catalog.algebra("a_va1"), *draw(dense_actions(dim)))
+    return dense_module(catalog.algebra("a_va1"), *draw(dense_actions(dim)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +259,7 @@ def disjoint_spectra_pairs(draw):
             for j in range(i):
                 row[j] = 0
             row[i] = F(sign * (i + 1))
-        modules.append(FinModule(owner, n, actions))
+        modules.append(dense_module(owner, n, actions))
     return tuple(modules)
 
 
@@ -263,8 +274,8 @@ def test_hom_space_stops_once_the_first_generator_fills_the_space(recorded_adds,
 
 
 def test_hom_space_of_one_dimensional_modules_with_distinct_scalars_is_zero(recorded_adds, va1):
-    a = FinModule(va1, 1, {0: [[F(1)]], 1: [[F(2)]], 2: [[F(3)]]})
-    b = FinModule(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(3)]]})
+    a = dense_module(va1, 1, {0: [[F(1)]], 1: [[F(2)]], 2: [[F(3)]]})
+    b = dense_module(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(3)]]})
     with recorded_adds() as grew:
         assert hom_space(a, b) == []
     assert grew == [True]
@@ -286,7 +297,7 @@ def assert_sparse_form(module):
 @given(dense_actions(), st.lists(st.lists(st.integers(0, 2), max_size=4).map(tuple), max_size=4))
 def test_stored_columns_hold_no_zero_and_give_back_the_dense_input(dim_actions, words):
     dim, actions = dim_actions
-    module = FinModule(catalog.algebra("a_va1"), dim, actions)
+    module = dense_module(catalog.algebra("a_va1"), dim, actions)
     assert_sparse_form(module)
     assert module.actions == actions
     assert module.actions is module.actions  # built once
@@ -297,14 +308,14 @@ def test_stored_columns_hold_no_zero_and_give_back_the_dense_input(dim_actions, 
 
 
 def test_missing_generators_act_as_zero(va1):
-    module = FinModule(va1, 2, {1: [[0, 1], [0, 0]]})
+    module = dense_module(va1, 2, {1: [[0, 1], [0, 0]]})
     assert module.columns == [[{}, {}], [{}, {0: F(1)}], [{}, {}]]
     assert module.actions == {0: [[F(0), F(0)], [F(0), F(0)]], 1: [[F(0), F(1)], [F(0), F(0)]], 2: [[F(0), F(0)], [F(0), F(0)]]}
 
 
 def test_word_actions_drop_entries_that_cancel(va1):
     # generator 0 times generator 1 acts as 0: column 0 of the second is v0 - v1, and the first sends both to v0
-    module = FinModule(va1, 2, {0: [[1, 1], [0, 0]], 1: [[1, 0], [-1, 0]]})
+    module = dense_module(va1, 2, {0: [[1, 1], [0, 0]], 1: [[1, 0], [-1, 0]]})
     assert module.action_of_word((0, 1)) == [{}, {}]
     assert module.evaluate(NcPoly({(0, 1): F(1), (): F(2)})) == [{0: F(2)}, {1: F(2)}]
 
@@ -376,7 +387,7 @@ def test_memoised_word_actions_match_the_product_chain_in_any_order(module, call
 
 def test_evaluate_walks_a_long_word_without_recursion(va1):
     # a prefix walk that recursed once per letter would pass the default recursion limit
-    mod = FinModule(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(1, 2)]]})
+    mod = dense_module(va1, 1, {0: [[F(-1)]], 1: [[F(2)]], 2: [[F(1, 2)]]})
     word = tuple((i * i + i // 7) % 3 for i in range(3000))
     value = F(1)
     for g in word:
@@ -410,7 +421,22 @@ def test_regular_module_matches_re_reduced_actions(va1, va2):
 def test_fin_module_shares_fraction_entries_and_converts_the_rest(va1):
     half = F(1, 2)
     mod = FinModule.from_named_actions(va1, 2, {"h": [[half, 0], [0, -1]]})
-    h = va1.presentation.gen_index("h")
+    h = va1.gen_names.index("h")
     assert mod.actions[h][0][0] is half
     assert mod.actions[h] == [[F(1, 2), F(0)], [F(0), F(-1)]]
     assert all(type(x) is Fraction for mat in mod.actions.values() for row in mat for x in row)
+
+
+def test_named_actions_reject_a_wrong_size_and_an_unknown_generator(va1):
+    with pytest.raises(ValueError, match="action of h must be 2x2"):
+        FinModule.from_named_actions(va1, 2, {"h": [[1, 0], [0, 1, 0]]})
+    with pytest.raises(ValueError):
+        FinModule.from_named_actions(va1, 1, {"q": [[1]]})
+
+
+def test_constructor_rejects_dense_matrices_keyed_by_generator(va1):
+    # the stored form is one list of sparse columns per generator; dense input goes through from_named_actions
+    with pytest.raises(ValueError, match="from_named_actions"):
+        FinModule(va1, 1, {g: [[F(1)]] for g in range(len(va1.gen_names))})
+    with pytest.raises(ValueError, match="one entry per generator"):
+        FinModule(va1, 1, [[{0: F(1)}]])

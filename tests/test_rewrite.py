@@ -693,7 +693,10 @@ def test_complete_rereduces_only_right_hand_sides_the_new_rule_rewrites(monkeypa
     pres = catalog.presentation(alg_id)
     system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
     assert system.rules == catalog.algebra(alg_id).system.rules
-    assert all(deltas)  # every call rewrote something
+    if alg_id == "a_va1":
+        assert deltas == []  # no rule of a_va1 gets a right-hand side to rebuild
+    else:
+        assert deltas and all(deltas)  # a_va2 rebuilds 11 right-hand sides and a_vp 2; each call rewrote something
 
 
 def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):

@@ -107,13 +107,13 @@ class AlgebraHandle:
 
     def times_basis(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
-        coords, table = self.coords(p).items(), self.structure
-        return [linear_combination((x, table[h][i]) for h, x in coords) for i in range(len(table))]
+        coords = self.coords(p)
+        return [linear_combination(coords, column) for column in zip(*self.structure)]
 
     def basis_times(self, p: NcPoly) -> list[Sparse]:
         """For each basis index i, the coordinates of ``basis[i] * p`` (``p`` reduced)."""
-        coords = self.coords(p).items()
-        return [linear_combination((y, row[j]) for j, y in coords) for row in self.structure]
+        coords = self.coords(p)
+        return [linear_combination(coords, row) for row in self.structure]
 
     @cached_property
     def gen_products(self) -> list[list[Sparse]]:
@@ -127,7 +127,7 @@ class AlgebraHandle:
     def mul_coords(self, a: Sparse, b: Sparse) -> Sparse:
         """Product via structure constants."""
         table = self.structure
-        return linear_combination((x * y, table[i][j]) for i, x in a.items() for j, y in b.items())
+        return linear_combination(a, {i: linear_combination(b, table[i]) for i in a})
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """Basis triples (i, j, k) with ``(e_i e_j) e_k != e_i (e_j e_k)`` in the structure constants.
@@ -136,14 +136,15 @@ class AlgebraHandle:
         costs the nonzero entries of ``e_i e_j`` and ``e_j e_k``.
         """
         table = self.structure
+        columns = list(zip(*table))
         nb = len(table)
         failures = []
         for i in range(nb):
             for j in range(nb):
                 ij = table[i][j]
                 for k in range(nb):
-                    left = linear_combination((x, table[m][k]) for m, x in ij.items())
-                    right = linear_combination((x, table[i][m]) for m, x in table[j][k].items())
+                    left = linear_combination(ij, columns[k])
+                    right = linear_combination(table[j][k], table[i])
                     if left != right:
                         failures.append((i, j, k))
         return failures

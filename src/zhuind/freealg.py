@@ -5,8 +5,13 @@ polynomials are finite maps from words to nonzero ``Fraction`` values, and
 the only monomial order is degree-lexicographic with a per-presentation
 precedence on generators.  Everything here is immutable and pure.
 ``NcPoly.sandwich`` forms one rewrite step's ``left * p * right``
-without the general product, and ``_add_scaled`` accumulates a linear
-combination of term maps in place.
+without the general product.  ``_add_scaled`` is the one sparse
+accumulate loop: it adds a scaled term map to another in place, and the
+polynomial sum, difference and product, the rewriting layer and every
+sparse vector sum in ``linalg`` go through it.  Its values may be ``int``
+(the integer rows of ``linalg.RowSpace``) or ``Fraction``; ``c == 0``
+is a no-op, and a new key may store the caller's own value object,
+which is safe because both types are immutable.
 """
 
 from __future__ import annotations
@@ -42,19 +47,31 @@ class MonomialOrder:
         return (len(w), tuple(self.precedence[g] for g in w))
 
 
-def _add_scaled(acc: dict, c: Fraction, terms: dict) -> None:
-    """``acc += c * terms`` in place, for any maps to ``Fraction``.
+def _add_scaled(acc: dict, c: Fraction | int, terms: dict) -> None:
+    """``acc += c * terms`` in place, for maps to nonzero ``int`` or ``Fraction`` values.
 
     A key already in ``acc`` keeps its place, a new key is appended and a
     key that cancels is removed, exactly as ``acc + terms.scale(c)`` orders
-    its terms.
+    its terms.  ``c == 0`` (or no terms) leaves ``acc`` as it is, before
+    any per-term work.  A new key stores ``x * c``, or, when ``c == 1``,
+    the value object ``x`` of ``terms`` itself (``int`` and ``Fraction``
+    are immutable), so no value is ever added to 0 and no zero is stored.
     """
+    if not terms or not c:
+        return
+    unit = c == 1
     for k, x in terms.items():
-        y = acc.get(k, 0) + c * x
-        if y:
-            acc[k] = y
+        if not unit:
+            x = x * c
+        y = acc.get(k)
+        if y is None:
+            acc[k] = x
         else:
-            acc.pop(k, None)
+            y = y + x
+            if y:
+                acc[k] = y
+            else:
+                del acc[k]
 
 
 class NcPoly:
@@ -71,7 +88,8 @@ class NcPoly:
         if terms:
             for w, c in terms.items():
                 if c:
-                    cleaned[w] = Fraction(c)
+                    # Fraction is immutable, so a value that already is one is kept, not rebuilt
+                    cleaned[w] = c if type(c) is Fraction else Fraction(c)
         self.terms = cleaned
 
     # -- constructors -------------------------------------------------
@@ -114,15 +132,9 @@ class NcPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
         out = NcPoly()
-        out.terms = terms
+        out.terms = dict(self.terms)
+        _add_scaled(out.terms, 1, other.terms)
         return out
 
     def __neg__(self) -> "NcPoly":
@@ -131,7 +143,10 @@ class NcPoly:
         return out
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
+        out = NcPoly()
+        out.terms = dict(self.terms)
+        _add_scaled(out.terms, -1, other.terms)
+        return out
 
     def scale(self, c: Fraction | int) -> "NcPoly":
         c = Fraction(c)
@@ -153,17 +168,9 @@ class NcPoly:
     def __mul__(self, other: "NcPoly | Fraction | int") -> "NcPoly":
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
-        terms: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, Fraction(0)) + c1 * c2
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
         out = NcPoly()
-        out.terms = terms
+        for w1, c1 in self.terms.items():
+            _add_scaled(out.terms, c1, {w1 + w2: c2 for w2, c2 in other.terms.items()})
         return out
 
     def __rmul__(self, other: "Fraction | int") -> "NcPoly":

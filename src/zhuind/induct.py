@@ -84,13 +84,11 @@ def induce(
     nm = reduced.dim
     relations = _relations(m, reduced)
     comp = relations.complement_columns()
-    # a reduced vector is zero at every pivot, so its entries sit in complement columns
-    pos = {flat: row for row, flat in enumerate(comp)}
+    to_quotient = relations.quotient_map()
 
     def quotient_column(coords: Sparse, j: int) -> Sparse:
         """The quotient coordinates of (target element) (x) v_j."""
-        vec = relations.reduce({k * nm + j: x for k, x in coords.items()})
-        return {pos[flat]: x for flat, x in vec.items()}
+        return to_quotient({k * nm + j: x for k, x in coords.items()})
 
     # left action of each target generator on the quotient coordinates: column of a_i (x) v_j from g * a_i
     columns = [[quotient_column(products[flat // nm], flat % nm) for flat in comp] for products in target.gen_products]
@@ -111,7 +109,8 @@ def _relations(m: AlgebraMorphism, reduced: FinModule) -> RowSpace:
             for i, left_nz in enumerate(products):  # a_i * m(g) over the target basis
                 vec = {k * nm + j: x for k, x in left_nz.items()}
                 for l, x in col.items():
-                    vec[i * nm + l] = vec.get(i * nm + l, 0) - x
+                    y = vec.get(i * nm + l)
+                    vec[i * nm + l] = -x if y is None else y - x
                 # a full span kills the whole tensor product; no further row can change that
                 if relations.add(vec) and relations.dim == nt * nm:
                     return relations

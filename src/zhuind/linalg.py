@@ -2,25 +2,32 @@
 
 Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``), and a
 module action, an intertwiner or a unit map is a list of sparse columns;
-``linear_combination`` is the one sum of scaled sparse vectors (a matrix
-times a vector, a product of algebra elements); dense matrices (``Mat``)
-are kept only for the dense view of a module's actions and for ``rank``
-and ``invert``.  ``RowSpace`` keeps a reduced row echelon basis as
-sparse primitive integer rows (pivot column -> {column: int}), each with
-a positive pivot entry and zero at every other pivot, so reducing a
-mostly zero vector touches only its nonzero entries.  Elimination inside
-it is fraction-free; ``Fraction`` values are built only where results
+``linear_combination(coeffs, vectors)`` is the one sum of scaled sparse
+vectors (a matrix times a vector, a product of algebra elements), and it
+and the elimination steps accumulate through ``freealg._add_scaled``, so
+a coefficient 0 adds nothing, a coefficient 1 stores the vector's own
+values and a result may share the caller's (immutable) values.  Dense
+matrices (``Mat``) are kept only for the dense view of a module's
+actions and for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced
+row echelon basis as sparse primitive integer rows (pivot column ->
+{column: int}), each with a positive pivot entry and zero at every other
+pivot, so reducing a mostly zero vector touches only its nonzero
+entries.  Elimination inside it is fraction-free; an integral vector
+(``int`` or ``Fraction`` values, all denominators 1) is taken as is,
+without a rescale, and ``Fraction`` values are built only where results
 leave it.  It never modifies a caller's vector.  ``RowSpace.basis`` and
 ``RowSpace.nullspace`` return sparse vectors with a unit pivot or free
-entry, in ascending columns.  ``rank`` and ``invert`` insert the rows of
-a dense matrix into a ``RowSpace``, so there is one elimination loop and
-one kernel routine.  All arithmetic is exact.
+entry, in ascending columns, and ``RowSpace.quotient_map`` gives
+coordinates in the quotient by the space, over its complement columns.
+``rank`` and ``invert`` insert the rows of a dense matrix into a
+``RowSpace``, so there is one elimination loop and one kernel routine.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterable
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -30,11 +37,15 @@ Mat = list[list[Fraction]]
 Sparse = dict[int, Fraction]
 
 
-def linear_combination(terms: Iterable[tuple[Fraction, Sparse]]) -> Sparse:
-    """The sum of ``c * v`` over the ``(c, v)`` pairs, as a new sparse vector with nonzero entries only."""
+def linear_combination(coeffs: Sparse, vectors: Sequence[Sparse] | Mapping[int, Sparse]) -> Sparse:
+    """The sum of ``c * vectors[j]`` over the entries ``j: c`` of ``coeffs``, in their order.
+
+    A new sparse vector with nonzero entries only: a matrix with columns
+    ``vectors`` times the vector ``coeffs``.
+    """
     acc: Sparse = {}
-    for c, v in terms:
-        _add_scaled(acc, c, v)
+    for j, c in coeffs.items():
+        _add_scaled(acc, c, vectors[j])
     return acc
 
 
@@ -69,11 +80,12 @@ class RowSpace:
     it is zero at every other pivot, so it is a positive multiple of the
     reduced row with a unit pivot and the stored rows are as canonical as
     that form.  Elimination is fraction-free (Bareiss 1968): a caller's
-    vector is scaled once by the lcm of its denominators, and each step
-    cross-multiplies by the two pivot entries divided by their gcd.  Only
-    ``reduce``, ``basis`` and ``nullspace`` build ``Fraction`` values.
-    Supports incremental insertion, membership tests and reduction of a
-    sparse vector modulo the space.  ``pivots`` is sorted and ``basis()``
+    vector is scaled once by the lcm of its denominators (an integral one
+    is not rescaled), and each step cross-multiplies by the two pivot
+    entries divided by their gcd.  Only ``reduce``, ``basis`` and
+    ``nullspace`` build ``Fraction`` values.  Supports incremental
+    insertion, membership tests, reduction of a sparse vector modulo the
+    space and quotient coordinates.  ``pivots`` is sorted and ``basis()``
     lists rows by pivot column, so the basis is canonical and equality of
     subspaces is list equality.
     """
@@ -86,7 +98,10 @@ class RowSpace:
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
         """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
         den = lcm(*[x.denominator for x in vec.values()])
-        v = {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
+        if den == 1:  # an integral vector needs no rescale
+            v = {c: n for c, x in vec.items() if (n := x.numerator)}
+        else:
+            v = {c: n * (den // x.denominator) for c, x in vec.items() if (n := x.numerator)}
         rows = self.rows
         # a row is zero at every other pivot, so the pivots met are fixed upfront
         for p in [p for p in v if p in rows]:
@@ -97,6 +112,16 @@ class RowSpace:
         """``vec`` modulo the space, as a new sparse vector of ``Fraction`` values."""
         v, den = self._eliminate(vec)
         return {c: Fraction(x, den) for c, x in v.items()}
+
+    def quotient_map(self) -> Callable[[Sparse], Sparse]:
+        """The map of a vector to its coordinates modulo the space, over ``complement_columns()``.
+
+        It holds the complement columns of the space as it is now, so it is
+        valid until the next ``add`` that grows the space.
+        """
+        # a reduced vector is zero at every pivot, so its entries sit in complement columns
+        pos = {c: i for i, c in enumerate(self.complement_columns())}
+        return lambda vec: {pos[c]: x for c, x in self.reduce(vec).items()}
 
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if the dimension grew."""

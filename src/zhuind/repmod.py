@@ -71,7 +71,7 @@ class FinModule:
         for g in word:
             children = node[1]
             if g not in children:
-                children[g] = ([_apply(node[0], col) for col in self.columns[g]], {})
+                children[g] = ([linear_combination(col, node[0]) for col in self.columns[g]], {})
             node = children[g]
         return node[0]
 
@@ -129,7 +129,8 @@ def hom_space(source: FinModule, target: FinModule) -> list[Columns]:
             for j, b_col in enumerate(b_cols):
                 row = {i * m + k: x for k, x in b_col.items()}
                 for k, x in a_row.items():
-                    row[k * m + j] = row.get(k * m + j, 0) - x
+                    y = row.get(k * m + j)
+                    row[k * m + j] = -x if y is None else y - x
                 # equations of full rank leave only T = 0, and no further equation can change that
                 if space.add(row) and space.dim == n * m:
                     return []
@@ -158,11 +159,6 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
     return DecompositionRecord(tuple(entries), module.dim - used)
 
 
-def _apply(cols: Columns, v: Sparse) -> Sparse:
-    """The matrix with columns ``cols`` times a sparse vector, nonzero entries only."""
-    return linear_combination((x, cols[j]) for j, x in v.items())
-
-
 def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
     """Smallest action-stable subspace containing the seeds."""
     space = RowSpace(module.dim)
@@ -170,7 +166,7 @@ def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:
     while queue and space.dim < module.dim:
         v = queue.pop()
         if space.add(v) and space.dim < module.dim:
-            queue.extend(_apply(cols, v) for cols in module.columns)
+            queue.extend(linear_combination(v, cols) for cols in module.columns)
     return space
 
 
@@ -179,12 +175,11 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
     subs = space.basis()
     for cols in module.columns:
         for v in subs:
-            if not space.contains(_apply(cols, v)):
+            if not space.contains(linear_combination(v, cols)):
                 raise ValueError("subspace is not action-stable")
     comp = space.complement_columns()
-    # a reduced vector is zero at every pivot, so its entries sit in complement columns
-    pos = {i: row_idx for row_idx, i in enumerate(comp)}
-    columns = [[{pos[i]: x for i, x in space.reduce(cols[j]).items()} for j in comp] for cols in module.columns]
+    to_quotient = space.quotient_map()
+    columns = [[to_quotient(cols[j]) for j in comp] for cols in module.columns]
     return FinModule(module.owner, len(comp), columns, label or f"{module.label}/sub")
 
 

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, _add_scaled
 from zhuind.iolang import parse_poly_text
 
 GENS = ("e", "f", "h")
@@ -138,6 +138,65 @@ def test_sandwich_is_the_triple_product(p, a, b):
 def test_no_zero_terms_stored(p):
     assert all(c != 0 for c in p.terms.values())
     assert (p - p).is_zero()
+
+
+# -- the sparse accumulate kernel against its reference loop ----------------
+
+
+def _ref_add_scaled(acc, c, terms):
+    """``acc += c * terms`` as ``_add_scaled`` was first written: the reference."""
+    for k, x in terms.items():
+        y = acc.get(k, 0) + c * x
+        if y:
+            acc[k] = y
+        else:
+            acc.pop(k, None)
+
+
+_nonzero_int = st.integers(-6, 6).filter(bool)
+_nonzero_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+# 0, 1 and -1 as int and as Fraction, any int, any Fraction
+_scalar = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _accumulations(draw):
+    """``(acc, c, terms)`` with few keys, so keys overlap; some of ``acc`` cancels ``c * terms`` exactly.
+
+    The values are ``int`` (as in the integer rows of ``linalg.RowSpace``) or
+    ``Fraction``.
+    """
+    value = draw(st.sampled_from([_nonzero_int, _nonzero_fraction]))
+    keys = st.integers(0, 7)
+    acc = draw(st.dictionaries(keys, value, max_size=6))
+    c = draw(_scalar)
+    terms = draw(st.dictionaries(keys, value, max_size=6))
+    if c:
+        for k in draw(st.sets(st.sampled_from(sorted(terms)), max_size=len(terms)) if terms else st.just(set())):
+            acc[k] = -c * terms[k]
+    return acc, c, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_accumulations())
+@example(({0: 2, 1: 3}, 0, {0: 5, 2: 7}))
+@example(({0: 2, 1: 3}, 1, {2: 7, 1: -3, 0: 1}))
+@example(({0: Fraction(3), 2: Fraction(7)}, Fraction(-1, 7), {2: Fraction(49), 3: Fraction(14)}))
+@example(({0: Fraction(1, 2)}, -1, {1: Fraction(1, 3), 0: Fraction(1, 2)}))
+def test_add_scaled_matches_reference_loop(case):
+    acc, c, terms = case
+    ref = dict(acc)
+    _ref_add_scaled(ref, c, terms)
+    terms_before = dict(terms)
+    _add_scaled(acc, c, terms)
+    # item lists, so the key order is compared too
+    assert list(acc.items()) == list(ref.items())
+    assert all(x != 0 for x in acc.values())
+    assert terms == terms_before
 
 
 def test_rational_arithmetic_exact():

@@ -288,9 +288,14 @@ def test_rowspace_matches_dense_reference(a, rng):
     assert space.dim == ref.dim
     assert space.complement_columns() == ref.complement_columns()
     assert dense_kernel(space) == dense_nullspace(a)
-    for v in [vectors(ncols, rng) for _ in range(4)] + a:
+    vecs = [vectors(ncols, rng) for _ in range(4)] + a
+    for v in vecs:
         assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
         assert space.contains(sp(v)) == ref.contains(v)
+    # quotient coordinates: the reduced vector read at the complement columns
+    comp = ref.complement_columns()
+    to_quotient = space.quotient_map()
+    assert [dense(to_quotient(sp(v)), len(comp)) for v in vecs] == [[ref.reduce(v)[c] for c in comp] for v in vecs]
 
 
 @SETTINGS

@@ -115,8 +115,8 @@ def test_submodule_closure_maps_no_vector_once_the_space_is_full(va1, monkeypatc
     from zhuind import repmod
 
     L, calls = catalog.module("va1_L_half"), []
-    apply = repmod._apply
-    monkeypatch.setattr(repmod, "_apply", lambda cols, v: calls.append(v) or apply(cols, v))
+    combine = repmod.linear_combination
+    monkeypatch.setattr(repmod, "linear_combination", lambda v, cols: calls.append(v) or combine(v, cols))
     assert submodule_closure(L, [{0: F(1)}]).dim == 2
     # the seed's images under the three generators; the vector that fills the space is not mapped
     assert len(calls) == len(va1.gen_names) == 3

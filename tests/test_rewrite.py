@@ -422,6 +422,41 @@ def _ref_memo_reduce(system, p, memo):
     return out
 
 
+def _ref_add(p, q):
+    """``p + q`` as ``NcPoly.__add__`` looped before it called ``_add_scaled``: the reference."""
+    terms = dict(p.terms)
+    for w, c in q.terms.items():
+        s = terms.get(w, Fraction(0)) + c
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
+    out = NcPoly()
+    out.terms = terms
+    return out
+
+
+def _ref_sub(p, q):
+    """``p - q`` as ``NcPoly.__sub__`` was: the sum with a negated copy."""
+    return _ref_add(p, -q)
+
+
+def _ref_mul(p, q):
+    """``p * q`` as ``NcPoly.__mul__`` looped before it called ``_add_scaled``: the reference."""
+    terms = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            w = w1 + w2
+            s = terms.get(w, Fraction(0)) + c1 * c2
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+    out = NcPoly()
+    out.terms = terms
+    return out
+
+
 def test_reduce_keeps_reference_term_order():
     # term order reaches --json reports and the pinned digests, so compare item lists
     rng = random.Random(23)
@@ -439,9 +474,15 @@ def test_reduce_keeps_reference_term_order():
             (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), tuple(rng.randrange(n_gens) for _ in range(rng.randint(0, 2))), i, ())
             for i in rng.choices(range(len(h.presentation.relations)), k=5 if h.presentation.relations else 0)
         )
+        # the polynomial sum, difference and product against the loops they replaced
         ref = NcPoly.zero()
         for c, left, idx, right in trace:
-            ref = ref + h.presentation.relations[idx].sandwich(left, right).scale(c)
+            term = h.presentation.relations[idx].sandwich(left, right).scale(c)
+            for got, want in ((ref + term, _ref_add(ref, term)), (ref - term, _ref_sub(ref, term)), (ref * term, _ref_mul(ref, term))):
+                assert list(got.terms.items()) == list(want.terms.items())
+            total = _ref_add(ref, term)
+            assert list((total - term).terms.items()) == list(_ref_sub(total, term).terms.items())
+            ref = total
         assert list(expand_trace(h.presentation.relations, trace).terms.items()) == list(ref.terms.items())
 
 

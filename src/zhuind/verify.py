@@ -28,7 +28,6 @@ from zhuind.induct import frobenius_check, induce, kernel_action_radical, compos
 from zhuind.iolang import parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
 from zhuind.repmod import decompose
-from zhuind.rewrite import confluence_fuzz
 
 F = Fraction
 
@@ -390,10 +389,11 @@ def case_15() -> tuple[bool, str, str, list[str]]:
         ok = ok and good
         details.append(f"{alg_id}: structure constants associative on all {nb}^3 triples: {'PASS' if good else 'FAIL'}")
     for alg_id in catalog.ALGEBRA_IDS:
-        h = catalog.algebra(alg_id)
-        bad = confluence_fuzz(h.system, 500, len(h.gen_names), seed=7)
-        ok = ok and bad is None
-        details.append(f"{alg_id}: confluence fuzz 500 trials: {'PASS' if bad is None else 'FAIL'}")
+        system = catalog.algebra(alg_id).system
+        n = len(system.find_ambiguities())
+        good = not system.unresolved_ambiguities()
+        ok = ok and good
+        details.append(f"{alg_id}: {n} ambiguities, every S-polynomial reduces to 0: {'PASS' if good else 'FAIL'}")
     for mod_id in catalog.MODULE_IDS:
         bad_pairs = symmetry_violations(catalog.module(mod_id))
         ok = ok and not bad_pairs
@@ -416,7 +416,7 @@ CASES = [
     ("c12", "kernel-radical table for the parabolic module families", "PAPER", case_12),
     ("c13", "parabolic induction table", "PAPER", case_13),
     ("c14", "rational induction coefficients over the rank-one algebra", "PAPER", case_14),
-    ("c15", "property suites: reduction, associativity, fuzz, character symmetry", "DERIVED", case_15),
+    ("c15", "property suites: reduction, associativity, ambiguity resolution, character symmetry", "DERIVED", case_15),
 ]
 
 KNOWN_DEFECT_CASES = {"c02", "c11"}

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from dense import dense_module, mat_mul, zeros
 from zhuind import catalog
 from zhuind.linalg import RowSpace, invert
 from zhuind.repmod import FinModule
+from zhuind.rewrite import RewriteSystem
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +52,17 @@ def permuted_copy():
         pinv = invert(p)
         actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
         return dense_module(module.owner, module.dim, actions, label or f"{module.label}~")
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def doubled_rhs():
+    """``doubled_rhs(system, rule)``: ``system`` with ``rule``'s right-hand side doubled, every other rule kept."""
+
+    def build(system, rule):
+        rules = [dataclasses.replace(r, rhs=r.rhs.scale(2)) if r is rule else r for r in system.rules]
+        return RewriteSystem(system.order, rules, system.confluent_to_degree, system.relations)
 
     return build
 

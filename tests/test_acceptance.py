@@ -15,7 +15,8 @@ The surrounding clauses of both rows are asserted separately and pass.
 
 import pytest
 
-from zhuind import verify
+from zhuind import catalog, verify
+from zhuind.algebra import AlgebraHandle
 
 _RESULTS: dict[str, "verify.CaseResult"] = {}
 
@@ -116,3 +117,18 @@ def test_criterion_14_artin_coefficients():
 
 def test_criterion_15_property_suites():
     _assert_pass("c15")
+
+
+def test_criterion_15_fails_on_a_rule_with_a_doubled_right_hand_side(monkeypatch, doubled_rhs):
+    # x_mb x_ma -> 2 (its right-hand side) leaves 6 of a_va2's 555 ambiguities unresolved; a
+    # 500-trial random-strategy fuzz (seed 7) never meets a word on which that shows
+    va2 = catalog.algebra("a_va2")
+    names = va2.gen_names
+    (rule,) = [r for r in va2.system.rules if [names[g] for g in r.lhs] == ["x_mb", "x_ma"]]
+    mutant = AlgebraHandle(va2.presentation, doubled_rhs(va2.system, rule))
+    real = catalog.algebra
+    monkeypatch.setattr(catalog, "algebra", lambda alg_id: mutant if alg_id == "a_va2" else real(alg_id))
+    (r,) = verify.run(["c15"])
+    assert r.status == "FAIL"
+    assert "a_va2: 555 ambiguities, every S-polynomial reduces to 0: FAIL" in r.details
+    assert "a_va1: 28 ambiguities, every S-polynomial reduces to 0: PASS" in r.details

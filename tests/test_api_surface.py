@@ -29,7 +29,6 @@ CHECK_REASON = "validates the morphism blocks of a source file in check"
 
 # names kept without a caller in the package, each for a reason
 ALLOWED = {
-    "find_ambiguities": "the tests' confluence oracle for completed systems",
     "pretty_print": "the documented parse / pretty-print round trip of the source language",
     "generated_by_unit_image": "certifies the Frobenius bijection once reciprocity is checked as an explicit map",
     "regular_module": "the trace form of the regular module certifies the semisimple targets",

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zhuind import catalog, rewrite
@@ -239,6 +239,72 @@ def test_fuzz_detects_missing_completion():
 
 def test_fuzz_zero_poly_trivially_passes(va1):
     assert confluence_fuzz(va1.system, 5, 3, seed=0, seeds=[NcPoly.zero()] * 5) is None
+
+
+# -- exact confluence: every ambiguity resolves ------------------------------------
+
+
+@pytest.mark.parametrize("alg_id", catalog.ALGEBRA_IDS)
+def test_catalog_systems_have_no_unresolved_ambiguity(alg_id):
+    assert catalog.algebra(alg_id).system.unresolved_ambiguities() == []
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    # the last is the completion of the rules of the next test: e = -e there, so e -> 0
+    [[("ee", "0 e")], [("ee", "0 e"), ("hh", "0 e")], [("eh", "0 e"), ("h", "0 e")], [("hh", "h"), ("e", "0 e")]],
+    ids=["self-overlap", "disjoint", "inclusion", "completed"],
+)
+def test_confluent_rule_sets_have_no_unresolved_ambiguity(pairs):
+    assert system_from_rules(pairs).unresolved_ambiguities() == []
+
+
+def test_missing_completion_leaves_an_unresolved_ambiguity():
+    # e h h -> -e h -> e one way, e h -> -e the other
+    (amb,) = system_from_rules([("eh", "- e"), ("hh", "h")]).unresolved_ambiguities()
+    assert (amb.kind, amb.witness) == ("overlap", w("ehh"))
+
+
+def test_unresolved_inclusion_is_found():
+    # a rule set that is not interreduced: e h -> -e one way, e h -> e 0 = 0 the other
+    (amb,) = system_from_rules([("eh", "- e"), ("h", "0 e")]).unresolved_ambiguities()
+    assert (amb.kind, amb.witness, amb.offset) == ("inclusion", w("eh"), 1)
+
+
+@pytest.mark.parametrize("k", range(48))
+def test_every_doubled_right_hand_side_of_va2_leaves_an_ambiguity_unresolved(k, doubled_rhs):
+    system = catalog.algebra("a_va2").system
+    rules = [r for r in system.rules if not r.rhs.is_zero()]
+    assert len(rules) == 48
+    assert doubled_rhs(system, rules[k]).unresolved_ambiguities()
+
+
+@st.composite
+def _small_presentations(draw):
+    n_gens = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, n_gens - 1), min_size=1, max_size=3).map(tuple)
+    coeff = st.sampled_from((1, -1, 2, -2)).map(Fraction)
+    poly = st.dictionaries(word, coeff, min_size=1, max_size=3).map(NcPoly)
+    relations = draw(st.lists(poly, min_size=1, max_size=3))
+    order = MonomialOrder(tuple(draw(st.permutations(range(n_gens)))))
+    return relations, order, draw(st.sampled_from((4, 6, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_presentations())
+def test_completion_certificate_matches_the_ambiguity_check(case):
+    relations, order, max_degree = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rewrite, "RULE_BUDGET", 60)
+        try:
+            system = complete(relations, order, max_degree)
+        except CompletionError:
+            assume(False)
+    unresolved = system.unresolved_ambiguities()
+    if system.confluent_to_degree == INFINITE:
+        assert unresolved == []
+    else:
+        assert all(len(amb.witness) > max_degree for amb in unresolved)
 
 
 # -- property: reduce is linear on random polynomials (hypothesis) -------------

@@ -31,6 +31,7 @@ from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
     DecompositionRecord,
     FinModule,
+    add_tensor_equations,
     decompose,
     hom_space,
     quotient_module,
@@ -82,7 +83,11 @@ def induce(
     reduced = quotient_module(module, radical, label=f"{module.label}bar") if radical.dim else module
 
     nm = reduced.dim
-    relations = _relations(m, reduced)
+    # (a_i * m(g)) (x) v_j - a_i (x) (g v_j) over the flat index k * nm + l of a_k (x) v_l
+    relations = RowSpace(len(target.basis) * nm)
+    for products, g_cols in zip(m.image_products, reduced.columns):
+        if add_tensor_equations(relations, products, g_cols):
+            break
     comp = relations.complement_columns()
     to_quotient = relations.quotient_map()
 
@@ -98,23 +103,6 @@ def induce(
 
     rec = decompose(induced, irreducibles) if irreducibles is not None else None
     return InductionResult(induced, unit, nm, rec, _voa_label(rec, voa_labels))
-
-
-def _relations(m: AlgebraMorphism, reduced: FinModule) -> RowSpace:
-    """Span of (a_i * m(g)) (x) v_j - a_i (x) (g v_j), over the flat index k * nm + l of a_k (x) v_l."""
-    nt, nm = len(m.target.basis), reduced.dim
-    relations = RowSpace(nt * nm)
-    for products, g_cols in zip(m.image_products, reduced.columns):
-        for j, col in enumerate(g_cols):
-            for i, left_nz in enumerate(products):  # a_i * m(g) over the target basis
-                vec = {k * nm + j: x for k, x in left_nz.items()}
-                for l, x in col.items():
-                    y = vec.get(i * nm + l)
-                    vec[i * nm + l] = -x if y is None else y - x
-                # a full span kills the whole tensor product; no further row can change that
-                if relations.add(vec) and relations.dim == nt * nm:
-                    return relations
-    return relations
 
 
 def _voa_label(rec: DecompositionRecord | None, voa_labels: dict[str, str] | None) -> str | None:

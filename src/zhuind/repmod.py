@@ -108,6 +108,23 @@ def check_module(module: FinModule) -> list[NcPoly]:
     return [rel for rel in module.owner.presentation.relations if any(module.evaluate(rel))]
 
 
+def add_tensor_equations(space: RowSpace, rows: list[Sparse], columns: Columns) -> bool:
+    """Add to ``space`` sum_k P_i[k] e(k, j) - sum_l Q_j[l] e(i, l) for each column Q_j and row P_i.
+
+    ``e(k, l)`` is the unit vector at ``k * len(columns) + l``.  Returns True, adding no more, once ``space`` is full.
+    """
+    width, full = len(columns), space.ncols
+    for j, q_col in enumerate(columns):
+        for i, p_row in enumerate(rows):
+            vec = {k * width + j: x for k, x in p_row.items()}
+            for l, x in q_col.items():
+                y = vec.get(i * width + l)
+                vec[i * width + l] = -x if y is None else y - x
+            if space.add(vec) and space.dim == full:
+                return True
+    return False
+
+
 def hom_space(source: FinModule, target: FinModule) -> list[Columns]:
     """A basis of the intertwiners T with T.rho_source(g) = rho_target(g).T, each as sparse columns.
 
@@ -125,15 +142,8 @@ def hom_space(source: FinModule, target: FinModule) -> list[Columns]:
         for k, col in enumerate(target.columns[g]):
             for i, x in col.items():
                 a_rows[i][k] = x
-        for i, a_row in enumerate(a_rows):
-            for j, b_col in enumerate(b_cols):
-                row = {i * m + k: x for k, x in b_col.items()}
-                for k, x in a_row.items():
-                    y = row.get(k * m + j)
-                    row[k * m + j] = -x if y is None else y - x
-                # equations of full rank leave only T = 0, and no further equation can change that
-                if space.add(row) and space.dim == n * m:
-                    return []
+        if add_tensor_equations(space, a_rows, b_cols):  # only T = 0 is left
+            return []
     intertwiners = []
     for v in space.nullspace():
         cols: Columns = [{} for _ in range(m)]

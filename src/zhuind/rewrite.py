@@ -24,9 +24,9 @@ updates it where a rule is added or retired.  The random strategy of
 
 Every rule carries a cofactor trace: an exact expression of ``lhs - rhs``
 as a two-sided combination of the original relations, built from rewrite
-steps only for a polynomial that is kept.  The trace survives completion,
-so ``p - reduce(p)`` can always be certified to lie in the ideal generated
-by the input presentation.
+steps only for a polynomial that is kept.  ``uncertified_rules`` checks
+every trace by free products; with ``unresolved_ambiguities`` it certifies
+``reduce`` as the normal-form map of the presented algebra.
 """
 
 from __future__ import annotations
@@ -340,6 +340,30 @@ class RewriteSystem:
         rules = self._rule_dict
         return [amb for amb in self.find_ambiguities() if not self.reduce(_s_poly(amb, rules)[0]).is_zero()]
 
+    def uncertified_rules(self) -> list[RewriteRule]:
+        """The rules whose trace does not expand to ``lhs - rhs``, in rule order.
+
+        The expansion multiplies freely and reduces nothing; an atom naming no
+        relation leaves its rule uncertified.  No uncertified rule, every
+        relation reducing to 0 and no unresolved ambiguity make ``reduce`` the
+        normal-form map of the presented algebra in every degree.  Proof: the
+        traces put the ideal J of the rule relations inside the ideal I of the
+        relations; ``p - reduce(p)`` lies in J for every p, so a relation that
+        reduces to 0 lies in J and I = J; by the diamond lemma ``reduce`` is
+        the projection onto the normal words along J.
+        """
+        rels = self.relations
+
+        def expands(rule: RewriteRule) -> bool:
+            total: dict[Word, Fraction] = {}
+            for c, left, idx, right in rule.trace:
+                if not 0 <= idx < len(rels):
+                    return False
+                _add_scaled(total, c, rels[idx].sandwich(left, right).terms)
+            return total == rule.relation_poly().terms
+
+        return [rule for rule in self.rules if not expands(rule)]
+
 
 def complete(
     relations: list[NcPoly],
@@ -401,7 +425,7 @@ def complete(
     def push_ambiguities(i: int) -> None:
         li = rules[i].lhs
         for j in list(rules):
-            for amb in _ambiguities_of_pair(i, li, j, rules[j].lhs) if j != i else _overlaps(i, li, i, li):
+            for amb in _ambiguities_of_pair(i, li, j, rules[j].lhs):
                 w = amb.witness
                 if len(w) <= max_degree:
                     heapq.heappush(heap, (len(w), order.key(w), amb.i, amb.j, amb.offset, amb.kind, w))

@@ -16,7 +16,6 @@ computation disagrees with it (see the repository README):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -309,6 +308,10 @@ def case_11() -> tuple[bool, str, str, list[str]]:
     ), details
 
 
+# generic parameters, none of them special, in the order the table lists them
+_C12_GENERIC = (F(-27, 10), F(24, 7), F(7, 5), F(12), F(-13, 11), F(-12, 7), F(-15, 8), F(11, 3), F(-29, 6), F(-8))
+
+
 def case_12() -> tuple[bool, str, str, list[str]]:
     m = catalog.morphism("vp_to_va2")
     ker = list(catalog.kernel_candidates("vp_to_va2"))
@@ -316,13 +319,7 @@ def case_12() -> tuple[bool, str, str, list[str]]:
     ok = True
     special_u0 = {F(0), F(1), F(-1)}
     special_uh = {F(1, 2), F(-1, 2)}
-    rng = random.Random(20240811)
-    pool = []
-    while len(pool) < 10:
-        t = F(rng.randint(-30, 30), rng.randint(1, 12))
-        if t not in special_u0 | special_uh and t not in pool:
-            pool.append(t)
-    for t in sorted(special_u0 | special_uh) + pool:
+    for t in sorted(special_u0 | special_uh) + list(_C12_GENERIC):
         r0 = kernel_action_radical(m, ker, catalog.module("vp_mod_U0", (t,)))
         rh = kernel_action_radical(m, ker, catalog.module("vp_mod_Uhalf", (t,)))
         good0 = (r0.dim == 0) == (t in special_u0)
@@ -362,42 +359,23 @@ def case_14() -> tuple[bool, str, str, list[str]]:
 
 
 def case_15() -> tuple[bool, str, str, list[str]]:
-    details = []
-    ok = True
-    rng = random.Random(15)
-    for alg_id in catalog.ALGEBRA_IDS:
-        h = catalog.algebra(alg_id)
-        n = len(h.gen_names)
-        good = True
-        for _ in range(1000):
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                w = tuple(rng.randrange(n) for _ in range(rng.randint(0, 4)))
-                terms[w] = terms.get(w, F(0)) + F(rng.randint(-3, 3))
-            p = NcPoly(terms)
-            q = NcPoly({tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))): F(rng.randint(1, 3))})
-            rp = h.system.reduce(p)
-            good = good and h.system.reduce(rp) == rp
-            good = good and h.system.reduce(p + q) == rp + h.system.reduce(q)
-            good = good and h.system.reduce(p.scale(F(3, 2))) == rp.scale(F(3, 2))
-        ok = ok and good
-        details.append(f"{alg_id}: reduce idempotent+linear on 1000 random inputs: {'PASS' if good else 'FAIL'}")
+    checks: list[tuple[str, bool]] = []  # (property, whether it holds): one detail line each
+    systems = [(alg_id, catalog.algebra(alg_id).system) for alg_id in catalog.ALGEBRA_IDS]
+    for alg_id, system in systems:
+        r, n = len(system.rules), len(system.relations)
+        holds = not system.uncertified_rules() and all(system.reduce(rel).is_zero() for rel in system.relations)
+        checks.append((f"{alg_id}: {r} rule traces expand to their rules, {n} relations reduce to 0", holds))
     for alg_id in ("a_va1", "a_va2"):
         h = catalog.algebra(alg_id)
         nb = len(h.basis)
-        good = not h.associativity_failures()
-        ok = ok and good
-        details.append(f"{alg_id}: structure constants associative on all {nb}^3 triples: {'PASS' if good else 'FAIL'}")
-    for alg_id in catalog.ALGEBRA_IDS:
-        system = catalog.algebra(alg_id).system
+        checks.append((f"{alg_id}: structure constants associative on all {nb}^3 triples", not h.associativity_failures()))
+    for alg_id, system in systems:
         n = len(system.find_ambiguities())
-        good = not system.unresolved_ambiguities()
-        ok = ok and good
-        details.append(f"{alg_id}: {n} ambiguities, every S-polynomial reduces to 0: {'PASS' if good else 'FAIL'}")
+        checks.append((f"{alg_id}: {n} ambiguities, every S-polynomial reduces to 0", not system.unresolved_ambiguities()))
     for mod_id in catalog.MODULE_IDS:
-        bad_pairs = symmetry_violations(catalog.module(mod_id))
-        ok = ok and not bad_pairs
-        details.append(f"{mod_id}: character symmetry on all basis pairs: {'PASS' if not bad_pairs else 'FAIL'}")
+        checks.append((f"{mod_id}: character symmetry on all basis pairs", not symmetry_violations(catalog.module(mod_id))))
+    ok = all(holds for _, holds in checks)
+    details = [f"{text}: {'PASS' if holds else 'FAIL'}" for text, holds in checks]
     return ok, "property suites all green", "all green" if ok else "failure", details
 
 
@@ -418,8 +396,6 @@ CASES = [
     ("c14", "rational induction coefficients over the rank-one algebra", "PAPER", case_14),
     ("c15", "property suites: reduction, associativity, ambiguity resolution, character symmetry", "DERIVED", case_15),
 ]
-
-KNOWN_DEFECT_CASES = {"c02", "c11"}
 
 
 def run(case_ids: list[str] | None = None) -> list[CaseResult]:

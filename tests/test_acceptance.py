@@ -13,10 +13,14 @@ purpose (see notes in the decisions ledger and the README):
 The surrounding clauses of both rows are asserted separately and pass.
 """
 
+import random
+from fractions import Fraction as F
+
 import pytest
 
 from zhuind import catalog, verify
 from zhuind.algebra import AlgebraHandle
+from zhuind.rewrite import INFINITE, RewriteSystem
 
 _RESULTS: dict[str, "verify.CaseResult"] = {}
 
@@ -107,6 +111,18 @@ def test_criterion_12_radical_table():
     _assert_pass("c12")
 
 
+def test_criterion_12_generic_parameters_are_the_seeded_draw():
+    # the reference: the table first drew its ten generic parameters with this loop
+    special = {F(0), F(1), F(-1), F(1, 2), F(-1, 2)}
+    rng = random.Random(20240811)
+    pool = []
+    while len(pool) < 10:
+        t = F(rng.randint(-30, 30), rng.randint(1, 12))
+        if t not in special and t not in pool:
+            pool.append(t)
+    assert verify._C12_GENERIC == tuple(pool)
+
+
 def test_criterion_13_parabolic_inductions():
     _assert_pass("c13")
 
@@ -120,8 +136,9 @@ def test_criterion_15_property_suites():
 
 
 def test_criterion_15_fails_on_a_rule_with_a_doubled_right_hand_side(monkeypatch, doubled_rhs):
-    # x_mb x_ma -> 2 (its right-hand side) leaves 6 of a_va2's 555 ambiguities unresolved; a
-    # 500-trial random-strategy fuzz (seed 7) never meets a word on which that shows
+    # x_mb x_ma -> 2 (its right-hand side) leaves 6 of a_va2's 555 ambiguities unresolved and its
+    # trace uncertified; a 500-trial random-strategy fuzz (seed 7) never meets a word on which that
+    # shows, and reduction stays idempotent and linear on every input
     va2 = catalog.algebra("a_va2")
     names = va2.gen_names
     (rule,) = [r for r in va2.system.rules if [names[g] for g in r.lhs] == ["x_mb", "x_ma"]]
@@ -132,3 +149,22 @@ def test_criterion_15_fails_on_a_rule_with_a_doubled_right_hand_side(monkeypatch
     assert r.status == "FAIL"
     assert "a_va2: 555 ambiguities, every S-polynomial reduces to 0: FAIL" in r.details
     assert "a_va1: 28 ambiguities, every S-polynomial reduces to 0: PASS" in r.details
+    assert "a_va2: 66 rule traces expand to their rules, 73 relations reduce to 0: FAIL" in r.details
+    assert "a_va1: 9 rule traces expand to their rules, 8 relations reduce to 0: PASS" in r.details
+
+
+def test_criterion_15_fails_on_a_system_missing_a_rule(monkeypatch):
+    # without f e -> 1/2 h h - 1/2 h the rules are confluent and their traces hold, and the
+    # six-dimensional algebra they define is associative; only its relations show it is not a_va1
+    va1 = catalog.algebra("a_va1")
+    names = va1.gen_names
+    rules = [r for r in va1.system.rules if [names[g] for g in r.lhs] != ["f", "e"]]
+    assert len(rules) == 8
+    mutant = AlgebraHandle(va1.presentation, RewriteSystem(va1.system.order, rules, INFINITE, va1.system.relations))
+    real = catalog.algebra
+    monkeypatch.setattr(catalog, "algebra", lambda alg_id: mutant if alg_id == "a_va1" else real(alg_id))
+    (r,) = verify.run(["c15"])
+    assert r.status == "FAIL"
+    assert "a_va1: 8 rule traces expand to their rules, 8 relations reduce to 0: FAIL" in r.details
+    assert "a_va1: 22 ambiguities, every S-polynomial reduces to 0: PASS" in r.details
+    assert "a_va1: structure constants associative on all 6^3 triples: PASS" in r.details

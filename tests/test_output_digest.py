@@ -10,8 +10,8 @@ import zhuind
 # and the command; a change that moves a --json report, a verbose verification detail or an
 # induction report changes one of them
 PINNED_DIGESTS = [
-    "254bae64a04727767fee7319225e3c5e263ebc28c452cccfec85598022a8979d  exit=1  verify all --json",
-    "0d4ffdc55beae418e2e1883c6407192a83f59f6f9697c3c55f3733e91df125fa  exit=1  verify all --verbose",
+    "0085e676b57e5dc3a174653e82b8d2d66240ca07410c72a5f0a3a2929d97e13c  exit=1  verify all --json",
+    "a1b1d4bfde3f986c8fb45fcc1f2b7d1043adafc8101e1b7d5bfd8e0907e01973  exit=1  verify all --verbose",
     "4e76135938d66c57c89490bcecfebb6b6b1cb073b6a2cc2008aed242ef7bb6d6  exit=0  kernel --via heis_to_va1 --json",
     "92085b71d1c6603c10de34fd3d80164d1311bf3fb5b4ec536a0096d95324a946  exit=0  kernel --via vb_to_va1 --json",
     "53114b70fdc040f2c9375aa50b9241e0d30698a54a9de6100b3f4828c4f6f7a2  exit=0  kernel --via vir_to_va1 --json",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -276,7 +277,43 @@ def test_every_doubled_right_hand_side_of_va2_leaves_an_ambiguity_unresolved(k, 
     system = catalog.algebra("a_va2").system
     rules = [r for r in system.rules if not r.rhs.is_zero()]
     assert len(rules) == 48
-    assert doubled_rhs(system, rules[k]).unresolved_ambiguities()
+    mutant = doubled_rhs(system, rules[k])
+    assert mutant.unresolved_ambiguities()
+    assert [r.lhs for r in mutant.uncertified_rules()] == [rules[k].lhs]
+
+
+# -- exact membership: every rule trace expands to its rule ---------------------------
+
+
+def _with_trace(system, rule, trace):
+    """``system`` with ``rule``'s trace replaced, every other rule kept."""
+    rules = [dataclasses.replace(r, trace=trace) if r is rule else r for r in system.rules]
+    return RewriteSystem(system.order, rules, system.confluent_to_degree, system.relations)
+
+
+@pytest.mark.parametrize("alg_id", catalog.ALGEBRA_IDS)
+def test_catalog_rule_traces_expand_to_their_rules(alg_id):
+    system = catalog.algebra(alg_id).system
+    assert system.uncertified_rules() == []
+    assert all(system.reduce(rel).is_zero() for rel in system.relations)
+
+
+@pytest.mark.parametrize("edit", ["dropped", "scaled"])
+def test_a_rule_with_a_wrong_trace_atom_is_uncertified(edit):
+    system = catalog.algebra("a_va2").system
+    rule = next(r for r in system.rules if len(r.trace) > 1)
+    (c, left, idx, right), *rest = rule.trace
+    trace = tuple(rest) if edit == "dropped" else ((2 * c, left, idx, right), *rest)
+    assert _with_trace(system, rule, trace).uncertified_rules() == [dataclasses.replace(rule, trace=trace)]
+
+
+@pytest.mark.parametrize("bad_idx", [73, -1], ids=["past-the-end", "negative"])
+def test_a_trace_atom_outside_the_relations_is_reported_not_raised(bad_idx):
+    system = catalog.algebra("a_va2").system
+    assert len(system.relations) == 73
+    rule = system.rules[0]
+    trace = ((Fraction(1), EPSILON, bad_idx, EPSILON), *rule.trace)
+    assert _with_trace(system, rule, trace).uncertified_rules() == [dataclasses.replace(rule, trace=trace)]
 
 
 @st.composite
@@ -300,6 +337,8 @@ def test_completion_certificate_matches_the_ambiguity_check(case):
             system = complete(relations, order, max_degree)
         except CompletionError:
             assume(False)
+    assert system.uncertified_rules() == []
+    assert all(system.reduce(rel).is_zero() for rel in relations)
     unresolved = system.unresolved_ambiguities()
     if system.confluent_to_degree == INFINITE:
         assert unresolved == []

@@ -22,6 +22,14 @@ tie-break.  ``RewriteSystem`` builds the index once and ``complete``
 updates it where a rule is added or retired.  The random strategy of
 ``_rewrite`` still lists every redex by scanning.
 
+Ambiguities are looked up the same way, in ``AffixTables``: the proper
+prefixes, proper suffixes and factors of the left-hand sides, each to its
+rule ids in rule order.  The overlaps of one rule are the rules found at
+its own proper suffixes in the prefix table and at its own proper
+prefixes in the suffix table; the rules whose left-hand side contains a
+word are the factor table's entry for it.  ``complete`` keeps the tables
+beside its ``LhsIndex``, and ``find_ambiguities`` builds them once.
+
 Every rule carries a cofactor trace: an exact expression of ``lhs - rhs``
 as a two-sided combination of the original relations, built from rewrite
 steps only for a polynomial that is kept.  ``uncertified_rules`` checks
@@ -36,6 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
@@ -221,27 +230,77 @@ def _rewrite(
             raise RuntimeError("reduction step budget exceeded")
 
 
-def _overlaps(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
-    out = []
-    for k in range(1, min(len(li), len(lj))):
-        if li[len(li) - k :] == lj[:k]:
-            out.append(Ambiguity("overlap", i, j, li + lj[k:], k))
-    return out
+def _factors(word: Word) -> set[Word]:
+    """Every factor of ``word``, the empty word and ``word`` itself included."""
+    n = len(word)
+    return {word[a:b] for a in range(n + 1) for b in range(a, n + 1)}
 
 
-def _ambiguities_of_pair(i: int, li: Word, j: int, lj: Word) -> list[Ambiguity]:
-    out = _overlaps(i, li, j, lj)
-    if i != j:
-        out.extend(_overlaps(j, lj, i, li))
-        if len(lj) < len(li):
-            for pos in range(len(li) - len(lj) + 1):
-                if li[pos : pos + len(lj)] == lj:
-                    out.append(Ambiguity("inclusion", i, j, li, pos))
-        elif len(li) < len(lj):
-            for pos in range(len(lj) - len(li) + 1):
-                if lj[pos : pos + len(li)] == li:
-                    out.append(Ambiguity("inclusion", j, i, lj, pos))
-    return out
+class AffixTables:
+    """Proper prefixes, proper suffixes and factors of left-hand sides, each to its rules.
+
+    Each table maps a word to a dict from rule id to left-hand side, in the
+    order the rules were added: rule order, since ids ascend.  Two rules
+    overlap by ``k`` exactly when the proper suffix of length ``k`` of the
+    first is a proper prefix of the second.  ``factors[u]`` holds the rules
+    whose left-hand side contains ``u``, the empty word included.
+    """
+
+    __slots__ = ("prefixes", "suffixes", "factors")
+
+    def __init__(self, rules: dict[int, RewriteRule]):
+        self.prefixes: dict[Word, dict[int, Word]] = {}
+        self.suffixes: dict[Word, dict[int, Word]] = {}
+        self.factors: dict[Word, dict[int, Word]] = {}
+        for rid, rule in rules.items():
+            self.add(rid, rule.lhs)
+
+    def _keys(self, lhs: Word):
+        n = len(lhs)
+        yield from ((self.prefixes, lhs[:k]) for k in range(1, n))
+        yield from ((self.suffixes, lhs[n - k :]) for k in range(1, n))
+        yield from ((self.factors, u) for u in _factors(lhs))
+
+    def add(self, rid: int, lhs: Word) -> None:
+        for table, key in self._keys(lhs):
+            table.setdefault(key, {})[rid] = lhs
+
+    def remove(self, rid: int, lhs: Word) -> None:
+        for table, key in self._keys(lhs):
+            ids = table[key]
+            del ids[rid]
+            if not ids:
+                del table[key]
+
+    def left_overlaps(self, i: int, li: Word) -> list[Ambiguity]:
+        """The overlaps ``(i, j, k)``: a proper suffix of ``li`` is a proper prefix of ``lhs_j``, j = i included."""
+        n, prefixes = len(li), self.prefixes
+        return [
+            Ambiguity("overlap", i, j, li + lj[k:], k)
+            for k in range(1, n)
+            for j, lj in prefixes.get(li[n - k :], {}).items()
+        ]
+
+    def right_overlaps(self, i: int, li: Word) -> list[Ambiguity]:
+        """The overlaps ``(j, i, k)`` with j != i: a proper prefix of ``li`` is a proper suffix of ``lhs_j``."""
+        suffixes = self.suffixes
+        return [
+            Ambiguity("overlap", j, i, lj + li[k:], k)
+            for k in range(1, len(li))
+            for j, lj in suffixes.get(li[:k], {}).items()
+            if j != i
+        ]
+
+    def inclusions(self, j: int, lj: Word) -> list[Ambiguity]:
+        """The inclusions ``(i, j, pos)``: ``lj`` sits at ``pos`` in a strictly longer ``lhs_i``."""
+        m = len(lj)
+        return [
+            Ambiguity("inclusion", i, j, li, pos)
+            for i, li in self.factors.get(lj, {}).items()
+            if len(li) > m
+            for pos in range(len(li) - m + 1)
+            if li[pos : pos + m] == lj
+        ]
 
 
 def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, list[Step]]:
@@ -320,14 +379,22 @@ class RewriteSystem:
         return result, _trace(steps)
 
     def find_ambiguities(self) -> list[Ambiguity]:
-        out: list[Ambiguity] = []
-        ids = list(self._rule_dict)
-        for a in range(len(ids)):
-            for b in range(a, len(ids)):
-                i, j = ids[a], ids[b]
-                out.extend(_ambiguities_of_pair(i, self._rule_dict[i].lhs, j, self._rule_dict[j].lhs))
+        """Every overlap and inclusion ambiguity, by witness length, witness, ``i``, ``j`` and offset.
+
+        No two ambiguities share that key, so the list does not depend on
+        the order they are found in.  It is found once per system; each
+        call returns a fresh copy.
+        """
+        return list(self._ambiguities)
+
+    @cached_property
+    def _ambiguities(self) -> tuple[Ambiguity, ...]:
+        rules = self._rule_dict
+        tables = AffixTables(rules)
+        out = [amb for i, rule in rules.items() for amb in tables.left_overlaps(i, rule.lhs)]
+        out.extend(amb for j, rule in rules.items() for amb in tables.inclusions(j, rule.lhs))
         out.sort(key=lambda amb: (len(amb.witness), self.order.key(amb.witness), amb.i, amb.j, amb.offset))
-        return out
+        return tuple(out)
 
     def unresolved_ambiguities(self) -> list[Ambiguity]:
         """The ambiguities whose S-polynomial does not reduce to zero, in ``find_ambiguities`` order.
@@ -381,7 +448,16 @@ def complete(
 
     One loop turns pending polynomials into rules first, then resolves the
     queued pair with the smallest witness; a nonzero reduced S-polynomial
-    becomes pending.  The ledger maps ``(lhs_i, lhs_j, offset, kind)`` to
+    becomes pending.  The live left-hand sides are kept in an ``LhsIndex``
+    for reduction and in ``AffixTables``: a new rule's overlaps are queued
+    by table lookups at its proper prefixes and suffixes, the rules to
+    retire are the factor table's entry for its left-hand side, and the
+    right-hand sides to rebuild are those whose set of word factors holds
+    it, a set remade only when its rule is.  No inclusion ambiguity is
+    ever queued, because none occurs among the live rules: a new
+    left-hand side is normal, so no live left-hand side lies inside it,
+    and every live one containing it is retired before it is added.  The
+    ledger maps ``(lhs_i, lhs_j, offset, kind)`` to
     the two rule objects a pair was last resolved against, and a pair it
     holds with the same two objects (``is``) is skipped.  A rule whose
     right-hand side is rebuilt is marked, and when nothing is pending or
@@ -411,7 +487,8 @@ def complete(
             raise CompletionError("inconsistent", "zero relation in presentation")
 
     rules: dict[int, RewriteRule] = {}
-    index = LhsIndex(rules)  # changed only where a left-hand side comes or goes
+    index, tables = LhsIndex(rules), AffixTables(rules)  # changed only where a left-hand side comes or goes
+    rhs_factors: dict[int, set[Word]] = {}  # the factors of each rule's right-hand-side words
     next_id = itertools.count()
     pending: list[tuple[NcPoly, Trace]] = [
         (rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
@@ -424,40 +501,46 @@ def complete(
 
     def push_ambiguities(i: int) -> None:
         li = rules[i].lhs
-        for j in list(rules):
-            for amb in _ambiguities_of_pair(i, li, j, rules[j].lhs):
-                w = amb.witness
-                if len(w) <= max_degree:
-                    heapq.heappush(heap, (len(w), order.key(w), amb.i, amb.j, amb.offset, amb.kind, w))
-                else:
-                    beyond.add((amb.i, amb.j))
+        for amb in tables.left_overlaps(i, li) + tables.right_overlaps(i, li):
+            w = amb.witness
+            if len(w) <= max_degree:
+                heapq.heappush(heap, (len(w), order.key(w), amb.i, amb.j, amb.offset, amb.kind, w))
+            else:
+                beyond.add((amb.i, amb.j))
 
     def new_rule(lhs: Word, rhs: NcPoly, trace: Trace) -> RewriteRule:
         if len(trace) > TRACE_BUDGET:
             raise CompletionError("budget", f"a rule trace exceeds {TRACE_BUDGET} atoms at degree bound {max_degree}")
         return RewriteRule(lhs, rhs, trace)
 
+    def put(rid: int, rule: RewriteRule) -> None:
+        rules[rid] = rule
+        rhs_factors[rid] = set().union(*map(_factors, rule.rhs.terms))
+
     def add_rule(poly: NcPoly, trace: Trace) -> None:
         lw, lc = poly.leading_term(order)
         inv = Fraction(1) / lc
         rhs = (NcPoly.monomial(lw) - poly.scale(inv))
         rule = new_rule(lw, rhs, _scale_trace(trace, inv))
-        # retire rules whose lhs contains the new lhs
-        for rid in [rid for rid, r in rules.items() if _contains(r.lhs, lw)]:
+        # retire the rules whose lhs contains the new lhs, in rule order
+        for rid in list(tables.factors.get(lw, ())):
             old = rules.pop(rid)
+            del rhs_factors[rid]
             index.remove(old.lhs)
+            tables.remove(rid, old.lhs)
             pending.append((old.relation_poly(), old.trace))
         # re-reduce the right-hand sides that contain the new lhs; no other one changes
         rid = next(next_id)
-        rules[rid] = rule
+        put(rid, rule)
         index.add(rid, lw)
+        tables.add(rid, lw)
         for other_id, other in list(rules.items()):
-            if other_id == rid or not any(_contains(w, lw) for w in other.rhs.terms):
+            if other_id == rid or lw not in rhs_factors[other_id]:
                 continue
             new_rhs, steps = _rewrite(other.rhs, {rid: rule}, order)
             delta = _trace(steps)
             if delta:
-                rules[other_id] = new_rule(other.lhs, new_rhs, other.trace + delta)
+                put(other_id, new_rule(other.lhs, new_rhs, other.trace + delta))
                 marked.add(other_id)
         push_ambiguities(rid)
         if len(rules) > RULE_BUDGET:
@@ -501,11 +584,6 @@ def complete(
     system.rules_added = next(next_id)  # one id per added rule; every rule not live was retired
     system.rules_retired = system.rules_added - len(rules)
     return system
-
-
-def _contains(word: Word, sub: Word) -> bool:
-    n, m = len(word), len(sub)
-    return any(word[p : p + m] == sub for p in range(n - m + 1))
 
 
 def confluence_fuzz(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zhuind import algebra, catalog
+from zhuind import algebra, catalog, rewrite
 from zhuind.algebra import (
     AlgebraHandle,
     PROFILE_WINDOW,
@@ -196,6 +196,46 @@ def test_profile_matches_brute_force_on_monomial_presentations(case):
         assert res == DimensionResult("finite", sum(counts), tuple(counts))
     else:
         assert res.kind in ("finite", "unbounded")
+
+
+_unit = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def _inhomogeneous_presentations(draw):
+    """1-3 letters, 1-3 relations of words of length 0-3, the first of two or more terms; a reordering and two precedences."""
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    rels = [draw(st.dictionaries(word, _unit, min_size=2, max_size=3))]
+    rels += draw(st.lists(st.dictionaries(word, _unit, min_size=1, max_size=3), max_size=2))
+    return n, rels, draw(st.permutations(rels)), draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+def _dimension_or_error(gens, ranking, rels):
+    pres = Presentation("inhomogeneous", gens, MonomialOrder.from_ranking(ranking), tuple(NcPoly(r) for r in rels))
+    try:
+        return AlgebraHandle.build(pres, max_degree=8).dim_result
+    except CompletionError as exc:
+        return exc.kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(_inhomogeneous_presentations())
+@example((2, [{(1, 0): 1, (0, 1): -1, (): -1}], [{(1, 0): 1, (0, 1): -1, (): -1}], [0, 1], [1, 0]))  # Weyl: 1, 2, 3, ...
+@example((2, [{(0, 0): 1, (0,): -1}, {(1, 1): 1, (1,): -1}, {(0, 1): 1, (1, 0): 1}], [{(0, 1): 1, (1, 0): 1}, {(1, 1): 1, (1,): -1}, {(0, 0): 1, (0,): -1}], [0, 1], [1, 0]))  # anticommuting idempotents: 1, x, y
+def test_profile_does_not_depend_on_relation_order_or_precedence(case):
+    # once the rules are final, the normal words of length <= n are a basis of the degree-n filtration piece
+    # whatever deglex precedence found them, though the two completions queue and add rules in different orders
+    n, rels, reordered, ranking, other_ranking = case
+    gens = tuple("xyz"[:n])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rewrite, "RULE_BUDGET", 60)  # keeps the few presentations that blow up cheap
+        results = [_dimension_or_error(gens, ranking, rels), _dimension_or_error(gens, other_ranking, reordered)]
+    certified = [isinstance(r, DimensionResult) and r.kind != "unknown" for r in results]
+    if all(certified):
+        assert results[0] == results[1]
+    if "inconsistent" in results:  # the algebra is zero, which no certified profile shows
+        assert not any(certified)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,15 +17,13 @@ from zhuind.iolang import parse_poly_text
 from zhuind.rewrite import (
     INFINITE,
     TRACE_BUDGET,
+    AffixTables,
     Ambiguity,
     CompletionError,
     LhsIndex,
     RewriteRule,
     RewriteSystem,
-    _ambiguities_of_pair,
-    _contains,
     _find_redex,
-    _overlaps,
     _rewrite,
     _scale_trace,
     complete,
@@ -756,6 +754,16 @@ def test_complete_matches_full_sweep_on_reordered_catalog():
     assert degrees == {INFINITE, 8}  # both kinds of certificate are covered
 
 
+def test_complete_retires_rules_in_rule_order():
+    # the new rule y x retires four rules at once; the order they are pushed back as pending shows in the traces
+    gens = ("x", "y")
+    rels = [P("-2/3 x x - y x y + 1/2", gens), P("-2/3 x y + 1/3 y - 2 x x x", gens)]
+    order = MonomialOrder((0, 1))
+    outcome = _completion_outcome(complete, rels, order, 5)
+    assert outcome == _completion_outcome(_ref_complete, rels, order, 5)
+    assert outcome[1] == INFINITE and len(outcome[0]) == 4
+
+
 @pytest.mark.parametrize("alg_id, count, added, retired", [("a_va2", 563, 72, 6), ("a_vp", 185, 33, 0)], ids=["a_va2", "a_vp"])
 def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, count, added, retired):
     # a full final sweep resolves every ambiguity again (1,110 for a_va2 and 370 for a_vp),
@@ -970,27 +978,60 @@ def test_lhs_index_picks_lowest_id_among_nested_and_duplicate_rules():
     assert _find_redex(w("hef"), empty) is None
 
 
+def _table_items(tables):
+    """The three affix tables with each key's rules as a list, so that rule order is compared too."""
+    return [{key: list(ids.items()) for key, ids in table.items()} for table in (tables.prefixes, tables.suffixes, tables.factors)]
+
+
 def _recording_index_checks(monkeypatch):
-    """Check complete's index against one rebuilt from its rules at every reduction; returns the last pair."""
-    seen = []
+    """Check complete's index and affix tables against ones rebuilt from its rules; returns the last triple.
+
+    The tables are checked after every addition and retirement, against a
+    rebuild from the left-hand sides added and not yet removed; at every
+    reduction those must be the live rules.
+    """
+    seen, made = [], []
     rewrite_ = rewrite._rewrite
+
+    class CheckedTables(AffixTables):
+        def __init__(self, rules):
+            self.lhs = {}
+            made.append(self)
+            super().__init__(rules)
+
+        def add(self, rid, lhs):
+            super().add(rid, lhs)
+            self.lhs[rid] = lhs
+            self.check()
+
+        def remove(self, rid, lhs):
+            super().remove(rid, lhs)
+            del self.lhs[rid]
+            self.check()
+
+        def check(self):
+            assert _table_items(self) == _table_items(AffixTables({rid: RewriteRule(lhs, NcPoly.zero()) for rid, lhs in self.lhs.items()}))
 
     def checked_rewrite(p, rules, order, rng=None, index=None):
         if index is not None:
             rebuilt = LhsIndex(rules)
             assert (index.ids, index.lengths) == (rebuilt.ids, rebuilt.lengths)
-            seen[:] = [(rules, index)]
+            tables = made[-1]
+            assert list(tables.lhs.items()) == [(rid, rule.lhs) for rid, rule in rules.items()]
+            seen[:] = [(rules, index, tables)]
         return rewrite_(p, rules, order, rng, index)
 
     monkeypatch.setattr(rewrite, "_rewrite", checked_rewrite)
+    monkeypatch.setattr(rewrite, "AffixTables", CheckedTables)
     return seen
 
 
 def _assert_index_of_live_rules(seen):
-    rules, index = seen[0]
+    rules, index, tables = seen[0]
     rebuilt = LhsIndex(rules)
     assert (index.ids, index.lengths) == (rebuilt.ids, rebuilt.lengths)
     assert len(index.ids) == len(rules)  # the live left-hand sides are distinct
+    assert _table_items(tables) == _table_items(AffixTables(rules))
 
 
 @pytest.mark.parametrize("alg_id", ["vb", "a_va1", "a_va2", "a_vp"])
@@ -1000,6 +1041,7 @@ def test_complete_keeps_lhs_index_of_live_rules_on_catalog(monkeypatch, alg_id):
     system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
     _assert_index_of_live_rules(seen)
     assert sorted(seen[0][1].ids) == sorted(r.lhs for r in system.rules)
+    assert sorted(seen[0][2].lhs.values()) == sorted(r.lhs for r in system.rules)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1015,6 +1057,80 @@ def test_complete_keeps_lhs_index_of_live_rules_on_generated_presentations(case)
             pass
     if seen:
         _assert_index_of_live_rules(seen)
+
+
+# -- the affix tables against the pairwise scan they replaced --------------------
+
+
+def _contains(word, sub):
+    n, m = len(word), len(sub)
+    return any(word[p : p + m] == sub for p in range(n - m + 1))
+
+
+def _overlaps(i, li, j, lj):
+    out = []
+    for k in range(1, min(len(li), len(lj))):
+        if li[len(li) - k :] == lj[:k]:
+            out.append(Ambiguity("overlap", i, j, li + lj[k:], k))
+    return out
+
+
+def _ambiguities_of_pair(i, li, j, lj):
+    """The ambiguities of two rules, found by comparing them: the reference."""
+    out = _overlaps(i, li, j, lj)
+    if i != j:
+        out.extend(_overlaps(j, lj, i, li))
+        if len(lj) < len(li):
+            for pos in range(len(li) - len(lj) + 1):
+                if li[pos : pos + len(lj)] == lj:
+                    out.append(Ambiguity("inclusion", i, j, li, pos))
+        elif len(li) < len(lj):
+            for pos in range(len(lj) - len(li) + 1):
+                if lj[pos : pos + len(li)] == li:
+                    out.append(Ambiguity("inclusion", j, i, lj, pos))
+    return out
+
+
+def _ref_find_ambiguities(rules, order):
+    """``find_ambiguities`` as it was, one ``_ambiguities_of_pair`` call per pair of rules: the reference."""
+    out = []
+    ids = list(rules)
+    for a in range(len(ids)):
+        for b in range(a, len(ids)):
+            i, j = ids[a], ids[b]
+            out.extend(_ambiguities_of_pair(i, rules[i].lhs, j, rules[j].lhs))
+    out.sort(key=lambda amb: (len(amb.witness), order.key(amb.witness), amb.i, amb.j, amb.offset))
+    return out
+
+
+def _amb_key(amb):
+    return (amb.kind, amb.i, amb.j, amb.witness, amb.offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_dicts())
+def test_affix_tables_list_the_pairwise_ambiguities(rules):
+    system = RewriteSystem(HFE, list(rules.values()), INFINITE)
+    assert system.find_ambiguities() == _ref_find_ambiguities(system._rule_dict, HFE)
+    assert system.find_ambiguities() is not system.find_ambiguities()  # a caller may keep or edit its list
+    # on the rule dict itself, with its gaps in the ids: what complete looks up for one rule
+    tables = AffixTables(rules)
+    for i, rule in rules.items():
+        found = tables.left_overlaps(i, rule.lhs) + tables.right_overlaps(i, rule.lhs)
+        pairwise = [amb for j in rules for amb in _ambiguities_of_pair(i, rule.lhs, j, rules[j].lhs) if amb.kind == "overlap"]
+        assert sorted(found, key=_amb_key) == sorted(pairwise, key=_amb_key)
+    for u in {u for rule in rules.values() for u in rewrite._factors(rule.lhs)}:
+        assert list(tables.factors[u]) == [rid for rid, rule in rules.items() if _contains(rule.lhs, u)]
+
+
+def test_affix_tables_list_an_empty_left_hand_side_inside_every_other():
+    rules = {0: RewriteRule(w("eh"), NcPoly.zero()), 3: RewriteRule((), NcPoly.zero()), 5: RewriteRule(w("e"), NcPoly.zero())}
+    system = RewriteSystem(HFE, list(rules.values()), INFINITE)
+    found = system.find_ambiguities()
+    assert found == _ref_find_ambiguities(system._rule_dict, HFE)
+    assert [(amb.witness, amb.offset) for amb in found if amb.kind == "inclusion" and not system.rules[amb.j].lhs] == [
+        (w("e"), 0), (w("e"), 1), (w("eh"), 0), (w("eh"), 1), (w("eh"), 2)
+    ]
 
 
 # -- the heap of the canonical rewrite loop against the sort it replaced --------

@@ -12,28 +12,36 @@ coefficient).  The structure cube ``structure`` and the generator table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from zhuind import rewrite
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word
+from zhuind.freealg import EPSILON, FrozenRecord, MonomialOrder, NcPoly, Word
 from zhuind.linalg import Sparse, linear_combination
 from zhuind.rewrite import INFINITE, RewriteSystem
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(FrozenRecord):
+    """Generators, an order on their words and relations; checked when built."""
+
+    __slots__ = ("name", "gen_names", "order", "relations")
     name: str
     gen_names: tuple[str, ...]
     order: MonomialOrder
     relations: tuple[NcPoly, ...]
 
-    def __post_init__(self):
-        if len(set(self.gen_names)) != len(self.gen_names):
+    def __new__(cls, name: str, gen_names: tuple[str, ...], order: MonomialOrder, relations: tuple[NcPoly, ...]) -> "Presentation":
+        if len(set(gen_names)) != len(gen_names):
             raise ValueError("generator names must be unique")
-        for r in self.relations:
+        for r in relations:
             if r.is_zero():
                 raise ValueError("relations must be nonzero")
+        self = object.__new__(cls)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gen_names", gen_names)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "relations", relations)
+        return self
 
 
 class CertificateError(Exception):
@@ -43,8 +51,7 @@ class CertificateError(Exception):
 PROFILE_WINDOW = 8  # an infinite algebra reports its normal-word counts for lengths 0..8
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class DimensionResult(NamedTuple):
     kind: str  # "finite" | "unbounded" | "unknown"
     value: int  # the dimension; PROFILE_WINDOW when unbounded; the certificate degree when unknown
     profile: tuple[int, ...]  # normal-word counts per length; empty when unknown

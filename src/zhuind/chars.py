@@ -8,8 +8,8 @@ they support the rational-coefficient induction solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle, Element, Presentation
 from zhuind.freealg import MonomialOrder
@@ -19,8 +19,7 @@ from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import FinModule
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class CharacterVector(NamedTuple):
     values: tuple[Fraction, ...]  # trace on each basis word, in basis order
 
 

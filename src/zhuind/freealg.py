@@ -12,19 +12,60 @@ sparse vector sum in ``linalg`` go through it.  Its values may be ``int``
 (the integer rows of ``linalg.RowSpace``) or ``Fraction``; ``c == 0``
 is a no-op, and a new key may store the caller's own value object,
 which is safe because both types are immutable.
+
+The package's records are of two kinds.  Cold value records are
+``typing.NamedTuple`` classes, like ``MonomialOrder``.  Records whose
+fields are read in hot loops (a NamedTuple field read costs about twice a
+slot read), or that validate or leave a field out of equality, derive
+from ``FrozenRecord``: fields in ``__slots__``, set once in ``__new__``,
+with value equality, hash and repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class FrozenRecord:
+    """Base of the slot records: equality, hash and repr over ``_values()``, no assignment.
+
+    A subclass lists its fields in ``__slots__`` (annotated in the class
+    body) and sets them in ``__new__`` with ``object.__setattr__``, so a
+    record is complete when it exists, and perfbench's tracer, which wraps
+    each class's ``__init__`` in a span, counts building one as its
+    caller's time.  ``_values()`` is every field in slot order unless a
+    subclass leaves one out of equality.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class MonomialOrder(NamedTuple):
     """Degree-lexicographic order given by a precedence vector.
 
     ``precedence[g]`` is the rank of generator ``g``; larger rank means a

@@ -23,7 +23,7 @@ takes the same path, with no relation rows at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from zhuind.freealg import EPSILON
 from zhuind.linalg import RowSpace, Sparse
@@ -39,8 +39,7 @@ from zhuind.repmod import (
 )
 
 
-@dataclass
-class InductionResult:
+class InductionResult(NamedTuple):
     module: FinModule
     unit_map: list[Sparse]  # one sparse column per reduced-module basis vector: its image 1 (x) v_j
     reduced_dim: int  # dim of M / kernel-radical

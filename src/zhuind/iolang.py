@@ -19,8 +19,8 @@ free: pretty-printing a parsed file and reparsing gives the same result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from zhuind.algebra import Presentation
 from zhuind.freealg import MonomialOrder, NcPoly, Word
@@ -34,8 +34,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | INT | PUNCT
     text: str
     line: int
@@ -64,8 +63,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
-class AlgebraBlock:
+class AlgebraBlock(NamedTuple):
     name: str
     gens: list[str]
     precedence: list[str]  # names, greatest first; defaults to declaration order
@@ -79,16 +77,14 @@ class AlgebraBlock:
         return Presentation(self.name, tuple(self.gens), self.order(), tuple(self.relations))
 
 
-@dataclass
-class MorphismBlock:
+class MorphismBlock(NamedTuple):
     name: str
     source: str
     target: str
     images: dict[str, NcPoly]  # source generator name -> target polynomial
 
 
-@dataclass
-class ModuleBlock:
+class ModuleBlock(NamedTuple):
     name: str
     algebra: str
     dim: int
@@ -98,9 +94,8 @@ class ModuleBlock:
 Block = AlgebraBlock | MorphismBlock | ModuleBlock
 
 
-@dataclass
-class SourceFile:
-    blocks: list[Block] = field(default_factory=list)
+class SourceFile(NamedTuple):
+    blocks: list[Block]
 
     def algebras(self) -> dict[str, AlgebraBlock]:
         return {b.name: b for b in self.blocks if isinstance(b, AlgebraBlock)}
@@ -273,7 +268,7 @@ def parse(text: str) -> SourceFile:
     """Parse a source file; raises ParseError with position on failure."""
     tokens = tokenize(text)
     parser = _Parser(tokens)
-    out = SourceFile()
+    blocks: list[Block] = []
     algebras: dict[str, AlgebraBlock] = {}
     seen: set[tuple[str, str]] = set()  # (block keyword, name)
     while parser.peek() is not None:
@@ -330,8 +325,8 @@ def parse(text: str) -> SourceFile:
         if (tok.text, block.name) in seen:
             raise ParseError(f"duplicate {tok.text} name {block.name!r}", tok.line, tok.col)
         seen.add((tok.text, block.name))
-        out.blocks.append(block)
-    return out
+        blocks.append(block)
+    return SourceFile(blocks)
 
 
 def parse_poly_text(text: str, gen_names: tuple[str, ...] | list[str]) -> NcPoly:

@@ -12,28 +12,40 @@ of the current degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle, Element, normal_words
-from zhuind.freealg import NcPoly, Word, _add_scaled
+from zhuind.freealg import FrozenRecord, NcPoly, Word, _add_scaled
 from zhuind.linalg import RowSpace, Sparse
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     relation: NcPoly
     residue: NcPoly
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(FrozenRecord):
+    """What ``certify_kernel`` found; ``products`` is left out of equality and hash."""
+
+    __slots__ = ("status", "degree", "table", "products")
     status: str  # "exact" | "contained"
     degree: int
     # per degree: (source slice dim, ideal slice dim, image rank)
     table: tuple[tuple[int, int, int], ...]
     # ideal products reduced; a work count, not part of the certificate
-    products: int = field(default=0, compare=False)
+    products: int
+
+    def __new__(cls, status: str, degree: int, table: tuple[tuple[int, int, int], ...], products: int = 0) -> "KernelCertificate":
+        self = object.__new__(cls)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "products", products)
+        return self
+
+    def _values(self) -> tuple:
+        return (self.status, self.degree, self.table)
 
 
 class AlgebraMorphism:

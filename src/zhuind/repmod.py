@@ -11,9 +11,9 @@ semisimple decompositions read multiplicities off hom dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle
 from zhuind.freealg import NcPoly, Word, _add_scaled
@@ -88,8 +88,7 @@ class FinModule:
         return f"<module {self.label} over {self.owner.name}, dim {self.dim}>"
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
+class DecompositionRecord(NamedTuple):
     entries: tuple[tuple[str, int], ...]  # (irreducible label, multiplicity >= 1)
     residual: int
 

@@ -6,8 +6,9 @@ ambiguity between rules resolves to zero.  ``complete`` saturates a
 relation set in one loop that resolves ambiguities in increasing witness
 length up to a degree bound, and reports how far confluence is certified.
 A pair ledger records each resolved ambiguity with the two rule objects it
-was resolved against; rules are frozen, so while both are unchanged the
-pair stays resolvable (Bergman 1978) and is not resolved again.
+was resolved against; a rule is a ``FrozenRecord`` whose fields no code
+can assign to, so while both are unchanged the pair stays resolvable
+(Bergman 1978) and is not resolved again.
 
 Canonical rewriting looks left-hand sides up in an ``LhsIndex``: a dict
 from each left-hand side to its rule id, and the distinct left-hand-side
@@ -42,12 +43,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, Word, _add_scaled
+from zhuind.freealg import EPSILON, FrozenRecord, MonomialOrder, NcPoly, Word, _add_scaled
 
 INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
@@ -60,13 +60,20 @@ TraceAtom = tuple[Fraction, Word, int, Word]
 Trace = tuple[TraceAtom, ...]
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(FrozenRecord):
     """lhs -> rhs with lhs monic and every rhs word smaller than lhs."""
 
+    __slots__ = ("lhs", "rhs", "trace")
     lhs: Word
     rhs: NcPoly
-    trace: Trace = ()
+    trace: Trace
+
+    def __new__(cls, lhs: Word, rhs: NcPoly, trace: Trace = ()) -> "RewriteRule":
+        self = object.__new__(cls)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "trace", trace)
+        return self
 
     def relation_poly(self) -> NcPoly:
         return NcPoly.monomial(self.lhs) - self.rhs
@@ -76,8 +83,7 @@ class RewriteRule:
 Step = tuple[Fraction, Word, RewriteRule, Word]
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(FrozenRecord):
     """A word containing two rule left-hand sides.
 
     For an overlap of length ``k`` the witness is ``lhs_i + lhs_j[k:]``;
@@ -85,11 +91,21 @@ class Ambiguity:
     the witness is ``lhs_i`` itself.
     """
 
+    __slots__ = ("kind", "i", "j", "witness", "offset")
     kind: str  # "overlap" | "inclusion"
     i: int
     j: int
     witness: Word
     offset: int
+
+    def __new__(cls, kind: str, i: int, j: int, witness: Word, offset: int) -> "Ambiguity":
+        self = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "offset", offset)
+        return self
 
 
 class CompletionError(Exception):

@@ -16,8 +16,8 @@ computation disagrees with it (see the repository README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from zhuind import catalog
 from zhuind.algebra import normal_words
@@ -31,15 +31,14 @@ from zhuind.repmod import decompose
 F = Fraction
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     case: str
     description: str
     provenance: str
     status: str
     expected: str
     actual: str
-    details: list[str] = field(default_factory=list)
+    details: list[str]
 
     def row(self) -> dict:
         return {

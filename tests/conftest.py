@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from dense import dense_module, mat_mul, zeros
 from zhuind import catalog
 from zhuind.linalg import RowSpace, invert
 from zhuind.repmod import FinModule
-from zhuind.rewrite import RewriteSystem
+from zhuind.rewrite import RewriteRule, RewriteSystem
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +60,7 @@ def doubled_rhs():
     """``doubled_rhs(system, rule)``: ``system`` with ``rule``'s right-hand side doubled, every other rule kept."""
 
     def build(system, rule):
-        rules = [dataclasses.replace(r, rhs=r.rhs.scale(2)) if r is rule else r for r in system.rules]
+        rules = [RewriteRule(r.lhs, r.rhs.scale(2), r.trace) if r is rule else r for r in system.rules]
         return RewriteSystem(system.order, rules, system.confluent_to_degree, system.relations)
 
     return build

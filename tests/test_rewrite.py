@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -285,7 +284,7 @@ def test_every_doubled_right_hand_side_of_va2_leaves_an_ambiguity_unresolved(k, 
 
 def _with_trace(system, rule, trace):
     """``system`` with ``rule``'s trace replaced, every other rule kept."""
-    rules = [dataclasses.replace(r, trace=trace) if r is rule else r for r in system.rules]
+    rules = [RewriteRule(r.lhs, r.rhs, trace) if r is rule else r for r in system.rules]
     return RewriteSystem(system.order, rules, system.confluent_to_degree, system.relations)
 
 
@@ -302,7 +301,7 @@ def test_a_rule_with_a_wrong_trace_atom_is_uncertified(edit):
     rule = next(r for r in system.rules if len(r.trace) > 1)
     (c, left, idx, right), *rest = rule.trace
     trace = tuple(rest) if edit == "dropped" else ((2 * c, left, idx, right), *rest)
-    assert _with_trace(system, rule, trace).uncertified_rules() == [dataclasses.replace(rule, trace=trace)]
+    assert _with_trace(system, rule, trace).uncertified_rules() == [RewriteRule(rule.lhs, rule.rhs, trace)]
 
 
 @pytest.mark.parametrize("bad_idx", [73, -1], ids=["past-the-end", "negative"])
@@ -311,7 +310,7 @@ def test_a_trace_atom_outside_the_relations_is_reported_not_raised(bad_idx):
     assert len(system.relations) == 73
     rule = system.rules[0]
     trace = ((Fraction(1), EPSILON, bad_idx, EPSILON), *rule.trace)
-    assert _with_trace(system, rule, trace).uncertified_rules() == [dataclasses.replace(rule, trace=trace)]
+    assert _with_trace(system, rule, trace).uncertified_rules() == [RewriteRule(rule.lhs, rule.rhs, trace)]
 
 
 @st.composite

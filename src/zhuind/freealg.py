@@ -1,8 +1,8 @@
 """Terms of the free associative algebra over the rationals.
 
 Words are tuples of generator indices (the empty tuple is the identity),
-polynomials are finite maps from words to nonzero ``Fraction`` values, and
-the only monomial order is degree-lexicographic with a per-presentation
+polynomials are finite maps from words to nonzero exact scalars, and the
+only monomial order is degree-lexicographic with a per-presentation
 precedence on generators.  Everything here is immutable and pure.
 ``NcPoly.sandwich`` forms one rewrite step's ``left * p * right``
 without the general product.  ``_add_scaled`` is the one sparse
@@ -12,6 +12,19 @@ sparse vector sum in ``linalg`` go through it.  Its values may be ``int``
 (the integer rows of ``linalg.RowSpace``) or ``Fraction``; ``c == 0``
 is a no-op, and a new key may store the caller's own value object,
 which is safe because both types are immutable.
+
+Exact scalars (``Scalar``) are ``int`` or ``Fraction``, never a binary
+``float``: the one scalar convention of the package.  ``scalar`` is
+where a value enters: an integral one becomes an ``int``, any other
+rational a ``Fraction``, and a float raises ``TypeError``.  The
+``NcPoly`` constructor, ``one``, ``gen``, ``monomial`` and ``scale`` go
+through it, the rewriting layer writes its unit coefficients as ``int``
+and a new rewrite rule stores its right-hand side and trace through it,
+so an integer presentation completes with native ``int`` arithmetic.
+``_add_scaled`` does not normalise: ``2 * Fraction(1, 2)`` stays a
+``Fraction`` there.  Values of either type compare and hash alike.
+The results of ``linalg.RowSpace`` and the module columns ``repmod``
+builds are ``Fraction``.
 
 The package's records are of two kinds.  Cold value records are
 ``typing.NamedTuple`` classes, like ``MonomialOrder``.  Records whose
@@ -28,6 +41,18 @@ from typing import NamedTuple
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
+Scalar = int | Fraction
+
+
+def scalar(c: Scalar) -> Scalar:
+    """``c`` as an exact scalar: an ``int`` when integral, else a ``Fraction``; a float raises ``TypeError``."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"exact scalars only: {c!r} is a binary float")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class FrozenRecord:
@@ -88,8 +113,11 @@ class MonomialOrder(NamedTuple):
         return (len(w), tuple(self.precedence[g] for g in w))
 
 
-def _add_scaled(acc: dict, c: Fraction | int, terms: dict) -> None:
+def _add_scaled(acc: dict, c: Scalar, terms: dict) -> None:
     """``acc += c * terms`` in place, for maps to nonzero ``int`` or ``Fraction`` values.
+
+    No value is normalised here (see ``scalar``): ``int`` terms scaled by
+    an ``int`` stay ``int``, and a ``Fraction`` product stays a ``Fraction``.
 
     A key already in ``acc`` keeps its place, a new key is appended and a
     key that cancels is removed, exactly as ``acc + terms.scale(c)`` orders
@@ -118,19 +146,21 @@ def _add_scaled(acc: dict, c: Fraction | int, terms: dict) -> None:
 class NcPoly:
     """A noncommutative polynomial with exact rational coefficients.
 
-    Stored as a map from words to nonzero coefficients; two polynomials are
+    Stored as a map from words to nonzero ``int`` or ``Fraction``
+    coefficients (``Scalar``); two polynomials are
     equal iff the maps are equal.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Word, Fraction] | None = None):
-        cleaned: dict[Word, Fraction] = {}
+    def __init__(self, terms: dict[Word, Scalar] | None = None):
+        cleaned: dict[Word, Scalar] = {}
         if terms:
             for w, c in terms.items():
+                # an int or a non-integral Fraction is kept as is, not rebuilt; a float raises
+                c = scalar(c)
                 if c:
-                    # Fraction is immutable, so a value that already is one is kept, not rebuilt
-                    cleaned[w] = c if type(c) is Fraction else Fraction(c)
+                    cleaned[w] = c
         self.terms = cleaned
 
     # -- constructors -------------------------------------------------
@@ -141,15 +171,15 @@ class NcPoly:
 
     @staticmethod
     def one() -> "NcPoly":
-        return NcPoly({EPSILON: Fraction(1)})
+        return NcPoly({EPSILON: 1})
 
     @staticmethod
-    def monomial(word: Word, coeff: Fraction | int = 1) -> "NcPoly":
-        return NcPoly({tuple(word): Fraction(coeff)})
+    def monomial(word: Word, coeff: Scalar = 1) -> "NcPoly":
+        return NcPoly({tuple(word): coeff})
 
     @staticmethod
     def gen(index: int) -> "NcPoly":
-        return NcPoly({(index,): Fraction(1)})
+        return NcPoly({(index,): 1})
 
     # -- queries ------------------------------------------------------
 
@@ -163,7 +193,7 @@ class NcPoly:
         """Length of the longest word, -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def leading_term(self, order: MonomialOrder) -> tuple[Word, Fraction]:
+    def leading_term(self, order: MonomialOrder) -> tuple[Word, Scalar]:
         """The order-maximal word with its coefficient.  Errors on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -189,8 +219,8 @@ class NcPoly:
         _add_scaled(out.terms, -1, other.terms)
         return out
 
-    def scale(self, c: Fraction | int) -> "NcPoly":
-        c = Fraction(c)
+    def scale(self, c: Scalar) -> "NcPoly":
+        c = scalar(c)
         out = NcPoly()
         if c:
             out.terms = {w: c * v for w, v in self.terms.items()}
@@ -206,15 +236,15 @@ class NcPoly:
         out.terms = {left + w + right: v for w, v in self.terms.items()}
         return out
 
-    def __mul__(self, other: "NcPoly | Fraction | int") -> "NcPoly":
-        if isinstance(other, (Fraction, int)):
+    def __mul__(self, other: "NcPoly | Scalar") -> "NcPoly":
+        if not isinstance(other, NcPoly):
             return self.scale(other)
         out = NcPoly()
         for w1, c1 in self.terms.items():
             _add_scaled(out.terms, c1, {w1 + w2: c2 for w2, c2 in other.terms.items()})
         return out
 
-    def __rmul__(self, other: "Fraction | int") -> "NcPoly":
+    def __rmul__(self, other: Scalar) -> "NcPoly":
         return self.scale(other)
 
     def __eq__(self, other: object) -> bool:

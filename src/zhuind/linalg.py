@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse (``Sparse``: column -> nonzero ``Fraction``), and a
-module action, an intertwiner or a unit map is a list of sparse columns;
-``linear_combination(coeffs, vectors)`` is the one sum of scaled sparse
-vectors (a matrix times a vector, a product of algebra elements), and it
+Vectors are sparse (``Sparse``: column -> nonzero ``int`` or ``Fraction``,
+the exact scalars of ``freealg``), and a module action, an intertwiner or
+a unit map is a list of sparse columns; ``linear_combination(coeffs,
+vectors)`` is the one sum of scaled sparse vectors (a matrix times a
+vector, a product of algebra elements), and it
 and the elimination steps accumulate through ``freealg._add_scaled``, so
 a coefficient 0 adds nothing, a coefficient 1 stores the vector's own
 values and a result may share the caller's (immutable) values.  Dense
@@ -31,10 +32,10 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from zhuind.freealg import _add_scaled
+from zhuind.freealg import Scalar, _add_scaled
 
 Mat = list[list[Fraction]]
-Sparse = dict[int, Fraction]
+Sparse = dict[int, Scalar]
 
 
 def linear_combination(coeffs: Sparse, vectors: Sequence[Sparse] | Mapping[int, Sparse]) -> Sparse:

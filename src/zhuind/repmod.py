@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle
-from zhuind.freealg import NcPoly, Word, _add_scaled
+from zhuind.freealg import NcPoly, Scalar, Word, _add_scaled, scalar
 from zhuind.linalg import Mat, RowSpace, Sparse, linear_combination, mat_of_columns
 
 Columns = list[Sparse]  # one sparse column per basis vector
@@ -56,8 +56,7 @@ class FinModule:
             for i, row in enumerate(mat):
                 for j, x in enumerate(row):
                     if x:
-                        # Fraction is immutable, so an entry that already is one is shared, not rebuilt
-                        cols[j][i] = x if type(x) is Fraction else Fraction(x)
+                        cols[j][i] = _fraction(x)
         return FinModule(owner, dim, columns, label)
 
     @cached_property
@@ -86,6 +85,11 @@ class FinModule:
 
     def __repr__(self) -> str:
         return f"<module {self.label} over {self.owner.name}, dim {self.dim}>"
+
+
+def _fraction(x: Scalar) -> Fraction:
+    """``x`` as a ``Fraction``: one that already is one is shared, not rebuilt (it is immutable); a float raises ``TypeError``."""
+    return x if type(x) is Fraction else Fraction(scalar(x))
 
 
 class DecompositionRecord(NamedTuple):
@@ -193,7 +197,9 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:
-    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
+    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products`` as ``Fraction`` values."""
     if handle.basis is None:
         raise ValueError("regular module needs a finite-dimensional algebra")
-    return FinModule(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")
+    # structure constants are int where integral; module columns are Fraction
+    columns = [[{i: _fraction(x) for i, x in col.items()} for col in cols] for cols in handle.gen_products]
+    return FinModule(handle, len(handle.basis), columns, f"{handle.name}-regular")

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from zhuind.freealg import EPSILON, FrozenRecord, MonomialOrder, NcPoly, Word, _add_scaled
+from zhuind.freealg import EPSILON, FrozenRecord, MonomialOrder, NcPoly, Scalar, Word, _add_scaled, scalar
 
 INFINITE = float("inf")
 STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
@@ -55,8 +55,8 @@ TRACE_BUDGET = 10_000  # cofactor atoms allowed in one rule trace
 RULE_BUDGET = 4000  # rules allowed at once during one completion
 FUZZ_MAX_LEN = 5  # the longest word in a random polynomial of confluence_fuzz
 
-# one summand  c * (left) * relation[idx] * (right)
-TraceAtom = tuple[Fraction, Word, int, Word]
+# one summand  c * (left) * relation[idx] * (right), c an int or a Fraction
+TraceAtom = tuple[Scalar, Word, int, Word]
 Trace = tuple[TraceAtom, ...]
 
 
@@ -80,7 +80,7 @@ class RewriteRule(FrozenRecord):
 
 
 # one rewrite step  c * left * (lhs -> rhs) * right
-Step = tuple[Fraction, Word, RewriteRule, Word]
+Step = tuple[Scalar, Word, RewriteRule, Word]
 
 
 class Ambiguity(FrozenRecord):
@@ -117,7 +117,7 @@ class CompletionError(Exception):
         self.report = report
 
 
-def _scale_trace(trace: Trace, c: Fraction) -> Trace:
+def _scale_trace(trace: Trace, c: Scalar) -> Trace:
     return tuple((c * a, l, i, r) for (a, l, i, r) in trace)
 
 
@@ -332,7 +332,7 @@ def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, list
     else:
         left, right, suf = ri.lhs[: amb.offset], ri.lhs[amb.offset + len(rj.lhs) :], EPSILON
     s = ri.rhs.sandwich(EPSILON, suf) - rj.rhs.sandwich(left, right)
-    return s, [(Fraction(1), left, rj, right), (Fraction(-1), EPSILON, ri, suf)]
+    return s, [(1, left, rj, right), (-1, EPSILON, ri, suf)]
 
 
 class RewriteSystem:
@@ -438,7 +438,7 @@ class RewriteSystem:
         rels = self.relations
 
         def expands(rule: RewriteRule) -> bool:
-            total: dict[Word, Fraction] = {}
+            total: dict[Word, Scalar] = {}
             for c, left, idx, right in rule.trace:
                 if not 0 <= idx < len(rels):
                     return False
@@ -507,7 +507,7 @@ def complete(
     rhs_factors: dict[int, set[Word]] = {}  # the factors of each rule's right-hand-side words
     next_id = itertools.count()
     pending: list[tuple[NcPoly, Trace]] = [
-        (rel, ((Fraction(1), EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
+        (rel, ((1, EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
     ]
     heap: list[tuple[int, tuple, int, int, int, str, Word]] = []
     ledger: dict[tuple[Word, Word, int, str], tuple[RewriteRule, RewriteRule]] = {}
@@ -527,6 +527,9 @@ def complete(
     def new_rule(lhs: Word, rhs: NcPoly, trace: Trace) -> RewriteRule:
         if len(trace) > TRACE_BUDGET:
             raise CompletionError("budget", f"a rule trace exceeds {TRACE_BUDGET} atoms at degree bound {max_degree}")
+        # a sum or product of Fractions may be integral: the rule stores it as an int, so later steps stay native
+        rhs = NcPoly(rhs.terms)
+        trace = tuple([(scalar(c), l, i, r) for c, l, i, r in trace])
         return RewriteRule(lhs, rhs, trace)
 
     def put(rid: int, rule: RewriteRule) -> None:
@@ -535,8 +538,8 @@ def complete(
 
     def add_rule(poly: NcPoly, trace: Trace) -> None:
         lw, lc = poly.leading_term(order)
-        inv = Fraction(1) / lc
-        rhs = (NcPoly.monomial(lw) - poly.scale(inv))
+        inv = scalar(Fraction(1) / lc)  # an int for lc = ±1
+        rhs = NcPoly.monomial(lw) - poly.scale(inv)
         rule = new_rule(lw, rhs, _scale_trace(trace, inv))
         # retire the rules whose lhs contains the new lhs, in rule order
         for rid in list(tables.factors.get(lw, ())):

@@ -118,6 +118,14 @@ def test_module_family_parameter_count_is_checked(params):
             catalog.module(fam, params)
 
 
+@pytest.mark.parametrize("fam", catalog.FAMILY_IDS)
+def test_module_family_refuses_a_float_parameter(fam):
+    # 0.1 is the binary float 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="float"):
+        catalog.module(fam, (0.1,))
+    assert catalog.module(fam, (1,)).label == catalog.module(fam, (F(1),)).label
+
+
 def test_uhalf_matrices_match_stated_family():
     mod = catalog.module("vp_mod_Uhalf", (F(1, 2),))
     vp = catalog.algebra("a_vp")

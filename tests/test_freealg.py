@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, _add_scaled
+from zhuind.freealg import EPSILON, MonomialOrder, NcPoly, _add_scaled, scalar
 from zhuind.iolang import parse_poly_text
 
 GENS = ("e", "f", "h")
@@ -206,3 +206,38 @@ def test_rational_arithmetic_exact():
         c, d = rng.randint(-99, 99), rng.randint(1, 99)
         total = Fraction(a, b) + Fraction(c, d)
         assert total * (b * d) == a * d + c * b
+
+
+# -- exact scalars: int when integral, Fraction otherwise, never a float ---------------
+
+
+def test_scalar_normalises_integral_values_to_int():
+    assert type(scalar(3)) is int and scalar(3) == 3
+    assert type(scalar(Fraction(-4, 2))) is int and scalar(Fraction(-4, 2)) == -2
+    assert type(scalar(Fraction(1, 2))) is Fraction
+    half = Fraction(1, 2)
+    assert scalar(half) is half  # a non-integral Fraction is kept, not rebuilt
+
+
+def test_constructors_store_integral_coefficients_as_int():
+    p = NcPoly({(0,): Fraction(2), (1,): Fraction(1, 3), (): Fraction(0)})
+    assert p.terms == {(0,): 2, (1,): Fraction(1, 3)}
+    assert type(p.terms[(0,)]) is int and type(p.terms[(1,)]) is Fraction
+    for q in (NcPoly.one(), NcPoly.gen(1), NcPoly.monomial((0, 1)), NcPoly.monomial((0,), Fraction(-3)), P("2 e f - 3 h")):
+        assert all(type(c) is int for c in q.terms.values()), q
+    assert all(type(c) is int for c in P("e f - h").scale(Fraction(-2)).terms.values())
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 0.0, -2.0])
+def test_binary_floats_are_refused_where_scalars_enter(value):
+    p = P("e f - h")
+    with pytest.raises(TypeError, match="float"):
+        NcPoly({(0,): value})
+    with pytest.raises(TypeError, match="float"):
+        NcPoly.monomial((0,), value)
+    with pytest.raises(TypeError, match="float"):
+        p.scale(value)
+    with pytest.raises(TypeError, match="float"):
+        p * value
+    with pytest.raises(TypeError, match="float"):
+        value * p

@@ -427,6 +427,13 @@ def test_fin_module_shares_fraction_entries_and_converts_the_rest(va1):
     assert all(type(x) is Fraction for mat in mod.actions.values() for row in mat for x in row)
 
 
+def test_named_actions_refuse_a_binary_float(va1):
+    with pytest.raises(TypeError, match="float"):
+        FinModule.from_named_actions(va1, 2, {"h": [[0.5, 0], [0, -1]]})
+    mod = FinModule.from_named_actions(va1, 2, {"h": [[1, 0], [0, F(-1)]]})
+    assert all(type(x) is Fraction for col in mod.columns[va1.gen_names.index("h")] for x in col.values())
+
+
 def test_named_actions_reject_a_wrong_size_and_an_unknown_generator(va1):
     with pytest.raises(ValueError, match="action of h must be 2x2"):
         FinModule.from_named_actions(va1, 2, {"h": [[1, 0], [0, 1, 0]]})

@@ -1197,3 +1197,74 @@ def test_heap_rewrite_rewrites_a_word_that_cancels_and_comes_back():
     assert [rule.lhs for _, _, rule, _ in steps] == [w("hh"), w("hf"), w("fe"), w("ee")]
     assert nf == P("f")
     assert (nf, steps) == _ref_sorted_rewrite(p, rules, HFE, LhsIndex(rules))
+
+
+# -- integral coefficients as int: the same completion as with integral Fractions ------------
+
+
+def _as_fractions(p):
+    """``p`` with every coefficient an integral ``Fraction``, set past the constructor, which would make it an int."""
+    q = NcPoly()
+    q.terms = {w: Fraction(c) for w, c in p.terms.items()}
+    return q
+
+
+def _integral_fractions(system):
+    """The values of rule right-hand sides and trace atoms that are a ``Fraction`` with denominator 1."""
+    values = [c for r in system.rules for c in r.rhs.terms.values()] + [a[0] for r in system.rules for a in r.trace]
+    return [c for c in values if type(c) is Fraction and c.denominator == 1]
+
+
+@st.composite
+def _integer_presentations(draw):
+    n_gens = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n_gens - 1), min_size=0, max_size=3).map(tuple)
+    coeff = st.sampled_from((1, -1, 2, -2, 3))
+    poly = st.dictionaries(word, coeff, min_size=1, max_size=3).map(NcPoly)
+    relations = draw(st.lists(poly, min_size=1, max_size=3))
+    order = MonomialOrder(tuple(draw(st.permutations(range(n_gens)))))
+    return relations, order, draw(st.integers(3, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_presentations())
+def test_complete_gives_the_same_system_for_int_and_integral_fraction_coefficients(case):
+    relations, order, max_degree = case
+    assert all(type(c) is int for p in relations for c in p.terms.values())
+    systems = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rewrite, "RULE_BUDGET", 60)
+        for rels in (relations, [_as_fractions(p) for p in relations]):
+            try:
+                systems.append(complete(rels, order, max_degree))
+            except CompletionError as exc:
+                systems.append(exc.kind)
+    native, fractional = systems
+    assert type(fractional) is type(native)
+    if isinstance(native, str):  # both blew the budget or found the algebra zero
+        assert fractional == native
+        return
+    for system in (native, fractional):
+        assert system.uncertified_rules() == []
+        unresolved = system.unresolved_ambiguities()
+        assert all(len(amb.witness) > max_degree for amb in unresolved)
+        assert unresolved == [] or system.confluent_to_degree == max_degree
+        assert _integral_fractions(system) == []
+    # item lists, so rhs term order is compared too; int and Fraction values compare equal
+    assert [(r.lhs, list(r.rhs.terms.items()), r.trace) for r in native.rules] == [
+        (r.lhs, list(r.rhs.terms.items()), r.trace) for r in fractional.rules
+    ]
+    assert (native.confluent_to_degree, native.pairs_resolved, native.rules_added, native.rules_retired) == (
+        fractional.confluent_to_degree,
+        fractional.pairs_resolved,
+        fractional.rules_added,
+        fractional.rules_retired,
+    )
+
+
+@pytest.mark.parametrize("alg_id", ["a_va2", "a_vp"])
+def test_catalog_completions_store_no_integral_fraction(alg_id):
+    # the fast path: no relation coefficient, rule value or trace atom stored as a Fraction with denominator 1
+    system = catalog.algebra(alg_id).system
+    assert not any(type(c) is Fraction and c.denominator == 1 for rel in system.relations for c in rel.terms.values())
+    assert _integral_fractions(system) == []

@@ -4,8 +4,10 @@
 Runs ``zhuind.cli.main`` in this process on the reports whose bytes are
 meant to be stable: ``verify all`` (``--json`` and ``--verbose``),
 ``kernel --via M --json`` for every catalog morphism, ``dim a_va2
---json``, both ``induce --via va1_to_va2`` reports and ``check --json``
-on the catalog printed in the source language.  Each line is the digest
+--json``, both ``induce --via va1_to_va2`` reports, two characters, the
+``artin`` inversion over ``a_va1``, one restriction, one induction of a
+parametric module and ``check --json`` on the catalog printed in the
+source language.  Each line is the digest
 of the command's stdout, its exit code and the command.  Run it on two
 checkouts and diff the output:
 
@@ -30,6 +32,11 @@ COMMANDS = [
     ["dim", "a_va2", "--json"],
     ["induce", "--via", "va1_to_va2", "--module", "va1_trivial"],
     ["induce", "--via", "va1_to_va2", "--module", "va1_L_half"],
+    ["char", "--module", "va1_L_half", "--json"],
+    ["char", "--module", "va2_L_lambda_alpha", "--json"],
+    ["artin", "--target", "a_va1", "--json"],
+    ["restrict", "--via", "va1_to_va2", "--module", "va2_L_lambda_beta", "--json"],
+    ["induce", "--via", "vp_to_va2", "--module", "vp_mod_Uhalf(1/2)", "--json"],
     ["check", "catalog.zi", "--json"],
 ]
 

@@ -7,8 +7,8 @@ import sys
 import zhuind
 
 # the lines scripts/output_digest.py prints: sha256 of each byte-stable report, its exit code
-# and the command; a change that moves a --json report, a verbose verification detail or an
-# induction report changes one of them
+# and the command; a change that moves a --json report, a verbose verification detail, an
+# induction or restriction report, a character or the artin inversion changes one of them
 PINNED_DIGESTS = [
     "0085e676b57e5dc3a174653e82b8d2d66240ca07410c72a5f0a3a2929d97e13c  exit=1  verify all --json",
     "a1b1d4bfde3f986c8fb45fcc1f2b7d1043adafc8101e1b7d5bfd8e0907e01973  exit=1  verify all --verbose",
@@ -21,6 +21,11 @@ PINNED_DIGESTS = [
     "cbee65391d7e719d05e343a9cd2f28e0e357bcd32ec24e66cdccc6bdf27fc77e  exit=0  dim a_va2 --json",
     "8493ea1c9100245dd6c89bb599cd86aa38ba6d062a48d8a0d8bc1d9d96d166ac  exit=0  induce --via va1_to_va2 --module va1_trivial",
     "61e389004b3ee3bd0ad05f57e41ff304d1ad7596d00b7b654ea8adc24bbad25b  exit=0  induce --via va1_to_va2 --module va1_L_half",
+    "171fa88c30bc66051db4115aabbf86320eb4614ef88c7b1d263282f981f06f6c  exit=0  char --module va1_L_half --json",
+    "d0b7b0e755ecf7de19f0b081402bbb65d60aeba5e9d86407d4539d42953ef9db  exit=0  char --module va2_L_lambda_alpha --json",
+    "1c0c748e2a463aa0986a46b79a00cf10a341631f121b526be579c9916e61f188  exit=0  artin --target a_va1 --json",
+    "f3408c5f40caf01e47b889f18142ca8f99b4a569933322db2a37855599f1a62a  exit=0  restrict --via va1_to_va2 --module va2_L_lambda_beta --json",
+    "294e3aaed5bc516811b33683ebb702a978d0675d5335b1a5a56171cd8ea5e4e3  exit=0  induce --via vp_to_va2 --module vp_mod_Uhalf(1/2) --json",
     "2c631c74117a224ef2b92bada015e8e477c2508f5fecec21c1e1d123217711e5  exit=0  check catalog.zi --json",
 ]
 

@@ -140,7 +140,7 @@ def module(mod_id: str, params: tuple = ()) -> FinModule:
         return FinModule.from_named_actions(algebra(fixed.algebra), fixed.dim, fixed.actions, label=label)
     if mod_id in FAMILY_IDS and len(params) != 1:
         raise ValueError(f"{mod_id} takes 1 parameter, got {len(params)}")
-    params = tuple(Fraction(scalar(p)) for p in params)  # a float raises TypeError
+    params = tuple(scalar(p) for p in params)  # a float raises TypeError
     if mod_id == "heis_mod":
         (s,) = params
         return FinModule.from_named_actions(algebra("heis"), 1, {"x": [[s]]}, label=f"heis_mod({s})")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from zhuind.algebra import AlgebraHandle, Element, Presentation
 from zhuind.freealg import MonomialOrder
 from zhuind.induct import induce
-from zhuind.linalg import Sparse, invert, rank
+from zhuind.linalg import RowSpace, Sparse, invert
 from zhuind.morphism import AlgebraMorphism
 from zhuind.repmod import FinModule
 
@@ -58,7 +58,8 @@ def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
 
 def independence_check(characters: list[CharacterVector]) -> bool:
     """True when the stacked character vectors have full rank."""
-    return rank([list(c.values) for c in characters]) == len(characters)
+    space = RowSpace(len(characters[0].values) if characters else 0)
+    return all(space.add(dict(enumerate(c.values))) for c in characters)
 
 
 class ArtinError(Exception):
@@ -91,21 +92,19 @@ def artin_solve(
     poly_line = AlgebraHandle.build(Presentation("poly_line", ("y",), MonomialOrder((0,)), ()))
     morphism = AlgebraMorphism(poly_line, target, [omega_image], name=f"line->{target.name}")
 
-    mult_matrix: list[list[int]] = [[0] * len(weights) for _ in irreducibles]
-    for j, w in enumerate(weights):
+    found: list[dict[str, int]] = []  # the decomposition of each induced module
+    for w in weights:
         point = FinModule.from_named_actions(poly_line, 1, {"y": [[w]]}, label=f"line@{w}")
         # no kernel radical: a kernel element q with q(w) != 0 makes omega_image - w invertible, so Ind is 0 either way
         result = induce(morphism, [], point, irreducibles)
         assert result.decomposition is not None
         if result.decomposition.residual:
             raise ArtinError("induced module does not decompose over the given irreducibles")
-        found = result.decomposition.as_dict()
-        for i, irr in enumerate(irreducibles):
-            mult_matrix[i][j] = found.get(irr.label, 0)
+        found.append(result.decomposition.as_dict())
 
-    n = [[Fraction(x) for x in row] for row in mult_matrix]
-    n_inv = invert(n)
+    # the multiplicity matrix N, N[i][j] = [Ind_j : irreducibles[i]], as sparse rows
+    n_inv = invert([{j: f[irr.label] for j, f in enumerate(found) if irr.label in f} for irr in irreducibles])
     if n_inv is None:
         raise ArtinError("induced characters are linearly dependent")
     # chi(Ind_j) = sum_i N[i][j] chi_i, so the coefficient matrix is (N^T)^-1 = (N^-1)^T
-    return [[n_inv[j][i] for j in range(len(weights))] for i in range(len(irreducibles))]
+    return [[n_inv[j].get(i, Fraction(0)) for j in range(len(weights))] for i in range(len(irreducibles))]

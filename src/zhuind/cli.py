@@ -191,7 +191,10 @@ def cmd_nf(args) -> int:
         poly = parse_poly_text(args.expr, handle.gen_names)
     except ParseError as exc:
         raise CliError(f"bad expression: {exc}")
-    reduced = handle.system.reduce(poly)
+    try:
+        reduced = handle.system.reduce(poly)
+    except RecursionError:
+        raise CliError("expression too long to reduce: a rewrite chain exceeds the recursion limit") from None
     rendered = format_poly(reduced, handle.gen_names, handle.system.order)
     _emit({"command": "nf", "algebra": handle.name, "input": args.expr, "normal_form": rendered}, [rendered], args.json)
     return 0

@@ -17,14 +17,13 @@ Exact scalars (``Scalar``) are ``int`` or ``Fraction``, never a binary
 ``float``: the one scalar convention of the package.  ``scalar`` is
 where a value enters: an integral one becomes an ``int``, any other
 rational a ``Fraction``, and a float raises ``TypeError``.  The
-``NcPoly`` constructor, ``one``, ``gen``, ``monomial`` and ``scale`` go
-through it, the rewriting layer writes its unit coefficients as ``int``
-and a new rewrite rule stores its right-hand side and trace through it,
-so an integer presentation completes with native ``int`` arithmetic.
-``_add_scaled`` does not normalise: ``2 * Fraction(1, 2)`` stays a
-``Fraction`` there.  Values of either type compare and hash alike.
-The results of ``linalg.RowSpace`` and the module columns ``repmod``
-builds are ``Fraction``.
+``NcPoly`` constructor, ``one``, ``gen``, ``monomial`` and ``scale``, a
+new rewrite rule's right-hand side and trace, and the module entries the
+``repmod.FinModule`` constructor stores go through it, and the rewriting
+layer writes its unit coefficients as ``int``, so an integer
+presentation completes with native ``int`` arithmetic.  ``_add_scaled``
+does not normalise: ``2 * Fraction(1, 2)`` stays a ``Fraction`` there.
+Values of either type compare and hash alike.
 
 The package's records are of two kinds.  Cold value records are
 ``typing.NamedTuple`` classes, like ``MonomialOrder``.  Records whose

@@ -1,27 +1,27 @@
 """Exact linear algebra over the rationals.
 
 Vectors are sparse (``Sparse``: column -> nonzero ``int`` or ``Fraction``,
-the exact scalars of ``freealg``), and a module action, an intertwiner or
-a unit map is a list of sparse columns; ``linear_combination(coeffs,
-vectors)`` is the one sum of scaled sparse vectors (a matrix times a
-vector, a product of algebra elements), and it
+the exact scalars of ``freealg``), the one vector type of the package: a
+matrix is a list of sparse rows or columns, as a module action, an
+intertwiner, a unit map or the matrix ``invert`` takes.
+``linear_combination(coeffs, vectors)`` is the one sum of scaled sparse
+vectors (a matrix times a vector, a product of algebra elements), and it
 and the elimination steps accumulate through ``freealg._add_scaled``, so
 a coefficient 0 adds nothing, a coefficient 1 stores the vector's own
-values and a result may share the caller's (immutable) values.  Dense
-matrices (``Mat``) are kept only for the dense view of a module's
-actions and for ``rank`` and ``invert``.  ``RowSpace`` keeps a reduced
-row echelon basis as sparse primitive integer rows (pivot column ->
-{column: int}), each with a positive pivot entry and zero at every other
-pivot, so reducing a mostly zero vector touches only its nonzero
-entries.  Elimination inside it is fraction-free; an integral vector
-(``int`` or ``Fraction`` values, all denominators 1) is taken as is,
-without a rescale, and ``Fraction`` values are built only where results
-leave it.  It never modifies a caller's vector.  ``RowSpace.basis`` and
-``RowSpace.nullspace`` return sparse vectors with a unit pivot or free
-entry, in ascending columns, and ``RowSpace.quotient_map`` gives
-coordinates in the quotient by the space, over its complement columns.
-``rank`` and ``invert`` insert the rows of a dense matrix into a
-``RowSpace``, so there is one elimination loop and one kernel routine.
+values and a result may share the caller's (immutable) values.
+``RowSpace`` keeps a reduced row echelon basis as sparse primitive
+integer rows (pivot column -> {column: int}), each with a positive pivot
+entry and zero at every other pivot, so reducing a mostly zero vector
+touches only its nonzero entries.  Elimination inside it is
+fraction-free; an integral vector (``int`` or ``Fraction`` values, all
+denominators 1) is taken as is, without a rescale, ``Fraction`` values
+are built only where results leave it, and a value of any other type
+raises ``TypeError``.  It never modifies a caller's vector.
+``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
+a unit pivot or free entry, in ascending columns, and
+``RowSpace.quotient_map`` gives coordinates in the quotient by the space,
+over its complement columns.  ``invert`` adds the rows of ``[A | I]`` to
+a ``RowSpace``, so there is one elimination loop and one kernel routine.
 All arithmetic is exact.
 """
 
@@ -34,7 +34,6 @@ from math import gcd, lcm
 
 from zhuind.freealg import Scalar, _add_scaled
 
-Mat = list[list[Fraction]]
 Sparse = dict[int, Scalar]
 
 
@@ -50,27 +49,16 @@ def linear_combination(coeffs: Sparse, vectors: Sequence[Sparse] | Mapping[int, 
     return acc
 
 
-def mat_of_columns(columns: list[Sparse], nrows: int) -> Mat:
-    """The dense matrix whose columns are the given sparse vectors."""
-    zero = Fraction(0)
-    return [[col.get(i, zero) for col in columns] for i in range(nrows)]
-
-
-def rank(rows: Mat) -> int:
-    space = RowSpace(len(rows[0]) if rows else 0)
-    for r in rows:
-        space._insert(dict(enumerate(r)))
-    return space.dim
-
-
-def invert(a: Mat) -> Mat | None:
-    n = len(a)
+def invert(rows: list[Sparse]) -> list[Sparse] | None:
+    """The inverse of the square matrix with sparse ``rows``, as sparse rows of ``Fraction``; None when singular."""
+    n = len(rows)
     space = RowSpace(2 * n)
-    for i, row in enumerate(a):
-        space._insert({**dict(enumerate(row)), n + i: Fraction(1)})
-    if space.pivots[:n] != list(range(n)) or space.dim != n:
+    for i, row in enumerate(rows):
+        space.add({**row, n + i: 1})
+    # [A | I] has n pivots, all in the columns of A exactly when A is invertible
+    if space.pivots != list(range(n)):
         return None
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in space.basis()]
+    return [{c - n: x for c, x in row.items() if c >= n} for row in space.basis()]
 
 
 class RowSpace:
@@ -98,7 +86,10 @@ class RowSpace:
 
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
         """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
-        den = lcm(*[x.denominator for x in vec.values()])
+        try:
+            den = lcm(*[x.denominator for x in vec.values()])
+        except AttributeError:  # a float or another inexact value: only int and Fraction have a denominator
+            raise TypeError(f"exact scalars only: {vec!r} holds a value that is not an int or a Fraction") from None
         if den == 1:  # an integral vector needs no rescale
             v = {c: n for c, x in vec.items() if (n := x.numerator)}
         else:
@@ -141,10 +132,6 @@ class RowSpace:
 
     def contains(self, vec: Sparse) -> bool:
         return not self._eliminate(vec)[0]
-
-    # linalg's own insertions use this name, so the per-layer trace of
-    # perfbench/tracing.py counts only the calls of other modules
-    _insert = add
 
     @property
     def dim(self) -> int:

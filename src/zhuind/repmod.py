@@ -2,8 +2,10 @@
 
 A module over a presented algebra stores the action of each generator as
 a list of sparse columns (column j: the image of basis vector j, nonzero
-entries only), taken as is by the constructor or built by
-``from_named_actions`` from dense matrices keyed by generator name.
+entries only).  The constructor is the one way in for entries: it stores
+each through ``freealg.scalar``, as every layer below stores its scalars.
+``from_named_actions`` builds the columns from dense matrices keyed by
+generator name, the one dense input of the package.
 ``check_module`` substitutes the actions into every relation of the
 owner.  Hom spaces are computed exactly as intertwiner nullspaces, and
 semisimple decompositions read multiplicities off hom dimensions.
@@ -17,22 +19,24 @@ from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle
 from zhuind.freealg import NcPoly, Scalar, Word, _add_scaled, scalar
-from zhuind.linalg import Mat, RowSpace, Sparse, linear_combination, mat_of_columns
+from zhuind.linalg import RowSpace, Sparse, linear_combination
 
 Columns = list[Sparse]  # one sparse column per basis vector
+Mat = list[list[Scalar]]  # a dense matrix: the input of from_named_actions and the view of actions
 
 
 class FinModule:
     """A module given by the action of each generator of ``owner``.
 
-    ``columns[g]`` is the action of generator g as sparse ``Fraction``
-    columns, with no stored zeros: the one stored form, kept as given and
-    fixed after construction.  ``from_named_actions`` builds it from dense
-    matrices keyed by generator name.  ``actions`` is a dense view of it,
-    built on first use.  ``action_of_word`` keeps the action of every word
-    it has computed, in a prefix tree: a word costs one sparse product per
-    letter past its longest known prefix.  Columns, word actions and the
-    dense view are shared between callers and must not be mutated.
+    ``columns[g]`` is the action of generator g as sparse columns of exact
+    scalars, with no stored zeros: the one stored form, each entry taken
+    through ``scalar`` and fixed after construction.  ``from_named_actions``
+    builds it from dense matrices keyed by generator name.  ``actions`` is
+    a dense view of it, built on first use.  ``action_of_word`` keeps the
+    action of every word it has computed, in a prefix tree: a word costs
+    one sparse product per letter past its longest known prefix.  Columns,
+    word actions and the dense view are shared between callers and must
+    not be mutated.
     """
 
     def __init__(self, owner: AlgebraHandle, dim: int, columns: list[Columns], label: str = ""):
@@ -40,29 +44,27 @@ class FinModule:
             raise ValueError("columns must be a list with one entry per generator; dense matrices go through from_named_actions")
         self.owner = owner
         self.dim = dim
-        self.columns = columns
+        # a non-integral Fraction is shared, an integral value stored as an int; a float raises TypeError
+        self.columns = [[{i: y for i, x in col.items() if (y := scalar(x))} for col in cols] for cols in columns]
         self.label = label or f"{owner.name}-module(dim {dim})"
         # prefix tree of word actions: node = (action of the word, {letter: child node})
-        self._word_actions: tuple[Columns, dict] = ([{j: Fraction(1)} for j in range(dim)], {})
+        self._word_actions: tuple[Columns, dict] = ([{j: 1} for j in range(dim)], {})
 
     @staticmethod
     def from_named_actions(owner: AlgebraHandle, dim: int, named: dict[str, Mat], label: str = "") -> "FinModule":
         """A module from one dense ``dim x dim`` matrix per generator name; a generator not named acts as 0."""
         columns: list[Columns] = [[{} for _ in range(dim)] for _ in owner.gen_names]
         for name, mat in named.items():
-            cols = columns[owner.gen_names.index(name)]
+            g = owner.gen_names.index(name)
             if len(mat) != dim or any(len(row) != dim for row in mat):
                 raise ValueError(f"action of {name} must be {dim}x{dim}")
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j][i] = _fraction(x)
+            columns[g] = [{i: row[j] for i, row in enumerate(mat)} for j in range(dim)]  # the constructor drops zeros
         return FinModule(owner, dim, columns, label)
 
     @cached_property
     def actions(self) -> dict[int, Mat]:
         """One dense matrix per generator: a read-only view of ``columns``."""
-        return {g: mat_of_columns(cols, self.dim) for g, cols in enumerate(self.columns)}
+        return {g: [[col.get(i, Fraction(0)) for col in cols] for i in range(self.dim)] for g, cols in enumerate(self.columns)}
 
     def action_of_word(self, word: Word) -> Columns:
         """The action of ``word`` as sparse columns: shared and read-only (see the class docstring)."""
@@ -85,11 +87,6 @@ class FinModule:
 
     def __repr__(self) -> str:
         return f"<module {self.label} over {self.owner.name}, dim {self.dim}>"
-
-
-def _fraction(x: Scalar) -> Fraction:
-    """``x`` as a ``Fraction``: one that already is one is shared, not rebuilt (it is immutable); a float raises ``TypeError``."""
-    return x if type(x) is Fraction else Fraction(scalar(x))
 
 
 class DecompositionRecord(NamedTuple):
@@ -197,9 +194,7 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
 
 
 def regular_module(handle: AlgebraHandle) -> FinModule:
-    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products`` as ``Fraction`` values."""
+    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
     if handle.basis is None:
         raise ValueError("regular module needs a finite-dimensional algebra")
-    # structure constants are int where integral; module columns are Fraction
-    columns = [[{i: _fraction(x) for i, x in col.items()} for col in cols] for cols in handle.gen_products]
-    return FinModule(handle, len(handle.basis), columns, f"{handle.name}-regular")
+    return FinModule(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")

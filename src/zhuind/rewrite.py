@@ -23,6 +23,12 @@ tie-break.  ``RewriteSystem`` builds the index once and ``complete``
 updates it where a rule is added or retired.  The random strategy of
 ``_rewrite`` still lists every redex by scanning.
 
+Two rewrite loops remain.  ``reduce_word`` is memoised recursion, as
+the read path meets the same words again and again; an explicit stack
+was 1.4 times slower there, and a memo per word in the heap loop of
+``_rewrite``, which completion runs as its rules change, 1.7 times
+(``a_va2``'s structure constants: 2.6 times) in a prototype.
+
 Ambiguities are looked up the same way, in ``AffixTables``: the proper
 prefixes, proper suffixes and factors of the left-hand sides, each to its
 rule ids in rule order.  The overlaps of one rule are the rules found at
@@ -385,8 +391,18 @@ class RewriteSystem:
 
     def reduce(self, p: NcPoly) -> NcPoly:
         out = NcPoly.zero()
-        for w, c in p.terms.items():
-            _add_scaled(out.terms, c, self.reduce_word(w).terms)
+        try:
+            for w, c in p.terms.items():
+                _add_scaled(out.terms, c, self.reduce_word(w).terms)
+        except RecursionError:  # a chain deeper than the stack: reduce a normal form times one letter at a time
+            out = NcPoly.zero()
+            for w, c in p.terms.items():
+                acc: dict[Word, Scalar] = {EPSILON: c}
+                for g in w:
+                    acc, prev = {}, acc
+                    for u, a in prev.items():
+                        _add_scaled(acc, a, self.reduce_word(u + (g,)).terms)
+                _add_scaled(out.terms, 1, acc)
         return out
 
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:
@@ -473,9 +489,9 @@ def complete(
     ever queued, because none occurs among the live rules: a new
     left-hand side is normal, so no live left-hand side lies inside it,
     and every live one containing it is retired before it is added.  The
-    ledger maps ``(lhs_i, lhs_j, offset, kind)`` to
-    the two rule objects a pair was last resolved against, and a pair it
-    holds with the same two objects (``is``) is skipped.  A rule whose
+    ledger maps an overlap ``(lhs_i, lhs_j, offset)`` to the two rule
+    objects it was last resolved against, and a pair it holds with the
+    same two objects (``is``) is skipped.  A rule whose
     right-hand side is rebuilt is marked, and when nothing is pending or
     queued the pairs of the live marked rules are queued again.  The
     certificate is ``INFINITE`` when no pair with a witness longer than
@@ -509,8 +525,8 @@ def complete(
     pending: list[tuple[NcPoly, Trace]] = [
         (rel, ((1, EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
     ]
-    heap: list[tuple[int, tuple, int, int, int, str, Word]] = []
-    ledger: dict[tuple[Word, Word, int, str], tuple[RewriteRule, RewriteRule]] = {}
+    heap: list[tuple[tuple, int, int, int, Word]] = []  # order.key(w) starts with len(w)
+    ledger: dict[tuple[Word, Word, int], tuple[RewriteRule, RewriteRule]] = {}
     marked: set[int] = set()  # rules whose right-hand side was rebuilt
     beyond: set[tuple[int, int]] = set()  # pairs with a witness longer than max_degree
     resolved = 0
@@ -520,7 +536,7 @@ def complete(
         for amb in tables.left_overlaps(i, li) + tables.right_overlaps(i, li):
             w = amb.witness
             if len(w) <= max_degree:
-                heapq.heappush(heap, (len(w), order.key(w), amb.i, amb.j, amb.offset, amb.kind, w))
+                heapq.heappush(heap, (order.key(w), amb.i, amb.j, amb.offset, w))
             else:
                 beyond.add((amb.i, amb.j))
 
@@ -576,16 +592,16 @@ def complete(
             # pending traces satisfy poly == sum(trace), so subtract the steps
             add_rule(poly, trace + _trace(steps, -1))
         elif heap:
-            _, _, i, j, offset, kind, w = heapq.heappop(heap)
+            _, i, j, offset, w = heapq.heappop(heap)
             if i not in rules or j not in rules:
                 continue
             ri, rj = rules[i], rules[j]
-            key = (ri.lhs, rj.lhs, offset, kind)
+            key = (ri.lhs, rj.lhs, offset)
             held = ledger.get(key)
             if held and held[0] is ri and held[1] is rj:
                 continue
             resolved += 1
-            s, s_steps = _s_poly(Ambiguity(kind, i, j, w, offset), rules)
+            s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
             s, steps = _rewrite(s, rules, order, index=index)
             ledger[key] = (ri, rj)
             if not s.is_zero():  # the trace is built only for a kept S-polynomial

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dense import dense_module, mat_mul, zeros
+from dense import dense_invert, dense_module, mat_mul, zeros
 from zhuind import catalog
-from zhuind.linalg import RowSpace, invert
+from zhuind.linalg import RowSpace
 from zhuind.repmod import FinModule
 from zhuind.rewrite import RewriteRule, RewriteSystem
 
@@ -48,7 +48,7 @@ def permuted_copy():
         p = zeros(module.dim, module.dim)
         for i, j in enumerate(perm):
             p[i][j] = Fraction(1)
-        pinv = invert(p)
+        pinv = dense_invert(p)
         actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
         return dense_module(module.owner, module.dim, actions, label or f"{module.label}~")
 

@@ -288,6 +288,18 @@ def test_empty_term_in_expression_exits_2(capsys):
     assert code == 2 and out == "" and "expected a term" in err
 
 
+def test_nf_of_a_word_longer_than_the_recursion_limit(capsys):
+    # h h h -> h, so h^2000 rewrites a thousand times in one chain
+    code, out, err = run(capsys, "nf", "a_va1", " ".join(["h"] * 2000))
+    assert (code, out, err) == (0, "h h\n", "")
+
+
+def test_nf_with_a_chain_past_the_recursion_limit_exits_2(capsys):
+    # in vb, x y -> y: x^1500 y rewrites 1500 times in one chain, also as the normal word x^1500 times y
+    code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * 1500) + " y")
+    assert code == 2 and out == "" and err.count("\n") == 1 and "recursion limit" in err
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["non-utf8", "missing"])
 @pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a")], ids=["check", "dim"])
 def test_unreadable_source_exits_2(tmp_path, capsys, content, argv):

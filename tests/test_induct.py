@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_module, zeros
+from dense import dense_module, mat_of_columns, zeros
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Element
 from zhuind.freealg import NcPoly
@@ -20,7 +20,7 @@ from zhuind.induct import (
     kernel_action_radical,
     restrict,
 )
-from zhuind.linalg import RowSpace, mat_of_columns
+from zhuind.linalg import RowSpace
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import DecompositionRecord, check_module, decompose, quotient_module
 

@@ -3,12 +3,13 @@
 Every routine is checked on generated rational matrices, from 5% dense
 to full, with zero rows, zero columns and dependent rows, against two
 oracles: sympy, and the dense ``Fraction`` row operations that ``linalg``
-used before its rows became sparse (copied below as ``DenseRowSpace`` and
-``dense_rref``, with the kernel read off it as ``dense_nullspace`` and
-the inverse as ``dense_invert``).  The reduced row echelon form is
-unique, so every result must agree exactly.  ``RowSpace`` takes and
-returns sparse vectors: the dense test rows are converted with ``sp`` at
-each call and its results with ``dense``.
+used before its rows became sparse (``DenseRowSpace`` below, and
+``dense_rref`` and ``dense_invert`` in ``tests/dense.py``, with the
+kernel read off the first as ``dense_nullspace``).  The reduced row
+echelon form is unique, so every result must agree exactly.
+``RowSpace`` and ``invert`` take and return sparse vectors: the dense
+test rows are converted with ``sp`` at each call and the results with
+``dense``.
 """
 
 from fractions import Fraction
@@ -18,42 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhuind.linalg import RowSpace, invert, rank
+from dense import dense_invert, dense_rref
+from zhuind.linalg import RowSpace, invert, linear_combination
 
 # -- the dense reference ----------------------------------------------------
-
-
-def _bits(c):
-    return c.numerator.bit_length() + c.denominator.bit_length()
-
-
-def dense_rref(rows):
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                if best is None or _bits(m[i][c]) < _bits(m[best][c]):
-                    best = i
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
 
 
 def dense_nullspace(a):
@@ -67,14 +36,6 @@ def dense_nullspace(a):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
-
-
-def dense_invert(a):
-    n = len(a)
-    red, pivots = dense_rref([list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
-    if pivots[:n] != list(range(n)) or len(red) != n:
-        return None
-    return [row[n:] for row in red]
 
 
 class DenseRowSpace:
@@ -232,7 +193,7 @@ def test_rref_matches_dense_reference(a):
     space = space_of(a)
     assert (dense_basis(space), space.pivots) == dense_rref(a)
     assert_sparse(space.basis(), space.pivots)
-    assert rank(a) == len(dense_rref(a)[0])
+    assert space.dim == len(dense_rref(a)[0])
 
 
 @SETTINGS
@@ -241,7 +202,7 @@ def test_rref_matches_sympy(a):
     sympy = pytest.importorskip("sympy")
     space = space_of(a)
     assert (dense_basis(space), space.pivots) == sympy_rref(sympy, a)
-    assert rank(a) == sympy.Matrix(a).rank()
+    assert space.dim == sympy.Matrix(a).rank()
 
 
 @SETTINGS
@@ -264,13 +225,33 @@ def test_invert_matches_references(a):
     a = a[: len(a[0])]
     while len(a) < len(a[0]):
         a.append([Fraction(0)] * len(a[0]))
-    inv = invert(a)
-    assert inv == dense_invert(a)
+    inv = invert([sp(row) for row in a])
+    ref = dense_invert(a)
+    assert inv == (None if ref is None else [sp(row) for row in ref])
     ma = sympy.Matrix(a)
     if ma.det() == 0:
         assert inv is None
     else:
-        assert inv == [[_frac(x) for x in ma.inv().row(i)] for i in range(len(a))]
+        assert [dense(row, len(a)) for row in inv] == [[_frac(x) for x in ma.inv().row(i)] for i in range(len(a))]
+        # no stored zero, ascending columns, Fraction values
+        assert all(list(row) == sorted(row) and all(type(x) is Fraction and x for x in row.values()) for row in inv)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.randoms(use_true_random=False), st.booleans())
+def test_sparse_invert_matches_dense_invert(n, rng, singular):
+    a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0) for _ in range(n)] for _ in range(n)]
+    if singular:  # a multiple of another row, or a zero row
+        i, j, f = rng.randrange(n), rng.randrange(n), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        a[i] = [f * x for x in a[j]] if i != j else [Fraction(0)] * n
+    rows = [sp(row) for row in a]
+    inv = invert(rows)
+    ref = dense_invert(a)
+    assert inv == (None if ref is None else [sp(row) for row in ref])
+    if singular:
+        assert inv is None
+    elif inv is not None:
+        assert [linear_combination(row, rows) for row in inv] == [{i: 1} for i in range(n)]
 
 
 # -- RowSpace -------------------------------------------------------------------
@@ -414,9 +395,18 @@ def test_rowspace_integer_input_gives_fraction_rows():
     assert all(type(x) is Fraction for v in space.basis() for x in v.values())
 
 
+@pytest.mark.parametrize("method", ["add", "contains", "reduce"])
+def test_rowspace_refuses_a_binary_float(method):
+    space = RowSpace(2)
+    space.add({1: 1})
+    with pytest.raises(TypeError, match="exact scalars only"):
+        getattr(space, method)({0: 0.5})
+    assert space.rows == {1: {1: 1}}
+
+
 def test_empty_inputs():
-    assert rank([]) == 0 and invert([]) == []
+    assert invert([]) == [] and invert([{}]) is None
     assert RowSpace(0).basis() == [] and RowSpace(0).nullspace() == []
-    assert rank([[Fraction(0)] * 3]) == 0
+    assert space_of([[Fraction(0)] * 3]).dim == 0
     assert space_of([[Fraction(0), Fraction(0)]]).nullspace() == [{0: 1}, {1: 1}]
     assert dense(RowSpace(2).reduce(sp([Fraction(1), Fraction(2)])), 2) == [1, 2]

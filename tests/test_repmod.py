@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_module, identity, mat_mul, zeros
+from dense import dense_module, identity, mat_mul, mat_of_columns, zeros
 from zhuind import catalog
-from zhuind.freealg import NcPoly
-from zhuind.linalg import RowSpace, mat_of_columns
+from zhuind.freealg import NcPoly, scalar
+from zhuind.linalg import RowSpace
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
@@ -285,12 +285,17 @@ def test_hom_space_of_one_dimensional_modules_with_distinct_scalars_is_zero(reco
 # -- the stored sparse columns against the dense input ------------------------------
 
 
+def is_exact_scalar(x):
+    """A nonzero ``int`` or ``Fraction`` that is its own ``scalar`` form: an ``int`` when integral."""
+    return x != 0 and type(x) in (int, Fraction) and scalar(x) == x and type(scalar(x)) is type(x)
+
+
 def assert_sparse_form(module):
-    """One list of ``dim`` sparse columns per generator, with no stored zero."""
+    """One list of ``dim`` sparse columns per generator, each entry nonzero and stored as ``scalar`` gives it."""
     assert len(module.columns) == len(module.owner.gen_names)
     for cols in module.columns:
         assert len(cols) == module.dim
-        assert all(0 <= i < module.dim and type(x) is Fraction and x for col in cols for i, x in col.items())
+        assert all(0 <= i < module.dim and is_exact_scalar(x) for col in cols for i, x in col.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,6 +337,29 @@ def test_built_modules_keep_the_sparse_form(va1, va2):
         assert_sparse_form(module)
 
 
+@settings(max_examples=30, deadline=None)
+@given(action_modules(), st.randoms(use_true_random=False))
+def test_every_built_module_stores_its_entries_through_scalar(module, rng):
+    from zhuind.induct import induce, restrict
+
+    # from_named_actions, with int, integral Fraction and other Fraction input
+    built = [module]
+    seed = {i: x for i in range(module.dim) if (x := F(rng.randint(-2, 2), rng.randint(1, 2)))}
+    built.append(quotient_module(module, submodule_closure(module, [seed])))
+    built += [restrict(catalog.morphism(mor_id), module) for mor_id in ("heis_to_va1", "vb_to_va1", "vir_to_va1")]
+    built.append(induce(catalog.morphism("va1_to_va2"), [], module).module)
+    built.append(regular_module(catalog.algebra(rng.choice(["a_va1", "a_va2"]))))
+    for m in built:
+        assert_sparse_form(m)
+
+
+def test_fin_module_refuses_a_binary_float(va1):
+    with pytest.raises(TypeError, match="float"):
+        FinModule(va1, 1, [[{0: 0.5}], [{0: 2.0}], [{0: 0.25}]])
+    with pytest.raises(TypeError, match="float"):
+        FinModule(va1, 1, [[{0: 1}], [{}], [{0: 0.0}]])
+
+
 # -- evaluate against the matrix sum it replaced ----------------------------------
 
 
@@ -360,7 +388,7 @@ _eval_poly = st.dictionaries(_eval_word, st.fractions(min_value=-3, max_value=3,
 def test_evaluate_matches_matrix_sum(module, p):
     got = module.evaluate(p)
     assert mat_of_columns(got, module.dim) == sum_evaluate(module, p)
-    assert all(type(x) is Fraction and x for col in got for x in col.values())
+    assert all(type(x) in (int, Fraction) and x for col in got for x in col.values())
 
 
 def test_evaluate_matches_matrix_sum_on_catalog_relations():
@@ -420,18 +448,22 @@ def test_regular_module_matches_re_reduced_actions(va1, va2):
 
 def test_fin_module_shares_fraction_entries_and_converts_the_rest(va1):
     half = F(1, 2)
-    mod = FinModule.from_named_actions(va1, 2, {"h": [[half, 0], [0, -1]]})
+    mod = FinModule.from_named_actions(va1, 2, {"h": [[half, F(3)], [0, -1]]})
     h = va1.gen_names.index("h")
     assert mod.actions[h][0][0] is half
-    assert mod.actions[h] == [[F(1, 2), F(0)], [F(0), F(-1)]]
-    assert all(type(x) is Fraction for mat in mod.actions.values() for row in mat for x in row)
+    assert mod.actions[h] == [[F(1, 2), F(3)], [F(0), F(-1)]]
+    # the integral entries, given as an int and as a Fraction, are stored as int
+    assert mod.columns[h] == [{0: half}, {0: 3, 1: -1}]
+    assert [type(x) for col in mod.columns[h] for x in col.values()] == [Fraction, int, int]
 
 
 def test_named_actions_refuse_a_binary_float(va1):
     with pytest.raises(TypeError, match="float"):
         FinModule.from_named_actions(va1, 2, {"h": [[0.5, 0], [0, -1]]})
+    with pytest.raises(TypeError, match="float"):
+        FinModule.from_named_actions(va1, 1, {"h": [[0.0]]})  # a float zero is refused too, not dropped
     mod = FinModule.from_named_actions(va1, 2, {"h": [[1, 0], [0, F(-1)]]})
-    assert all(type(x) is Fraction for col in mod.columns[va1.gen_names.index("h")] for x in col.values())
+    assert all(type(x) is int for col in mod.columns[va1.gen_names.index("h")] for x in col.values())
 
 
 def test_named_actions_reject_a_wrong_size_and_an_unknown_generator(va1):

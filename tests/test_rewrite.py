@@ -69,6 +69,18 @@ def test_reduce_cubed_cartan(va1):
     assert va1.system.reduce(P("h h h")) == P("h")
 
 
+def test_reduce_of_words_past_the_recursion_limit(va1, va2):
+    # h^2000 and (x_a x_ma)^800 rewrite in chains longer than the recursion limit; reduce answers
+    # as the heap loop does, which does not recurse
+    h = va1.gen_names.index("h")
+    x_a, x_ma = va2.gen_names.index("x_a"), va2.gen_names.index("x_ma")
+    for handle, word in ((va1, (h,) * 2000), (va2, (x_a, x_ma) * 800)):
+        p = NcPoly({word: 3, (h,): 1})
+        system = handle.system
+        assert system.reduce(p) == _rewrite(p, system._rule_dict, system.order)[0]
+    assert va1.system.reduce(NcPoly.monomial((h,) * 2000)) == P("h h")
+
+
 def test_reduce_idempotent_and_linear_on_catalog():
     rng = random.Random(3)
     for alg_id in catalog.ALGEBRA_IDS:

@@ -295,8 +295,9 @@ def test_nf_of_a_word_longer_than_the_recursion_limit(capsys):
 
 
 def test_nf_with_a_chain_past_the_recursion_limit_exits_2(capsys):
-    # in vb, x y -> y: x^1500 y rewrites 1500 times in one chain, also as the normal word x^1500 times y
-    code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * 1500) + " y")
+    # in vb, x y -> y: x^n y rewrites n times in one chain, also as the normal word x^n times y
+    n = sys.getrecursionlimit() + 500
+    code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
     assert code == 2 and out == "" and err.count("\n") == 1 and "recursion limit" in err
 
 

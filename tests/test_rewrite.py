@@ -499,17 +499,101 @@ def _render_catalog_systems():
     for alg_id in catalog.ALGEBRA_IDS:
         system = catalog.algebra(alg_id).system
         lines.append(f"algebra {alg_id} confluent_to_degree {system.confluent_to_degree}")
-        for rule in system.rules:
-            rhs = " ".join(f"{c}*{list(w)}" for w, c in rule.rhs.terms.items())
-            trace = " ".join(f"{c}*{list(l)}*r{i}*{list(r)}" for c, l, i, r in rule.trace)
-            lines.append(f"rule {list(rule.lhs)} -> {rhs} | {trace}")
+        lines.extend(_render_rule(rule) for rule in system.rules)
     return "\n".join(lines) + "\n"
+
+
+def _render_rule(rule):
+    rhs = " ".join(f"{c}*{list(w)}" for w, c in rule.rhs.terms.items())
+    trace = " ".join(f"{c}*{list(l)}*r{i}*{list(r)}" for c, l, i, r in rule.trace)
+    return f"rule {list(rule.lhs)} -> {rhs} | {trace}"
 
 
 def test_catalog_systems_digest_is_pinned():
     text = _render_catalog_systems()
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == CATALOG_SYSTEMS_SHA256, "a catalog rule, rhs term order, trace or certificate changed"
+
+
+# -- generated-family stability: the presentations the completion benchmark builds ------------
+
+# a_vp's four fixed precedences (greatest first); the last two leave the certificate at degree 8
+_VP_RANKINGS = (
+    ("y", "x_a", "x_ma", "x", "x_ab", "x_b"),
+    ("x_a", "x_ma", "x_ab", "x", "x_b", "y"),
+    ("x_b", "x_a", "x_ab", "y", "x", "x_ma"),
+    ("x", "y", "x_b", "x_ma", "x_a", "x_ab"),
+)
+_VA2_RANKINGS = (
+    ("x_ma", "x_b", "x", "y", "x_ab", "x_a", "x_mb", "x_mab"),
+    ("x_ma", "y", "x_b", "x_a", "x", "x_mab", "x_mb", "x_ab"),
+)
+
+
+def _pow_presentation(n):
+    return [NcPoly.monomial((0,) * n) - NcPoly.gen(0)], MonomialOrder((0,)), 12
+
+
+def _plane_presentation(n, m, q):
+    # x^n = y^m = 0 and y x = q x y, with y > x
+    rels = [NcPoly.monomial((0,) * n), NcPoly.monomial((1,) * m), NcPoly.monomial((1, 0)) - NcPoly.monomial((0, 1), q)]
+    return rels, MonomialOrder.from_ranking([1, 0]), 12
+
+
+def _ranked_presentation(alg_id, ranking):
+    pres = catalog.presentation(alg_id)
+    order = MonomialOrder.from_ranking([pres.gen_names.index(g) for g in ranking])
+    return list(pres.relations), order, catalog.COMPLETION_DEGREE[alg_id]
+
+
+GENERATED_FAMILIES = {
+    **{f"pow{n}": lambda n=n: _pow_presentation(n) for n in range(2, 11)},
+    **{f"qplane{n}x{m}": lambda n=n, m=m: _plane_presentation(n, m, Fraction(-4, 9)) for n, m in ((2, 3), (4, 5), (6, 3))},
+    "qplane6x4": lambda: _plane_presentation(6, 4, Fraction(2, 3)),
+    **{f"a_vp_{k}": lambda r=r: _ranked_presentation("a_vp", r) for k, r in enumerate(_VP_RANKINGS)},
+    **{f"a_va2_{k}": lambda r=r: _ranked_presentation("a_va2", r) for k, r in enumerate(_VA2_RANKINGS)},
+}
+
+
+def _render_completion(system):
+    """Certificate, counters, and every rule with its rhs term order and trace."""
+    lines = [
+        f"confluent_to_degree {system.confluent_to_degree} pairs_resolved {system.pairs_resolved}"
+        f" rules_added {system.rules_added} rules_retired {system.rules_retired}"
+    ]
+    lines.extend(_render_rule(rule) for rule in system.rules)
+    return "\n".join(lines) + "\n"
+
+GENERATED_FAMILIES_SHA256 = {
+    "pow2": "b69770686f716402f5d20cd5091074994e4fb46530dbef64bfcf992fe2546226",
+    "pow3": "c54c7b57bc1f4d239718dedeed28237ed56606cadf9bf4782abec68a4bd12ae2",
+    "pow4": "b39c9bede5033ccd09f834d3d6a7f6d6557276f0598c95f99be8b9ca7e1a944b",
+    "pow5": "f48f705a588735195c43126c6c03c5cadfe2a1be63155be0e3b8bbe8fb4e82f2",
+    "pow6": "dcfe14d23fc1a6f62f94829e65161964c09988880a9ecf8f5e90abab57e26402",
+    "pow7": "5bff480e4fed5f377626e2d211bfb234f2cbc166bd954ce99ef35119250f3d93",
+    "pow8": "6865c7470709d9ced0ca1db2e6407b28694ae73521f28d6b1ec21bd1e7fe5349",
+    "pow9": "f0460b68fac9b81d20a437b9faa654ece9157c3adee9a7bd070c9bb086f98ceb",
+    "pow10": "951376e076b481f1dcfd24200bcb467c3145cdafbb2d09d656ed6580dfb07b90",
+    "qplane2x3": "635acfcabc6358429e8abca0de1ae20f10addf4b9e41a70252d45029cc9aa6a0",
+    "qplane4x5": "5c9c1c34c0fe0a604aa1f9f1889490063f3de56692398d0ab3fb58171f4e8c4d",
+    "qplane6x3": "b3f535af769321a6f6c6da97f68a445e9937dded28f0a7dfc2417bb1182e269c",
+    "qplane6x4": "dbedeabf28a91b69f70d011504ae1361d128e7a09403e0b1234df740cedaf594",
+    "a_vp_0": "94393008fd10669e01898557758885d0923753bd7e62ae03ba1f52ed607beded",
+    "a_vp_1": "84f8389c9b046979d60b665d67b2841dba893ec1fe2652a1c3c67dd8fa36228f",
+    "a_vp_2": "b78603a7d55a34fee6b5793ccac2c887920f0390aec83c42071785f463b3bba1",
+    "a_vp_3": "50ec95c02782810ffce52d46c5a8b679396ffffa05256dc2f6bcce004636b416",
+    "a_va2_0": "5190dc1d40afdbc475bbc1da277d055d64a4bd17d9a12766ef27c393d734741f",
+    "a_va2_1": "9a75c88d1b80dd14582865ff4ee597b84abcc5772b2c01ef8888228641ebb455",
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED_FAMILIES))
+def test_generated_family_completion_is_pinned(name):
+    # a^n - a (n >= 7 stops at degree 12), truncated q-planes, a_vp under four precedences
+    # (two stop at degree 8) and a_va2 under two: rules, traces, certificate and counters
+    system = complete(*GENERATED_FAMILIES[name]())
+    digest = hashlib.sha256(_render_completion(system).encode()).hexdigest()
+    assert digest == GENERATED_FAMILIES_SHA256[name], f"{name}: a rule, trace, certificate or counter changed"
 
 
 def _ref_memo_reduce(system, p, memo):

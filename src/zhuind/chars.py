@@ -80,6 +80,8 @@ def artin_solve(
     returned row ``i`` gives rational coefficients c_ij with
     chi_i = sum_j c_ij * chi(Ind_j).
     """
+    if len(weights) != len(irreducibles):
+        raise ArtinError(f"{len(weights)} weights for {len(irreducibles)} irreducibles")
     if len(set(weights)) != len(weights):
         raise ArtinError("weights must be pairwise distinct")
     if omega_image.algebra is not target:

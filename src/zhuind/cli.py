@@ -193,8 +193,8 @@ def cmd_nf(args) -> int:
         raise CliError(f"bad expression: {exc}")
     try:
         reduced = handle.system.reduce(poly)
-    except RecursionError:
-        raise CliError("expression too long to reduce: a rewrite chain exceeds the recursion limit") from None
+    except RuntimeError as exc:  # the rewrite-step budget, as when a normal form has thousands of long words
+        raise CliError(f"expression too large to reduce: {exc}") from None
     rendered = format_poly(reduced, handle.gen_names, handle.system.order)
     _emit({"command": "nf", "algebra": handle.name, "input": args.expr, "normal_form": rendered}, [rendered], args.json)
     return 0

@@ -23,11 +23,15 @@ tie-break.  ``RewriteSystem`` builds the index once and ``complete``
 updates it where a rule is added or retired.  The random strategy of
 ``_rewrite`` still lists every redex by scanning.
 
-Two rewrite loops remain.  ``reduce_word`` is memoised recursion, as
-the read path meets the same words again and again; an explicit stack
-was 1.4 times slower there, and a memo per word in the heap loop of
-``_rewrite``, which completion runs as its rules change, 1.7 times
-(``a_va2``'s structure constants: 2.6 times) in a prototype.
+Two rewrite loops remain, and both rewrite each word at the same
+redex, so both compute the same linear map even on rules that are not
+confluent.  ``_normal_form`` is memoised recursion: the read path
+(``reduce_word``) and completion's zero test of an S-polynomial meet the
+same words again and again.  An explicit stack was 1.4 times slower
+there, and a memo per word in the heap loop of ``_rewrite`` 1.7 times
+(``a_va2``'s structure constants: 2.6 times) in a prototype.  The heap
+loop lists the steps a trace is built from, draws random redexes, and
+follows a chain deeper than the recursion limit.
 
 Ambiguities are looked up the same way, in ``AffixTables``: the proper
 prefixes, proper suffixes and factors of the left-hand sides, each to its
@@ -190,10 +194,12 @@ def _rewrite(
     order: MonomialOrder,
     rng: random.Random | None = None,
     index: LhsIndex | None = None,
+    keep_steps: bool = True,
 ) -> tuple[NcPoly, list[Step]]:
     """The rewrite loop: rewrite ``p`` until no term has a redex.
 
-    A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``.
+    A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``;
+    the steps are listed unless ``keep_steps`` is false, and more than ``STEP_BUDGET`` raise ``RuntimeError``.
     Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex,
     found through ``index`` (built from ``rules`` when not given);
     with ``rng`` it draws one of all redexes, listed by term, rule id and position.
@@ -213,6 +219,7 @@ def _rewrite(
         heapq.heapify(heap)
     cur = p
     steps: list[Step] = []
+    taken = 0
     while True:
         hit = None
         if heap is not None:
@@ -247,9 +254,46 @@ def _rewrite(
                 if u not in cur.terms:
                     heapq.heappush(heap, (-len(u), [-prec[g] for g in u], u))
         _add_scaled(cur.terms, c, added)
-        steps.append((c, left, rule, right))
-        if len(steps) > STEP_BUDGET:
+        if keep_steps:
+            steps.append((c, left, rule, right))
+        taken += 1
+        if taken > STEP_BUDGET:
             raise RuntimeError("reduction step budget exceeded")
+
+
+def _normal_form(
+    word: Word,
+    memo: dict[Word, NcPoly],
+    index: LhsIndex,
+    rules: dict[int, RewriteRule],
+    limit: float = INFINITE,
+) -> NcPoly:
+    """The normal form of ``word`` under ``rules``, by memoised recursion.
+
+    A word is rewritten at its leftmost, lowest-id redex, found through
+    ``index``, and the normal forms of the words of the result are summed.
+    ``memo`` maps words to their normal forms under ``rules``, with
+    read-only terms, and must be emptied whenever ``rules`` change.  A
+    miss when ``memo`` already holds ``limit`` words raises ``RuntimeError``.
+    """
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    if len(memo) >= limit:
+        raise RuntimeError("reduction step budget exceeded")
+    found = _find_redex(word, index)
+    if found is None:
+        result = NcPoly.monomial(word)
+    else:
+        pos, rid = found
+        rule = rules[rid]
+        left, right = word[:pos], word[pos + len(rule.lhs) :]
+        result = NcPoly.zero()
+        for t, c in rule.rhs.terms.items():
+            _add_scaled(result.terms, c, _normal_form(left + t + right, memo, index, rules, limit).terms)
+    result.terms = MappingProxyType(result.terms)
+    memo[word] = result
+    return result
 
 
 def _factors(word: Word) -> set[Word]:
@@ -341,6 +385,32 @@ def _s_poly(amb: Ambiguity, rules: dict[int, RewriteRule]) -> tuple[NcPoly, list
     return s, [(1, left, rj, right), (-1, EPSILON, ri, suf)]
 
 
+def _s_poly_is_zero(
+    ri: RewriteRule,
+    rj: RewriteRule,
+    offset: int,
+    memo: dict[Word, NcPoly],
+    index: LhsIndex,
+    rules: dict[int, RewriteRule],
+) -> bool:
+    """Whether the S-polynomial of the overlap of ``ri`` and ``rj`` by ``offset`` reduces to zero.
+
+    Its normal form is summed from ``_normal_form`` of the words of
+    ``ri.rhs * suffix`` and ``prefix * rj.rhs``, without building the
+    S-polynomial or any step.  Each memo miss counts as one rewrite step
+    against ``STEP_BUDGET``; ``RuntimeError`` (``RecursionError`` included)
+    leaves the answer to ``_rewrite``.
+    """
+    left, suf = ri.lhs[: len(ri.lhs) - offset], rj.lhs[offset:]
+    limit = len(memo) + STEP_BUDGET
+    acc: dict[Word, Scalar] = {}
+    for t, c in ri.rhs.terms.items():
+        _add_scaled(acc, c, _normal_form(t + suf, memo, index, rules, limit).terms)
+    for t, c in rj.rhs.terms.items():
+        _add_scaled(acc, -c, _normal_form(left + t, memo, index, rules, limit).terms)
+    return not acc
+
+
 class RewriteSystem:
     """An interreduced rule set with a confluence certificate.
 
@@ -371,38 +441,15 @@ class RewriteSystem:
     # -- normal forms ---------------------------------------------------
 
     def reduce_word(self, word: Word) -> NcPoly:
-        memo = self._memo
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        found = _find_redex(word, self.lhs_index)
-        if found is None:
-            result = NcPoly.monomial(word)
-        else:
-            pos, rid = found
-            rule = self._rule_dict[rid]
-            left, right = word[:pos], word[pos + len(rule.lhs) :]
-            result = NcPoly.zero()
-            for t, c in rule.rhs.terms.items():
-                _add_scaled(result.terms, c, self.reduce_word(left + t + right).terms)
-        result.terms = MappingProxyType(result.terms)
-        memo[word] = result
-        return result
+        return _normal_form(word, self._memo, self.lhs_index, self._rule_dict)
 
     def reduce(self, p: NcPoly) -> NcPoly:
         out = NcPoly.zero()
         try:
             for w, c in p.terms.items():
                 _add_scaled(out.terms, c, self.reduce_word(w).terms)
-        except RecursionError:  # a chain deeper than the stack: reduce a normal form times one letter at a time
-            out = NcPoly.zero()
-            for w, c in p.terms.items():
-                acc: dict[Word, Scalar] = {EPSILON: c}
-                for g in w:
-                    acc, prev = {}, acc
-                    for u, a in prev.items():
-                        _add_scaled(acc, a, self.reduce_word(u + (g,)).terms)
-                _add_scaled(out.terms, 1, acc)
+        except RecursionError:  # a chain deeper than the stack: the heap loop gives the same result
+            out = _rewrite(p, self._rule_dict, self.order, index=self.lhs_index, keep_steps=False)[0]
         return out
 
     def reduce_traced(self, p: NcPoly) -> tuple[NcPoly, Trace]:
@@ -480,8 +527,20 @@ def complete(
 
     One loop turns pending polynomials into rules first, then resolves the
     queued pair with the smallest witness; a nonzero reduced S-polynomial
-    becomes pending.  The live left-hand sides are kept in an ``LhsIndex``
-    for reduction and in ``AffixTables``: a new rule's overlaps are queued
+    becomes pending.  A pair is first tested by ``_s_poly_is_zero``, which
+    sums the S-polynomial's normal form from a memo of word normal forms
+    under the live rules; only a nonzero result, or a chain deeper than
+    the stack, builds the S-polynomial and reduces it by ``_rewrite`` for
+    its steps.  Both loops rewrite a word at its leftmost, lowest-id redex
+    through the same ``LhsIndex``, and the heap loop rewrites the greatest
+    word first, so a word's coefficient is final when it is rewritten: its
+    result is the sum of the memo's normal forms of the terms, also on
+    rules that are not yet confluent.  The memo is emptied at every
+    ``add_rule``, which adds a rule and may retire rules and rebuild
+    right-hand sides; the rules change nowhere else.
+
+    The live left-hand sides are kept in an ``LhsIndex`` for reduction
+    and in ``AffixTables``: a new rule's overlaps are queued
     by table lookups at its proper prefixes and suffixes, the rules to
     retire are the factor table's entry for its left-hand side, and the
     right-hand sides to rebuild are those whose set of word factors holds
@@ -529,6 +588,7 @@ def complete(
     ledger: dict[tuple[Word, Word, int], tuple[RewriteRule, RewriteRule]] = {}
     marked: set[int] = set()  # rules whose right-hand side was rebuilt
     beyond: set[tuple[int, int]] = set()  # pairs with a witness longer than max_degree
+    memo: dict[Word, NcPoly] = {}  # normal forms of words under the live rules, emptied when they change
     resolved = 0
 
     def push_ambiguities(i: int) -> None:
@@ -553,6 +613,7 @@ def complete(
         rhs_factors[rid] = set().union(*map(_factors, rule.rhs.terms))
 
     def add_rule(poly: NcPoly, trace: Trace) -> None:
+        memo.clear()
         lw, lc = poly.leading_term(order)
         inv = scalar(Fraction(1) / lc)  # an int for lc = ±1
         rhs = NcPoly.monomial(lw) - poly.scale(inv)
@@ -601,9 +662,14 @@ def complete(
             if held and held[0] is ri and held[1] is rj:
                 continue
             resolved += 1
+            ledger[key] = (ri, rj)
+            try:
+                if _s_poly_is_zero(ri, rj, offset, memo, index, rules):
+                    continue
+            except RuntimeError:  # a chain deeper than the stack, or the step budget: the heap loop decides
+                pass
             s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
             s, steps = _rewrite(s, rules, order, index=index)
-            ledger[key] = (ri, rj)
             if not s.is_zero():  # the trace is built only for a kept S-polynomial
                 pending.append((s, _trace(s_steps) + _trace(steps, -1)))
         elif marked:

@@ -108,6 +108,12 @@ def test_artin_rejects_colliding_weights(va1):
         artin_solve(va1, va1.element("1/4 h h"), [F(0), F(0)], catalog.irreducibles("a_va1"))
 
 
+@pytest.mark.parametrize("weights", [[F(0), F(1, 4), F(5)], [F(0)]], ids=["one-too-many", "one-too-few"])
+def test_artin_rejects_a_weight_count_other_than_the_irreducibles(va1, weights):
+    with pytest.raises(ArtinError, match="weights for 2 irreducibles"):
+        artin_solve(va1, va1.element("1/4 h h"), weights, catalog.irreducibles("a_va1"))
+
+
 def test_artin_rejects_wrong_scalar(va1):
     with pytest.raises(ArtinError):
         artin_solve(va1, va1.element("h h"), [F(0), F(1, 4)], catalog.irreducibles("a_va1"))

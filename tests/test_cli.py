@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import zhuind
-from zhuind import catalog
+from zhuind import catalog, rewrite
 from zhuind.cli import main
 
 
@@ -294,11 +294,19 @@ def test_nf_of_a_word_longer_than_the_recursion_limit(capsys):
     assert (code, out, err) == (0, "h h\n", "")
 
 
-def test_nf_with_a_chain_past_the_recursion_limit_exits_2(capsys):
-    # in vb, x y -> y: x^n y rewrites n times in one chain, also as the normal word x^n times y
+def test_nf_with_a_chain_past_the_recursion_limit(capsys):
+    # in vb, x y -> y: x^n y rewrites n times in one chain, which the heap loop follows without recursing
     n = sys.getrecursionlimit() + 500
     code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
-    assert code == 2 and out == "" and err.count("\n") == 1 and "recursion limit" in err
+    assert (code, out, err) == (0, "y\n", "")
+
+
+def test_nf_past_the_rewrite_step_budget_exits_2(capsys, monkeypatch):
+    # the heap loop that follows a chain past the recursion limit stops at STEP_BUDGET steps
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", sys.getrecursionlimit())
+    n = sys.getrecursionlimit() + 500
+    code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
+    assert code == 2 and out == "" and err == "error: expression too large to reduce: reduction step budget exceeded\n"
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["non-utf8", "missing"])

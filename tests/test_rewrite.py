@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import heapq
 import itertools
+import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -79,6 +82,52 @@ def test_reduce_of_words_past_the_recursion_limit(va1, va2):
         system = handle.system
         assert system.reduce(p) == _rewrite(p, system._rule_dict, system.order)[0]
     assert va1.system.reduce(NcPoly.monomial((h,) * 2000)) == P("h h")
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _vp_after_y_power(n, last):
+    """y^n last in a_vp and its normal form, in closed form: y x_a -> x_a y - x_a, so y^n x_a = x_a (y - 1)^n."""
+    g = catalog.presentation("a_vp").gen_names.index
+    y = g("y")
+    binomial = {
+        "x_a": {(g("x_a"),) + (y,) * k: math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)},
+        "x_ma": {(g("x_ma"),) + (y,) * k: math.comb(n, k) for k in range(n + 1)},
+    }
+    closed = {"x": {(g("x"),) + (y,) * n: 1}, "x_b": {(g("x_b"),): 1}, "x_ab": {(g("x_b"), g("x_a")): -1}, **binomial}
+    return (y,) * n + (g(last),), NcPoly(closed[last])
+
+
+# y^n x_a and y^n x_ma take n(n+1)/2 rewrites to n + 1 terms, so past the default recursion limit they
+# would pass STEP_BUDGET: the limit is lowered below their chain of n instead
+@pytest.mark.parametrize(
+    "last, n, margin", [("x", 1500, None), ("x_b", 1500, None), ("x_ab", 1500, None), ("x_a", 80, 40), ("x_ma", 80, 40)]
+)
+def test_reduce_of_a_letter_after_a_long_normal_word(vp, last, n, margin):
+    # y^n is normal, and the last letter travels through it in a chain of n rewrites, past the recursion limit
+    word, expected = _vp_after_y_power(n, last)
+    rules = list(vp.system.rules)
+    limit = sys.getrecursionlimit() if margin is None else _stack_depth() + margin
+    with _recursion_limit(limit):
+        with pytest.raises(RecursionError):  # the memoised recursion alone cannot follow the chain
+            RewriteSystem(vp.system.order, rules, INFINITE).reduce_word(word)
+        got = RewriteSystem(vp.system.order, rules, INFINITE).reduce(NcPoly.monomial(word))
+    assert got == expected
 
 
 def test_reduce_idempotent_and_linear_on_catalog():
@@ -863,14 +912,15 @@ def test_complete_retires_rules_in_rule_order():
 def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, count, added, retired):
     # a full final sweep resolves every ambiguity again (1,110 for a_va2 and 370 for a_vp),
     # and a sweep after the pair ledger still re-resolves each changed pair (576 and 188)
+    # every resolution starts with the zero test of its S-polynomial
     resolved = []
-    s_poly = rewrite._s_poly
+    is_zero = rewrite._s_poly_is_zero
 
-    def counting(amb, rules):
-        resolved.append((rules[amb.i], rules[amb.j], amb.offset, amb.kind))
-        return s_poly(amb, rules)
+    def counting(ri, rj, offset, *args):
+        resolved.append((ri, rj, offset, "overlap"))
+        return is_zero(ri, rj, offset, *args)
 
-    monkeypatch.setattr(rewrite, "_s_poly", counting)
+    monkeypatch.setattr(rewrite, "_s_poly_is_zero", counting)
     pres = catalog.presentation(alg_id)
     max_degree = catalog.COMPLETION_DEGREE[alg_id]
     system = complete(list(pres.relations), pres.order, max_degree)
@@ -884,11 +934,59 @@ def test_complete_resolves_each_pair_once_per_rule_version(monkeypatch, alg_id, 
             assert (id(rules[amb.i]), id(rules[amb.j]), amb.offset, amb.kind) in seen
 
 
+@pytest.mark.parametrize("alg_id", ["a_va2", "a_vp"])
+def test_complete_zero_test_reads_normal_forms_under_the_live_rules(monkeypatch, alg_id):
+    # the memo is emptied whenever the rules change, so no word of a normal form it holds has a redex;
+    # kept across a change, it would hand out normal forms under rules since retired or extended
+    sizes = []
+    is_zero = rewrite._s_poly_is_zero
+
+    def checking(ri, rj, offset, memo, index, rules):
+        assert index.ids == {rule.lhs: rid for rid, rule in rules.items()}
+        assert not any(_find_redex(u, index) for nf in memo.values() for u in nf.terms)
+        sizes.append(len(memo))
+        return is_zero(ri, rj, offset, memo, index, rules)
+
+    monkeypatch.setattr(rewrite, "_s_poly_is_zero", checking)
+    pres = catalog.presentation(alg_id)
+    complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+    assert max(sizes) > 100 and 0 in sizes  # the memo fills between changes and starts empty after one
+
+
+def test_complete_falls_back_to_the_heap_loop_past_the_recursion_limit(monkeypatch):
+    # with the limit just above the current depth the zero test's recursion fails on some S-polynomials;
+    # the heap loop decides those, and every pinned outcome holds
+    fallbacks = []
+    is_zero = rewrite._s_poly_is_zero
+
+    def recording(*args):
+        try:
+            return is_zero(*args)
+        except RecursionError:
+            fallbacks.append(args[:3])
+            raise
+
+    monkeypatch.setattr(rewrite, "_s_poly_is_zero", recording)
+    for name in ("a_vp_0", "a_vp_1", "a_vp_2", "a_vp_3", "a_va2_0", "a_va2_1"):
+        presentation = GENERATED_FAMILIES[name]()
+        with _recursion_limit(_stack_depth() + 20):
+            system = complete(*presentation)
+        digest = hashlib.sha256(_render_completion(system).encode()).hexdigest()
+        assert digest == GENERATED_FAMILIES_SHA256[name], f"{name}: a rule, trace, certificate or counter changed"
+    assert fallbacks
+
+
 @pytest.mark.parametrize("alg_id", ["a_va1", "a_va2", "a_vp"])
 def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
-    # a resolution or a pending polynomial that reduces to zero costs no trace atom
-    s_polys, reductions, traced = [], [], []
-    s_poly, rewrite_, trace = rewrite._s_poly, rewrite._rewrite, rewrite._trace
+    # a resolution or a pending polynomial that reduces to zero costs no trace atom;
+    # an S-polynomial the zero test finds zero is not even built
+    zero_tests, s_polys, reductions, traced = [], [], [], []
+    is_zero, s_poly, rewrite_, trace = rewrite._s_poly_is_zero, rewrite._s_poly, rewrite._rewrite, rewrite._trace
+
+    def recording_is_zero(ri, rj, offset, memo, index, rules):
+        out = is_zero(ri, rj, offset, memo, index, rules)
+        zero_tests.append((rules, out))
+        return out
 
     def recording_s_poly(amb, rules):
         out = s_poly(amb, rules)
@@ -904,12 +1002,15 @@ def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
         traced.append(steps)
         return trace(steps, sign)
 
+    monkeypatch.setattr(rewrite, "_s_poly_is_zero", recording_is_zero)
     monkeypatch.setattr(rewrite, "_s_poly", recording_s_poly)
     monkeypatch.setattr(rewrite, "_rewrite", recording_rewrite)
     monkeypatch.setattr(rewrite, "_trace", recording_trace)
     pres = catalog.presentation(alg_id)
     complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
-    rules = s_polys[0][0]  # the live rule set; a right-hand side is rebuilt against a one-rule dict
+    rules = zero_tests[0][0]  # the live rule set; a right-hand side is rebuilt against a one-rule dict
+    assert all(used is rules for used, *_ in zero_tests + s_polys)
+    assert len(s_polys) == sum(not out for _, out in zero_tests)  # only a nonzero S-polynomial is built
     times_traced = {}
     for steps in traced:
         times_traced[id(steps)] = times_traced.get(id(steps), 0) + 1
@@ -921,7 +1022,9 @@ def test_complete_builds_traces_only_for_kept_polynomials(monkeypatch, alg_id):
             assert times_traced.get(id(steps), 0) == (0 if result.is_zero() else 1)
             kept, zero = kept + (not result.is_zero()), zero + result.is_zero()
     for _, s, steps in s_polys:
-        assert times_traced.get(id(steps), 0) == (0 if first_result[id(s)].is_zero() else 1)
+        assert not first_result[id(s)].is_zero()
+        assert times_traced.get(id(steps), 0) == 1
+    zero += sum(out for _, out in zero_tests)
     assert kept and zero > kept  # both kinds occur, and most reduce to zero
 
 

@@ -613,6 +613,7 @@ def _render_completion(system):
     lines.extend(_render_rule(rule) for rule in system.rules)
     return "\n".join(lines) + "\n"
 
+
 GENERATED_FAMILIES_SHA256 = {
     "pow2": "b69770686f716402f5d20cd5091074994e4fb46530dbef64bfcf992fe2546226",
     "pow3": "c54c7b57bc1f4d239718dedeed28237ed56606cadf9bf4782abec68a4bd12ae2",

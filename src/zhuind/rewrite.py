@@ -5,10 +5,12 @@ polynomial ``rhs``; a system is confluent when every overlap or inclusion
 ambiguity between rules resolves to zero.  ``complete`` saturates a
 relation set in one loop that resolves ambiguities in increasing witness
 length up to a degree bound, and reports how far confluence is certified.
-A pair ledger records each resolved ambiguity with the two rule objects it
-was resolved against; a rule is a ``FrozenRecord`` whose fields no code
-can assign to, so while both are unchanged the pair stays resolvable
-(Bergman 1978) and is not resolved again.
+Each overlap is resolved once, when the later of its two rules is added.
+A later rebuild of either right-hand side rewrites its words, all below
+the rule's left-hand side, with live rules, so the final S-polynomial
+differs from the one resolved by rule relations at words below the
+witness: the pair stays resolvable relative to the order (Bergman 1978)
+and is not resolved again.
 
 Canonical rewriting looks left-hand sides up in an ``LhsIndex``: a dict
 from each left-hand side to its rule id, and the distinct left-hand-side
@@ -482,6 +484,11 @@ class RewriteSystem:
         diamond lemma (Bergman 1978): deglex is a monomial well-order, so
         the rules terminate, and a terminating system is confluent iff the
         S-polynomial of every ambiguity reduces to zero.
+
+        Each S-polynomial is built by ``_s_poly`` and reduced by ``reduce`` on
+        purpose, not summed by ``_s_poly_is_zero``: verify case c15 then does
+        not check a completion with completion's own zero test, which matters
+        since ``complete`` resolves each pair only once.
         """
         rules = self._rule_dict
         return [amb for amb in self.find_ambiguities() if not self.reduce(_s_poly(amb, rules)[0]).is_zero()]
@@ -523,7 +530,7 @@ def complete(
     ``max_degree``, ``CompletionError('inconsistent', ...)`` when a
     relation reduces to a nonzero scalar (the algebra is zero) and
     ``CompletionError('budget', ...)`` when the rule count or a rule's
-    trace explodes.
+    trace explodes, or a reduction passes ``STEP_BUDGET``.
 
     One loop turns pending polynomials into rules first, then resolves the
     queued pair with the smallest witness; a nonzero reduced S-polynomial
@@ -547,28 +554,27 @@ def complete(
     it, a set remade only when its rule is.  No inclusion ambiguity is
     ever queued, because none occurs among the live rules: a new
     left-hand side is normal, so no live left-hand side lies inside it,
-    and every live one containing it is retired before it is added.  The
-    ledger maps an overlap ``(lhs_i, lhs_j, offset)`` to the two rule
-    objects it was last resolved against, and a pair it holds with the
-    same two objects (``is``) is skipped.  A rule whose
-    right-hand side is rebuilt is marked, and when nothing is pending or
-    queued the pairs of the live marked rules are queued again.  The
-    certificate is ``INFINITE`` when no pair with a witness longer than
-    ``max_degree`` (recorded when queued) has both rules live.
+    and every live one containing it is retired before it is added.  A
+    pair is queued once, when the later of its two rules is added: a
+    rebuild keeps a rule's id and left-hand side, and ids are never
+    reused.  The certificate is ``INFINITE`` when no pair with a witness
+    longer than ``max_degree`` (recorded when queued) has both rules live.
 
-    The result is exact.  A pair is queued after each addition or rebuild
-    of one of its rules, so at the end every final pair with a witness of
-    at most ``max_degree`` is ledgered with its final two objects.  Its
-    S-polynomial was then a combination of rule relations at words below
-    its witness ``w``: the steps of its reduction, plus the rule made from
-    a nonzero result.  Retiring a rule or rewriting a right-hand side only
-    re-expresses a rule relation through words no larger than its
-    left-hand side, so the S-polynomial stays in the span of the final
-    rule relations below ``w`` ("resolvable relative to <=", Bergman
-    1978).  The order compares length first, so the diamond lemma taken
-    below each witness makes reduction by the final rules unique on words
-    up to ``max_degree``: every final S-polynomial that short reduces to
-    zero, and a full check of the final rules finds nothing to add.
+    The result is exact.  Every final pair with a witness ``w`` of at most
+    ``max_degree`` was resolved once, against the right-hand sides its two
+    rules had then.  That S-polynomial was a combination of rule relations
+    at words below ``w``: the steps of its reduction, plus the rule made
+    from a nonzero result.  Retiring a rule only re-expresses its relation
+    through words no larger than its left-hand side.  A rebuild rewrites
+    words of ``rhs_i``, all below ``lhs_i``, with live rules, so the final
+    S-polynomial differs from the resolved one by rule relations at words
+    below ``w``.  It therefore lies in the span of the final rule relations
+    below ``w`` ("resolvable relative to <=", Bergman 1978), and a second
+    resolution would find nothing.  The order compares length first, so
+    the diamond lemma taken below each witness makes reduction by the
+    final rules unique on words up to ``max_degree``: every final
+    S-polynomial that short reduces to zero, and a full check of the final
+    rules finds nothing to add.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -585,8 +591,6 @@ def complete(
         (rel, ((1, EPSILON, idx, EPSILON),)) for idx, rel in enumerate(base)
     ]
     heap: list[tuple[tuple, int, int, int, Word]] = []  # order.key(w) starts with len(w)
-    ledger: dict[tuple[Word, Word, int], tuple[RewriteRule, RewriteRule]] = {}
-    marked: set[int] = set()  # rules whose right-hand side was rebuilt
     beyond: set[tuple[int, int]] = set()  # pairs with a witness longer than max_degree
     memo: dict[Word, NcPoly] = {}  # normal forms of words under the live rules, emptied when they change
     resolved = 0
@@ -637,47 +641,37 @@ def complete(
             delta = _trace(steps)
             if delta:
                 put(other_id, new_rule(other.lhs, new_rhs, other.trace + delta))
-                marked.add(other_id)
         push_ambiguities(rid)
         if len(rules) > RULE_BUDGET:
             raise CompletionError("budget", f"more than {RULE_BUDGET} rules at degree bound {max_degree}")
 
-    while True:
-        if pending:
-            poly, trace = pending.pop()
-            poly, steps = _rewrite(poly, rules, order, index=index)
-            if poly.is_zero():
-                continue
-            if poly.is_scalar():
-                raise CompletionError("inconsistent", "a relation reduces to a nonzero scalar")
-            # pending traces satisfy poly == sum(trace), so subtract the steps
-            add_rule(poly, trace + _trace(steps, -1))
-        elif heap:
-            _, i, j, offset, w = heapq.heappop(heap)
-            if i not in rules or j not in rules:
-                continue
-            ri, rj = rules[i], rules[j]
-            key = (ri.lhs, rj.lhs, offset)
-            held = ledger.get(key)
-            if held and held[0] is ri and held[1] is rj:
-                continue
-            resolved += 1
-            ledger[key] = (ri, rj)
-            try:
-                if _s_poly_is_zero(ri, rj, offset, memo, index, rules):
+    try:
+        while pending or heap:
+            if pending:
+                poly, trace = pending.pop()
+                poly, steps = _rewrite(poly, rules, order, index=index)
+                if poly.is_zero():
                     continue
-            except RuntimeError:  # a chain deeper than the stack, or the step budget: the heap loop decides
-                pass
-            s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
-            s, steps = _rewrite(s, rules, order, index=index)
-            if not s.is_zero():  # the trace is built only for a kept S-polynomial
-                pending.append((s, _trace(s_steps) + _trace(steps, -1)))
-        elif marked:
-            for rid in marked & rules.keys():
-                push_ambiguities(rid)
-            marked.clear()
-        else:
-            break
+                if poly.is_scalar():
+                    raise CompletionError("inconsistent", "a relation reduces to a nonzero scalar")
+                # pending traces satisfy poly == sum(trace), so subtract the steps
+                add_rule(poly, trace + _trace(steps, -1))
+            else:
+                _, i, j, offset, w = heapq.heappop(heap)
+                if i not in rules or j not in rules:
+                    continue
+                resolved += 1
+                try:
+                    if _s_poly_is_zero(rules[i], rules[j], offset, memo, index, rules):
+                        continue
+                except RuntimeError:  # a chain deeper than the stack, or the step budget: the heap loop decides
+                    pass
+                s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
+                s, steps = _rewrite(s, rules, order, index=index)
+                if not s.is_zero():  # the trace is built only for a kept S-polynomial
+                    pending.append((s, _trace(s_steps) + _trace(steps, -1)))
+    except RuntimeError as exc:  # _rewrite past STEP_BUDGET; the zero test's own failures fall back above
+        raise CompletionError("budget", f"{exc} at degree bound {max_degree}") from None
 
     leftover = any(i in rules and j in rules for i, j in beyond)
     system = RewriteSystem(order, list(rules.values()), max_degree if leftover else INFINITE, base)

@@ -207,6 +207,18 @@ def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv
     assert err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a_va2")], ids=["check", "dim-file"])
+def test_completion_past_the_rewrite_step_budget_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a reduction inside completion that passes STEP_BUDGET is a completion error, not a traceback
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 5)
+    path = tmp_path / "catalog.zi"
+    path.write_text(catalog.catalog_source(), encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "completion failed (budget: reduction step budget exceeded at degree bound" in err
+
+
 _PLANE = """algebra q gens x y order deglex y > x
   rel x x x x x x
   rel y y y y

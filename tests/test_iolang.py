@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Presentation
 from zhuind.freealg import NcPoly
-from zhuind.iolang import ParseError, format_poly, parse, parse_poly_text, pretty_print
+from zhuind.iolang import ParseError, format_poly, parse, parse_poly_text, pretty_print, tokenize
 
 F = Fraction
 
@@ -154,3 +156,72 @@ def test_duplicate_block_name_is_rejected(text, message, where):
 def test_blocks_of_different_kinds_may_share_a_name():
     src = parse("algebra a gens x end\nmorphism a : a -> a end\nmodule a over a dim 1 end\n")
     assert list(src.algebras()) == list(src.morphisms()) == list(src.modules()) == ["a"]
+
+
+# -- token-level mutations ----------------------------------------------
+
+# the block texts of the tests above, and their polynomial texts with the generators they parse over
+_BLOCK_TEXTS = (
+    VA1_TEXT,
+    "algebra a gens e h\n  rel e q\nend\n",
+    "algebra a gens x end\nmodule m over a dim 2\n  act x = [ 1 0 ]\nend\n",
+    "algebra a gens x end\nmodule m over a dim 2\n  act x = [ 1 0 ; 1 ]\nend\n",
+    "algebra a gens x end\n"
+    "algebra b gens u v\n  rel u v - v u\nend\n"
+    "morphism f : a -> b\n  map x => 1/4 u u + v\nend\n"
+    "module m over b dim 2\n  act u = [ 1 0 ; 0 -1 ]\nend\n",
+    "morphism f : a -> b\nend\n",
+    "algebra a gens x\n  rel\nend\n",
+    "algebra a gens x rel x x x end\nalgebra a gens y rel y y end\n",
+    "algebra a gens x end\nmorphism f : a -> a end\n  morphism f : a -> a map x => x end\n",
+    "algebra a gens x end\nmodule m over a dim 1 end\nmodule m over a dim 2 end\n",
+    "algebra a gens x end\nmorphism a : a -> a end\nmodule a over a dim 1 end\n",
+)
+_POLY_TEXTS = (
+    ("1/2 x y - y x", ("x", "y")),
+    ("1/0 x", ("x",)),
+    ("x y - y x", ("x", "y")),
+    ("- 1/2 x x + 3 y", ("x", "y")),
+    ("x + 1", ("x", "y")),
+    ("e +", ("e", "f")),
+    ("e + + f", ("e", "f")),
+    ("2 -", ("e", "f")),
+)
+_REPLACEMENTS = ("end", "->", "1/0", "-", "[", "zz")
+_MUTANTS_PER_TEXT = 400
+# sha256 over the outcome of every mutant below: the repr of what it parses to, or its error with position
+MUTATION_CORPUS_SHA256 = "e28c73a0f56f1dd81b0b181c18b82740613d1f3e89e4fc7be1a60333eb57089d"
+
+
+def _mutants(text: str, rng: random.Random) -> list[str]:
+    """Every text one token-level edit away from ``text``, or a seeded sample of ``_MUTANTS_PER_TEXT`` of them."""
+    starts = [0]
+    for line in text.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    spans = [(starts[t.line - 1] + t.col - 1, starts[t.line - 1] + t.col - 1 + len(t.text)) for t in tokenize(text)]
+    out = []
+    for i, (a, b) in enumerate(spans):
+        out.append(text[:a] + text[b:])
+        out.append(text[:b] + " " + text[a:])
+        if i + 1 < len(spans):
+            c, d = spans[i + 1]
+            out.append(text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:])
+        out.extend(text[:a] + r + text[b:] for r in _REPLACEMENTS)
+    return out if len(out) <= _MUTANTS_PER_TEXT else rng.sample(out, _MUTANTS_PER_TEXT)
+
+
+def _outcome(parse_text) -> str:
+    try:
+        return repr(parse_text())
+    except ParseError as err:
+        return f"error {err.message!r} at {err.line}:{err.col}"
+
+
+def test_token_mutations_parse_to_pinned_outcomes():
+    rng = random.Random(29)
+    outcomes = []
+    for text in (catalog.catalog_source(), *_BLOCK_TEXTS):
+        outcomes.extend(_outcome(lambda: parse(m).blocks) for m in _mutants(text, rng))
+    for text, gens in _POLY_TEXTS:
+        outcomes.extend(_outcome(lambda: parse_poly_text(m, gens)) for m in _mutants(text, rng))
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == MUTATION_CORPUS_SHA256

@@ -19,6 +19,7 @@ free: pretty-printing a parsed file and reparsing gives the same result.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,25 +42,16 @@ class Token(NamedTuple):
     col: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|=>|->|[>:=/\[\];+\-*]")
+_TOKEN_RE = re.compile(r"(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>\d+)|(?P<PUNCT>=>|->|[>:=/\[\];+\-*])|(?P<BAD>\S)")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            if body[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(body, pos)
-            if not m:
-                raise ParseError(f"unexpected character {body[pos]!r}", lineno, pos + 1)
-            text_ = m.group(0)
-            kind = "NAME" if text_[0].isalpha() or text_[0] == "_" else ("INT" if text_.isdigit() else "PUNCT")
-            tokens.append(Token(kind, text_, lineno, pos + 1))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            if m.lastgroup == "BAD":
+                raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+            tokens.append(Token(m.lastgroup, m.group(), lineno, m.start() + 1))
     return tokens
 
 
@@ -111,6 +103,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.algebras: dict[str, AlgebraBlock] = {}  # the algebra blocks parsed so far, by name
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -126,6 +119,11 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, *words: str) -> Token | None:
+        """The next token when its text is one of ``words``, consumed; otherwise None."""
+        tok = self.peek()
+        return self.next() if tok is not None and tok.text in words else None
+
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
@@ -138,64 +136,88 @@ class _Parser:
             raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def at_keyword(self, *words: str) -> bool:
+    def at_name(self) -> bool:
+        """Whether the next token is a name that is not a keyword."""
         tok = self.peek()
-        return tok is not None and tok.text in words
+        return tok is not None and tok.kind == "NAME" and tok.text not in _KEYWORDS
 
-    # -- polynomials --------------------------------------------------
+    # -- polynomials and matrices --------------------------------------
 
     def parse_rational(self) -> Fraction:
+        sign = -1 if self.accept("-") else 1
         tok = self.next()
         if tok.kind != "INT":
             raise ParseError(f"malformed rational near {tok.text!r}", tok.line, tok.col)
-        num = int(tok.text)
-        if self.at_keyword("/"):
-            self.next()
+        den = 1
+        if self.accept("/"):
             den_tok = self.next()
             if den_tok.kind != "INT" or int(den_tok.text) == 0:
                 raise ParseError("malformed rational denominator", den_tok.line, den_tok.col)
-            return Fraction(num, int(den_tok.text))
-        return Fraction(num)
+            den = int(den_tok.text)
+        return Fraction(sign * int(tok.text), den)
 
     def parse_term(self, gens: dict[str, int]) -> NcPoly:
         coeff = Fraction(1)
         tok = self.peek()
         if tok is not None and tok.kind == "INT":
             coeff = self.parse_rational()
-        elif tok is None or tok.kind != "NAME" or tok.text in _KEYWORDS:
+        elif not self.at_name():
             where = tok or self.last()
             raise ParseError("expected a term", where.line, where.col)
         letters: list[int] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "NAME" or tok.text in _KEYWORDS:
-                break
+        while self.at_name():
+            tok = self.next()
             if tok.text not in gens:
                 raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
             letters.append(gens[tok.text])
-            self.next()
         return NcPoly.monomial(tuple(letters), coeff)
 
     def parse_poly(self, gens: dict[str, int]) -> NcPoly:
-        sign = Fraction(1)
-        if self.at_keyword("-"):
-            self.next()
-            sign = Fraction(-1)
+        sign = -1 if self.accept("-") else 1
         poly = self.parse_term(gens).scale(sign)
-        while self.at_keyword("+", "-"):
-            op = self.next().text
+        while op := self.accept("+", "-"):
             term = self.parse_term(gens)
-            poly = poly + (term if op == "+" else term.scale(-1))
+            poly = poly + (term if op.text == "+" else term.scale(-1))
         return poly
 
+    def parse_matrix(self, dim: int) -> list[list[Fraction]]:
+        open_tok = self.expect("[")
+        rows: list[list[Fraction]] = [[]]
+        while not self.accept("]"):
+            if self.peek() is None:
+                raise ParseError("unterminated matrix", open_tok.line, open_tok.col)
+            if self.accept(";"):
+                rows.append([])
+            else:
+                rows[-1].append(self.parse_rational())
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ParseError("ragged matrix rows", open_tok.line, open_tok.col)
+        if dim and (len(rows) != dim or len(rows[0]) != dim):
+            raise ParseError(
+                f"matrix must be {dim}x{dim}, found {len(rows)}x{len(rows[0])}", open_tok.line, open_tok.col
+            )
+        return rows
+
     # -- blocks --------------------------------------------------------
+
+    def entries(self, keyword: str, sep: str, gens: list[str], unknown: str, parse_value: Callable[[], object]) -> dict:
+        """``(keyword NAME sep value)* "end"`` as a dict from generator name to value."""
+        out = {}
+        while self.accept(keyword):
+            tok = self.expect_name()
+            if tok.text not in gens:
+                raise ParseError(f"{unknown} {tok.text!r}", tok.line, tok.col)
+            self.expect(sep)
+            out[tok.text] = parse_value()
+        self.expect("end")
+        return out
 
     def parse_algebra(self) -> AlgebraBlock:
         head = self.expect("algebra")
         name = self.expect_name().text
         self.expect("gens")
         gens: list[str] = []
-        while self.peek() is not None and self.peek().kind == "NAME" and not self.at_keyword(*_KEYWORDS):
+        while self.at_name():
             gens.append(self.next().text)
         if not gens:
             raise ParseError("algebra needs at least one generator", head.line, head.col)
@@ -203,62 +225,54 @@ class _Parser:
         if len(gen_map) != len(gens):
             raise ParseError("duplicate generator name", head.line, head.col)
         precedence = list(gens)
-        if self.at_keyword("order"):
-            self.next()
+        if self.accept("order"):
             self.expect("deglex")
             precedence = []
-            while True:
-                tok = self.peek()
-                if tok is None or tok.text in _KEYWORDS:
-                    break
-                if tok.text == ">":
-                    self.next()
-                    continue
-                if tok.text not in gen_map:
-                    raise ParseError(f"unknown generator {tok.text!r} in order", tok.line, tok.col)
-                precedence.append(self.next().text)
+            while (tok := self.peek()) is not None and tok.text not in _KEYWORDS:
+                if tok.text != ">":
+                    if tok.text not in gen_map:
+                        raise ParseError(f"unknown generator {tok.text!r} in order", tok.line, tok.col)
+                    precedence.append(tok.text)
+                self.next()
             if sorted(precedence) != sorted(gens):
                 raise ParseError("order must list every generator exactly once", head.line, head.col)
         relations: list[NcPoly] = []
-        while self.at_keyword("rel"):
-            rel_tok = self.next()
+        while rel_tok := self.accept("rel"):
             rel = self.parse_poly(gen_map)
             if rel.is_zero():
                 raise ParseError("relation is zero", rel_tok.line, rel_tok.col)
             relations.append(rel)
         self.expect("end")
-        return AlgebraBlock(name, gens, precedence, relations)
+        block = self.algebras[name] = AlgebraBlock(name, gens, precedence, relations)
+        return block
 
-    def parse_matrix(self, dim: int) -> list[list[Fraction]]:
-        open_tok = self.expect("[")
-        rows: list[list[Fraction]] = []
-        row: list[Fraction] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("unterminated matrix", open_tok.line, open_tok.col)
-            if tok.text == ";":
-                self.next()
-                rows.append(row)
-                row = []
-                continue
-            if tok.text == "]":
-                self.next()
-                rows.append(row)
-                break
-            sign = Fraction(1)
-            if tok.text == "-":
-                self.next()
-                sign = Fraction(-1)
-            row.append(sign * self.parse_rational())
-        for r in rows:
-            if len(r) != len(rows[0]):
-                raise ParseError("ragged matrix rows", open_tok.line, open_tok.col)
-        if dim and (len(rows) != dim or len(rows[0]) != dim):
-            raise ParseError(
-                f"matrix must be {dim}x{dim}, found {len(rows)}x{len(rows[0])}", open_tok.line, open_tok.col
-            )
-        return rows
+    def parse_morphism(self) -> MorphismBlock:
+        head = self.expect("morphism")
+        name = self.expect_name().text
+        self.expect(":")
+        source = self.expect_name().text
+        self.expect("->")
+        target = self.expect_name().text
+        if source not in self.algebras or target not in self.algebras:
+            raise ParseError(f"morphism {name!r} references undeclared algebra", head.line, head.col)
+        tgt_map = {g: i for i, g in enumerate(self.algebras[target].gens)}
+        images = self.entries("map", "=>", self.algebras[source].gens, "unknown source generator", lambda: self.parse_poly(tgt_map))
+        return MorphismBlock(name, source, target, images)
+
+    def parse_module(self) -> ModuleBlock:
+        head = self.expect("module")
+        name = self.expect_name().text
+        self.expect("over")
+        owner = self.expect_name().text
+        if owner not in self.algebras:
+            raise ParseError(f"module {name!r} over undeclared algebra {owner!r}", head.line, head.col)
+        self.expect("dim")
+        dim_tok = self.next()
+        if dim_tok.kind != "INT":
+            raise ParseError("module dimension must be an integer", dim_tok.line, dim_tok.col)
+        dim = int(dim_tok.text)
+        actions = self.entries("act", "=", self.algebras[owner].gens, "unknown generator", lambda: self.parse_matrix(dim))
+        return ModuleBlock(name, owner, dim, actions)
 
 
 _KEYWORDS = {"algebra", "morphism", "module", "gens", "order", "deglex", "rel", "end", "map", "over", "dim", "act"}
@@ -266,62 +280,14 @@ _KEYWORDS = {"algebra", "morphism", "module", "gens", "order", "deglex", "rel", 
 
 def parse(text: str) -> SourceFile:
     """Parse a source file; raises ParseError with position on failure."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(tokenize(text))
+    block_parsers = {"algebra": parser.parse_algebra, "morphism": parser.parse_morphism, "module": parser.parse_module}
     blocks: list[Block] = []
-    algebras: dict[str, AlgebraBlock] = {}
     seen: set[tuple[str, str]] = set()  # (block keyword, name)
-    while parser.peek() is not None:
-        tok = parser.peek()
-        if tok.text == "algebra":
-            block = parser.parse_algebra()
-            algebras[block.name] = block
-        elif tok.text == "morphism":
-            head = parser.expect("morphism")
-            name = parser.expect_name().text
-            parser.expect(":")
-            source = parser.expect_name().text
-            parser.expect("->")
-            target = parser.expect_name().text
-            if source not in algebras or target not in algebras:
-                raise ParseError(f"morphism {name!r} references undeclared algebra", head.line, head.col)
-            tgt_map = {g: i for i, g in enumerate(algebras[target].gens)}
-            src_gens = set(algebras[source].gens)
-            images: dict[str, NcPoly] = {}
-            while parser.at_keyword("map"):
-                parser.next()
-                g_tok = parser.expect_name()
-                if g_tok.text not in src_gens:
-                    raise ParseError(f"unknown source generator {g_tok.text!r}", g_tok.line, g_tok.col)
-                parser.expect("=>")
-                images[g_tok.text] = parser.parse_poly(tgt_map)
-            parser.expect("end")
-            block = MorphismBlock(name, source, target, images)
-        elif tok.text == "module":
-            head = parser.expect("module")
-            name = parser.expect_name().text
-            parser.expect("over")
-            owner = parser.expect_name().text
-            if owner not in algebras:
-                raise ParseError(f"module {name!r} over undeclared algebra {owner!r}", head.line, head.col)
-            parser.expect("dim")
-            dim_tok = parser.next()
-            if dim_tok.kind != "INT":
-                raise ParseError("module dimension must be an integer", dim_tok.line, dim_tok.col)
-            dim = int(dim_tok.text)
-            gen_set = set(algebras[owner].gens)
-            actions: dict[str, list[list[Fraction]]] = {}
-            while parser.at_keyword("act"):
-                parser.next()
-                g_tok = parser.expect_name()
-                if g_tok.text not in gen_set:
-                    raise ParseError(f"unknown generator {g_tok.text!r}", g_tok.line, g_tok.col)
-                parser.expect("=")
-                actions[g_tok.text] = parser.parse_matrix(dim)
-            parser.expect("end")
-            block = ModuleBlock(name, owner, dim, actions)
-        else:
+    while (tok := parser.peek()) is not None:
+        if tok.text not in block_parsers:
             raise ParseError(f"expected a block keyword, found {tok.text!r}", tok.line, tok.col)
+        block = block_parsers[tok.text]()
         if (tok.text, block.name) in seen:
             raise ParseError(f"duplicate {tok.text} name {block.name!r}", tok.line, tok.col)
         seen.add((tok.text, block.name))

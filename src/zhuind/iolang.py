@@ -201,12 +201,14 @@ class _Parser:
     # -- blocks --------------------------------------------------------
 
     def entries(self, keyword: str, sep: str, gens: list[str], unknown: str, parse_value: Callable[[], object]) -> dict:
-        """``(keyword NAME sep value)* "end"`` as a dict from generator name to value."""
+        """``(keyword NAME sep value)* "end"`` as a dict from generator name to value, each name at most once."""
         out = {}
         while self.accept(keyword):
             tok = self.expect_name()
             if tok.text not in gens:
                 raise ParseError(f"{unknown} {tok.text!r}", tok.line, tok.col)
+            if tok.text in out:
+                raise ParseError(f"duplicate {keyword} of generator {tok.text!r}", tok.line, tok.col)
             self.expect(sep)
             out[tok.text] = parse_value()
         self.expect("end")

@@ -158,6 +158,21 @@ def test_blocks_of_different_kinds_may_share_a_name():
     assert list(src.algebras()) == list(src.morphisms()) == list(src.modules()) == ["a"]
 
 
+@pytest.mark.parametrize(
+    "text, message, where",
+    [
+        ("algebra a gens x y end\nmorphism f : a -> a\n  map x => y\n  map y => x\n  map x => x\nend\n", "duplicate map of generator 'x'", (5, 7)),
+        ("algebra a gens x end\nmodule m over a dim 1\n  act x = [ 1 ]\n  act x = [ 2 ]\nend\n", "duplicate act of generator 'x'", (4, 7)),
+    ],
+    ids=["map", "act"],
+)
+def test_a_generator_is_mapped_or_acted_on_at_most_once(text, message, where):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == where
+
+
 # -- token-level mutations ----------------------------------------------
 
 # the block texts of the tests above, and their polynomial texts with the generators they parse over

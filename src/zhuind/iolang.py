@@ -192,7 +192,7 @@ class _Parser:
                 rows[-1].append(self.parse_rational())
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged matrix rows", open_tok.line, open_tok.col)
-        if dim and (len(rows) != dim or len(rows[0]) != dim):
+        if len(rows) != dim or len(rows[0]) != dim:
             raise ParseError(
                 f"matrix must be {dim}x{dim}, found {len(rows)}x{len(rows[0])}", open_tok.line, open_tok.col
             )

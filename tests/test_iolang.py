@@ -57,6 +57,15 @@ def test_parse_matrix_dimension_mismatch():
     assert "2x2" in err.value.message
 
 
+@pytest.mark.parametrize("matrix, found", [("[ 5 ]", "1x1"), ("[ ]", "1x0")])
+def test_a_zero_dimensional_module_takes_no_act_line(matrix, found):
+    assert parse("algebra a gens y end\nmodule z over a dim 0 end\n").modules()["z"].actions == {}
+    with pytest.raises(ParseError) as err:
+        parse(f"algebra a gens y end\nmodule z over a dim 0\n  act y = {matrix}\nend\n")
+    assert err.value.message == f"matrix must be 0x0, found {found}"
+    assert (err.value.line, err.value.col) == (3, 11)
+
+
 def test_parse_ragged_matrix():
     text = "algebra a gens x end\nmodule m over a dim 2\n  act x = [ 1 0 ; 1 ]\nend\n"
     with pytest.raises(ParseError):

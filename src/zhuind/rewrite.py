@@ -62,7 +62,8 @@ from types import MappingProxyType
 from zhuind.freealg import EPSILON, FrozenRecord, MonomialOrder, NcPoly, Scalar, Word, _add_scaled, scalar
 
 INFINITE = float("inf")
-STEP_BUDGET = 100_000  # rewrite steps allowed for one polynomial
+LETTER_BUDGET = 5_000_000  # letters rewritten for one polynomial: a rewrite step costs the length of its word
+MISS_BUDGET = 100_000  # memo misses allowed in one zero test of completion
 TRACE_BUDGET = 10_000  # cofactor atoms allowed in one rule trace
 RULE_BUDGET = 4000  # rules allowed at once during one completion
 FUZZ_MAX_LEN = 5  # the longest word in a random polynomial of confluence_fuzz
@@ -201,7 +202,8 @@ def _rewrite(
     """The rewrite loop: rewrite ``p`` until no term has a redex.
 
     A step ``(c, left, rule, right)`` turns ``c left lhs right`` into ``c left rhs right``;
-    the steps are listed unless ``keep_steps`` is false, and more than ``STEP_BUDGET`` raise ``RuntimeError``.
+    the steps are listed unless ``keep_steps`` is false.  Each step is charged the length of the word it
+    rewrites, and more than ``LETTER_BUDGET`` letters charged in all raise ``RuntimeError``.
     Canonically it rewrites the greatest reducible word at its leftmost, lowest-id redex,
     found through ``index`` (built from ``rules`` when not given);
     with ``rng`` it draws one of all redexes, listed by term, rule id and position.
@@ -258,8 +260,8 @@ def _rewrite(
         _add_scaled(cur.terms, c, added)
         if keep_steps:
             steps.append((c, left, rule, right))
-        taken += 1
-        if taken > STEP_BUDGET:
+        taken += len(w)
+        if taken > LETTER_BUDGET:
             raise RuntimeError("reduction step budget exceeded")
 
 
@@ -399,12 +401,12 @@ def _s_poly_is_zero(
 
     Its normal form is summed from ``_normal_form`` of the words of
     ``ri.rhs * suffix`` and ``prefix * rj.rhs``, without building the
-    S-polynomial or any step.  Each memo miss counts as one rewrite step
-    against ``STEP_BUDGET``; ``RuntimeError`` (``RecursionError`` included)
+    S-polynomial or any step.  Each memo miss counts against
+    ``MISS_BUDGET``; ``RuntimeError`` (``RecursionError`` included)
     leaves the answer to ``_rewrite``.
     """
     left, suf = ri.lhs[: len(ri.lhs) - offset], rj.lhs[offset:]
-    limit = len(memo) + STEP_BUDGET
+    limit = len(memo) + MISS_BUDGET
     acc: dict[Word, Scalar] = {}
     for t, c in ri.rhs.terms.items():
         _add_scaled(acc, c, _normal_form(t + suf, memo, index, rules, limit).terms)
@@ -530,7 +532,7 @@ def complete(
     ``max_degree``, ``CompletionError('inconsistent', ...)`` when a
     relation reduces to a nonzero scalar (the algebra is zero) and
     ``CompletionError('budget', ...)`` when the rule count or a rule's
-    trace explodes, or a reduction passes ``STEP_BUDGET``.
+    trace explodes, or a reduction passes ``LETTER_BUDGET``.
 
     One loop turns pending polynomials into rules first, then resolves the
     queued pair with the smallest witness; a nonzero reduced S-polynomial
@@ -664,13 +666,13 @@ def complete(
                 try:
                     if _s_poly_is_zero(rules[i], rules[j], offset, memo, index, rules):
                         continue
-                except RuntimeError:  # a chain deeper than the stack, or the step budget: the heap loop decides
+                except RuntimeError:  # a chain deeper than the stack, or the miss budget: the heap loop decides
                     pass
                 s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
                 s, steps = _rewrite(s, rules, order, index=index)
                 if not s.is_zero():  # the trace is built only for a kept S-polynomial
                     pending.append((s, _trace(s_steps) + _trace(steps, -1)))
-    except RuntimeError as exc:  # _rewrite past STEP_BUDGET; the zero test's own failures fall back above
+    except RuntimeError as exc:  # _rewrite past LETTER_BUDGET; the zero test's own failures fall back above
         raise CompletionError("budget", f"{exc} at degree bound {max_degree}") from None
 
     leftover = any(i in rules and j in rules for i, j in beyond)

@@ -209,8 +209,8 @@ def test_completion_and_certificate_errors_exit_2(tmp_path, capsys, source, argv
 
 @pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a_va2")], ids=["check", "dim-file"])
 def test_completion_past_the_rewrite_step_budget_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # a reduction inside completion that passes STEP_BUDGET is a completion error, not a traceback
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", 5)
+    # a reduction inside completion that passes LETTER_BUDGET is a completion error, not a traceback
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 5)
     path = tmp_path / "catalog.zi"
     path.write_text(catalog.catalog_source(), encoding="utf-8")
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
@@ -314,12 +314,19 @@ def test_nf_with_a_chain_past_the_recursion_limit(capsys):
 
 
 def test_nf_past_the_rewrite_step_budget_exits_2(capsys, monkeypatch):
-    # the heap loop that follows a chain past the recursion limit stops at STEP_BUDGET steps
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", sys.getrecursionlimit())
+    # the heap loop that follows a chain past the recursion limit stops once its steps rewrote LETTER_BUDGET letters
     n = sys.getrecursionlimit() + 500
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 100 * n)
     code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
     assert code == 2 and out == "" and err == "error: expression too large to reduce: reduction step budget exceeded\n"
 
+
+
+def test_nf_of_a_long_word_stops_within_the_letter_budget(capsys):
+    # y^1500 x_a = x_a (y - 1)^1500 takes about 1.1 million rewrites of 1,501-letter words past the
+    # recursion limit; charged 1,501 letters each, the heap loop stops after about 3,300 of them
+    code, out, err = run(capsys, "nf", "a_vp", " ".join(["y"] * 1500 + ["x_a"]))
+    assert code == 2 and out == "" and err == "error: expression too large to reduce: reduction step budget exceeded\n"
 
 @pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["non-utf8", "missing"])
 @pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a")], ids=["check", "dim"])

@@ -113,8 +113,8 @@ def _vp_after_y_power(n, last):
     return (y,) * n + (g(last),), NcPoly(closed[last])
 
 
-# y^n x_a and y^n x_ma take n(n+1)/2 rewrites to n + 1 terms, so past the default recursion limit they
-# would pass STEP_BUDGET: the limit is lowered below their chain of n instead
+# y^n x_a and y^n x_ma take n(n+1)/2 rewrites of n + 1 letters to n + 1 terms, so past the default recursion
+# limit they would pass LETTER_BUDGET: the limit is lowered below their chain of n instead
 @pytest.mark.parametrize(
     "last, n, margin", [("x", 1500, None), ("x_b", 1500, None), ("x_ab", 1500, None), ("x_a", 80, 40), ("x_ma", 80, 40)]
 )
@@ -129,6 +129,27 @@ def test_reduce_of_a_letter_after_a_long_normal_word(vp, last, n, margin):
         got = RewriteSystem(vp.system.order, rules, INFINITE).reduce(NcPoly.monomial(word))
     assert got == expected
 
+
+
+class _CountingRules(dict):
+    """A rule dict that counts its lookups: the heap loop looks up one rule per step."""
+
+    lookups = 0
+
+    def __getitem__(self, rid):
+        self.lookups += 1
+        return super().__getitem__(rid)
+
+
+@pytest.mark.parametrize("n", [1500, 5000])
+def test_the_heap_loop_charges_each_step_the_length_of_its_word(vp, monkeypatch, n):
+    # y^n x_a takes n(n+1)/2 steps on words of n + 1 letters; a budget of 20 such words stops it at the 21st step
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 20 * (n + 1))
+    word, _ = _vp_after_y_power(n, "x_a")
+    rules = _CountingRules(vp.system._rule_dict)
+    with pytest.raises(RuntimeError, match="reduction step budget exceeded"):
+        _rewrite(NcPoly.monomial(word), rules, vp.system.order, index=vp.system.lhs_index, keep_steps=False)
+    assert rules.lookups == 21
 
 def test_reduce_idempotent_and_linear_on_catalog():
     rng = random.Random(3)

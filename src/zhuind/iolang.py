@@ -2,18 +2,24 @@
 
 Grammar (whitespace-insensitive within lines, '#' comments to end of line):
 
-    file     := block+
+    file     := block*
     block    := "algebra" NAME "gens" NAME+ ["order" "deglex" prec] ("rel" poly)* "end"
               | "morphism" NAME ":" NAME "->" NAME ("map" NAME "=>" poly)* "end"
               | "module" NAME "over" NAME "dim" INT ("act" NAME "=" matrix)* "end"
     prec     := NAME (">" NAME)*          # greatest first; ">" optional
     poly     := ["-"] term (("+"|"-") term)*
     term     := RATIONAL | [RATIONAL] NAME+      # juxtaposition is product
-    RATIONAL := INT ["/" INT]
-    matrix   := "[" row (";" row)* "]"    # row := RATIONAL*
+    RATIONAL := INT ["/" INT]             # nonzero denominator
+    matrix   := "[" row (";" row)* "]"    # dim rows of dim entries
+    row      := (["-"] RATIONAL)*
 
-A relation whose terms cancel to zero is a parse error.  Parsing is loss
-free: pretty-printing a parsed file and reparsing gives the same result.
+Generator names are not keywords.  Morphisms and modules name algebras declared
+above them, and block names are unique within each kind.  A morphism maps
+each generator at most once and a module acts by each generator at most
+once; a matrix has at least one row, so a ``dim 0`` module takes no
+``act`` line.  A relation whose terms cancel to zero is a parse error.
+Parsing is loss free: pretty-printing a parsed file and reparsing gives
+the same result.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,12 @@ def test_a_generator_is_mapped_or_acted_on_at_most_once(text, message, where):
     assert err.value.message == message
     assert (err.value.line, err.value.col) == where
 
+
+
+def test_readme_source_language_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Source-file language", 1)[1].split("```", 2)[1]
+    assert [b.name for b in parse(example).blocks] == ["a1", "a0", "pi", "m"]
 
 # -- token-level mutations ----------------------------------------------
 

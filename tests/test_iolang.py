@@ -171,8 +171,16 @@ def test_blocks_of_different_kinds_may_share_a_name():
 @pytest.mark.parametrize(
     "text, message, where",
     [
-        ("algebra a gens x y end\nmorphism f : a -> a\n  map x => y\n  map y => x\n  map x => x\nend\n", "duplicate map of generator 'x'", (5, 7)),
-        ("algebra a gens x end\nmodule m over a dim 1\n  act x = [ 1 ]\n  act x = [ 2 ]\nend\n", "duplicate act of generator 'x'", (4, 7)),
+        (
+            "algebra a gens x y end\nmorphism f : a -> a\n  map x => y\n  map y => x\n  map x => x\nend\n",
+            "duplicate map of generator 'x'",
+            (5, 7),
+        ),
+        (
+            "algebra a gens x end\nmodule m over a dim 1\n  act x = [ 1 ]\n  act x = [ 2 ]\nend\n",
+            "duplicate act of generator 'x'",
+            (4, 7),
+        ),
     ],
     ids=["map", "act"],
 )
@@ -183,11 +191,11 @@ def test_a_generator_is_mapped_or_acted_on_at_most_once(text, message, where):
     assert (err.value.line, err.value.col) == where
 
 
-
 def test_readme_source_language_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Source-file language", 1)[1].split("```", 2)[1]
     assert [b.name for b in parse(example).blocks] == ["a1", "a0", "pi", "m"]
+
 
 # -- token-level mutations ----------------------------------------------
 

@@ -6,8 +6,9 @@ meant to be stable: ``verify all`` (``--json`` and ``--verbose``),
 ``kernel --via M --json`` for every catalog morphism, ``dim a_va2
 --json``, both ``induce --via va1_to_va2`` reports, two characters, the
 ``artin`` inversion over ``a_va1``, one restriction, one induction of a
-parametric module and ``check --json`` on the catalog printed in the
-source language.  Each line is the digest
+parametric module, ``check --json`` on the catalog printed in the
+source language and the two ``induce --json`` commands of the
+``cli-cold`` benchmark workload.  Each line is the digest
 of the command's stdout, its exit code and the command.  Run it on two
 checkouts and diff the output:
 
@@ -38,6 +39,8 @@ COMMANDS = [
     ["restrict", "--via", "va1_to_va2", "--module", "va2_L_lambda_beta", "--json"],
     ["induce", "--via", "vp_to_va2", "--module", "vp_mod_Uhalf(1/2)", "--json"],
     ["check", "catalog.zi", "--json"],
+    ["induce", "--via", "va1_to_va2", "--module", "va1_trivial", "--json"],
+    ["induce", "--via", "vp_to_va2", "--module", "vp_mod_U0(0)", "--json"],
 ]
 
 

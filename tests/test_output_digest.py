@@ -8,7 +8,8 @@ import zhuind
 
 # the lines scripts/output_digest.py prints: sha256 of each byte-stable report, its exit code
 # and the command; a change that moves a --json report, a verbose verification detail, an
-# induction or restriction report, a character or the artin inversion changes one of them
+# induction or restriction report (the two cli-cold inductions included), a character or the
+# artin inversion changes one of them
 PINNED_DIGESTS = [
     "0085e676b57e5dc3a174653e82b8d2d66240ca07410c72a5f0a3a2929d97e13c  exit=1  verify all --json",
     "a1b1d4bfde3f986c8fb45fcc1f2b7d1043adafc8101e1b7d5bfd8e0907e01973  exit=1  verify all --verbose",
@@ -27,6 +28,8 @@ PINNED_DIGESTS = [
     "f3408c5f40caf01e47b889f18142ca8f99b4a569933322db2a37855599f1a62a  exit=0  restrict --via va1_to_va2 --module va2_L_lambda_beta --json",
     "294e3aaed5bc516811b33683ebb702a978d0675d5335b1a5a56171cd8ea5e4e3  exit=0  induce --via vp_to_va2 --module vp_mod_Uhalf(1/2) --json",
     "2c631c74117a224ef2b92bada015e8e477c2508f5fecec21c1e1d123217711e5  exit=0  check catalog.zi --json",
+    "17d968651543e781f663f38416037a979cb1b3767a14cb9191e75cba26e740e7  exit=0  induce --via va1_to_va2 --module va1_trivial --json",
+    "069970850c45991ff7945fbe76090c8a05873f4191b0b652ec2e4aa2bf95689e  exit=0  induce --via vp_to_va2 --module vp_mod_U0(0) --json",
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_module, mat_of_columns, zeros
+from dense import DenseRowSpace, dense_hom_space, dense_module, identity, mat_mul, mat_of_columns, zeros
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Element
 from zhuind.freealg import NcPoly
@@ -22,7 +22,7 @@ from zhuind.induct import (
 )
 from zhuind.linalg import RowSpace
 from zhuind.morphism import AlgebraMorphism, compose
-from zhuind.repmod import DecompositionRecord, check_module, decompose, quotient_module
+from zhuind.repmod import DecompositionRecord, check_module, decompose, hom_space, quotient_module
 
 F = Fraction
 
@@ -399,3 +399,135 @@ def test_induction_to_zero_skips_the_rows_after_the_span_is_full(recorded_adds, 
     assert (got.dim, got.reduced_dim, got.unit_map) == (0, nm, [{}] * nm)
     assert got.module.columns == [[] for _ in m.target.gen_names]
     assert grew[-1] and len(grew) < nt * len(m.images) * nm
+
+
+# -- induce and hom_space against dense elimination that skips no entry ------------
+
+
+def _dense_apply(mat, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in mat]
+
+
+def dense_induce(m, kernel_gens, module):
+    """induce with dense ``Fraction`` vectors and ``DenseRowSpace`` only: (actions, unit map, reduced dim).
+
+    The kernel radical, the quotient by it, the relation rows, the quotient
+    coordinates and the products ``a_i * m(g)`` and ``g * a_i`` are all built
+    here from dense matrices and the target's structure constants.
+    """
+    target, n = m.target, module.dim
+    structure = target.structure
+    nt = len(target.basis)
+    acts = [module.actions[g] for g in range(len(module.owner.gen_names))]
+
+    def word_action(word):
+        out = identity(n)
+        for g in word:
+            out = mat_mul(out, acts[g])
+        return out
+
+    def times(coords, rows):
+        """The dense coordinates of sum over ``coords`` entries ``j: y`` of ``y * rows[j]``."""
+        out = [F(0)] * nt
+        for j, y in coords.items():
+            for k, x in rows[j].items():
+                out[k] += y * x
+        return out
+
+    radical = DenseRowSpace(n)
+    queue = []
+    for k in kernel_gens:
+        total = zeros(n, n)
+        for w, c in k.poly.terms.items():
+            total = [[x + c * y for x, y in zip(r, wr)] for r, wr in zip(total, word_action(w))]
+        queue.extend([row[j] for row in total] for j in range(n))
+    while queue:
+        v = queue.pop()
+        if radical.add(v):
+            queue.extend(_dense_apply(a, v) for a in acts)
+    comp = radical.complement_columns()
+    nm = len(comp)
+    # the action on M / radical, in the coordinates of its complement columns
+    reduced = [[[radical.reduce(_dense_apply(a, [F(int(i == j)) for i in range(n)]))[c] for j in comp] for c in comp] for a in acts]
+
+    relations = DenseRowSpace(nt * nm)
+    for el, q in zip(m.images, reduced):
+        img = target.coords(el.poly)
+        for i in range(nt):
+            left = times(img, structure[i])  # a_i * m(g)
+            for j in range(nm):
+                row = [F(0)] * (nt * nm)
+                for k in range(nt):
+                    row[k * nm + j] += left[k]
+                for l in range(nm):
+                    row[i * nm + l] -= q[l][j]
+                relations.add(row)
+    rel_comp = relations.complement_columns()
+
+    def quotient_column(coords, j):
+        vec = [F(0)] * (nt * nm)
+        for k, x in enumerate(coords):
+            vec[k * nm + j] = x
+        red = relations.reduce(vec)
+        return [red[c] for c in rel_comp]
+
+    def dense_columns(columns):
+        return [[col[r] for col in columns] for r in range(len(rel_comp))]
+
+    actions = {}
+    for h in range(len(target.gen_names)):
+        gen = target.coords(target.system.reduce(NcPoly.gen(h)))
+        # g * a_i from the structure constants: sum over gen entries hh: x of x * structure[hh][i]
+        actions[h] = dense_columns([quotient_column(times(gen, [structure[hh][flat // nm] for hh in range(nt)]), flat % nm) for flat in rel_comp])
+    one = target.coords(target.system.reduce(NcPoly.one()))
+    unit = dense_columns([quotient_column(times(one, [{k: 1} for k in range(nt)]), j) for j in range(nm)])
+    return actions, unit, nm
+
+
+def assert_induce_matches_dense(m, kernel_gens, module):
+    got = induce(m, kernel_gens, module)
+    assert (got.module.actions, mat_of_columns(got.unit_map, got.dim), got.reduced_dim) == dense_induce(m, kernel_gens, module)
+
+
+def test_induce_matches_dense_elimination_on_catalog_grids():
+    for mor_id, grid in _induction_grids().items():
+        m = catalog.morphism(mor_id)
+        kernel = list(catalog.kernel_candidates(mor_id))
+        for fam, params in grid:
+            assert_induce_matches_dense(m, kernel, catalog.module(fam, params))
+            assert_induce_matches_dense(m, [], catalog.module(fam, params))
+
+
+@st.composite
+def source_modules(draw):
+    """(morphism id, module over its source) with random actions; the relations need not hold."""
+    mor_id = draw(st.sampled_from(["va1_to_va2", "vb_to_va1", "vp_to_va2"]))
+    source = catalog.morphism(mor_id).source
+    n = draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else F(0)
+
+    actions = {g: [[entry() for _ in range(n)] for _ in range(n)] for g in range(len(source.gen_names))}
+    return mor_id, dense_module(source, n, actions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(source_modules(), st.booleans())
+def test_induce_matches_dense_elimination_on_random_modules(case, with_kernel):
+    mor_id, module = case
+    kernel = list(catalog.kernel_candidates(mor_id)) if with_kernel else []
+    assert_induce_matches_dense(catalog.morphism(mor_id), kernel, module)
+
+
+def test_hom_space_matches_dense_elimination_on_catalog_modules():
+    for mor_id, grid in _induction_grids().items():
+        m = catalog.morphism(mor_id)
+        irreducibles = catalog.irreducibles(m.target.name)
+        # over the source: the grid modules and the restricted irreducibles; over the target: the irreducibles
+        for modules in ([catalog.module(fam, params) for fam, params in grid] + [restrict(m, k) for k in irreducibles], irreducibles):
+            for a in modules:
+                for b in modules:
+                    assert [mat_of_columns(t, b.dim) for t in hom_space(a, b)] == dense_hom_space(a, b)

@@ -3,9 +3,8 @@
 Every routine is checked on generated rational matrices, from 5% dense
 to full, with zero rows, zero columns and dependent rows, against two
 oracles: sympy, and the dense ``Fraction`` row operations that ``linalg``
-used before its rows became sparse (``DenseRowSpace`` below, and
-``dense_rref`` and ``dense_invert`` in ``tests/dense.py``, with the
-kernel read off the first as ``dense_nullspace``).  The reduced row
+used before its rows became sparse (``DenseRowSpace``, ``dense_rref``,
+``dense_nullspace`` and ``dense_invert`` in ``tests/dense.py``).  The reduced row
 echelon form is unique, so every result must agree exactly.
 ``RowSpace`` and ``invert`` take and return sparse vectors: the dense
 test rows are converted with ``sp`` at each call and the results with
@@ -19,68 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_invert, dense_rref
+from dense import DenseRowSpace, dense_invert, dense_nullspace, dense_rref
 from zhuind.linalg import RowSpace, invert, linear_combination
-
-# -- the dense reference ----------------------------------------------------
-
-
-def dense_nullspace(a):
-    ncols = len(a[0])
-    red, pivots = dense_rref(a)
-    basis = []
-    for fc in [c for c in range(ncols) if c not in pivots]:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
-class DenseRowSpace:
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = Fraction(1) / v[p]
-        v = [x * inv for x in v]
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
-        return True
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [list(r) for r in self.rows]
-
-    def complement_columns(self):
-        pivot_set = set(self.pivots)
-        return [i for i in range(self.ncols) if i not in pivot_set]
 
 
 def sp(vec):
@@ -166,6 +105,35 @@ def wide_matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 7)):
     for _ in range(draw(st.integers(0, 3))):
         f, g = big(), rng.randint(-3, 3)
         out.append([f * x + g * y for x, y in zip(out[-1], rng.choice(out))])
+    return out
+
+
+@st.composite
+def unit_rich_matrices(draw, rows=st.integers(1, 9), cols=st.integers(1, 8)):
+    """Sparse rows, many of them with a single entry, and rows that elimination shrinks to one entry.
+
+    A single-entry row makes its column zero modulo the space, so later
+    rows meet such columns both before and after the row that clears them.
+    """
+    n, m = draw(rows), draw(cols)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def value():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    out = []
+    for _ in range(n):
+        row = [Fraction(0)] * m
+        kind = rng.random()
+        if kind < 0.45 or not out:  # a single entry
+            row[rng.randrange(m)] = value()
+        elif kind < 0.7:  # an earlier row plus a multiple of one more column: it reduces to that column
+            row = list(rng.choice(out))
+            row[rng.randrange(m)] += value()
+        else:  # a sparse row
+            for c in rng.sample(range(m), min(m, rng.randint(0, 3))):
+                row[c] = value()
+        out.append(row)
     return out
 
 
@@ -294,6 +262,41 @@ def test_rowspace_matches_dense_reference_on_large_denominators(a, rng):
         assert space.contains(sp(v)) == ref.contains(v)
 
 
+def dense_reduce(red, pivots, v):
+    """``v`` modulo the span of the reduced rows ``red`` with pivots ``pivots``."""
+    v = list(v)
+    for row, p in zip(red, pivots):
+        if v[p]:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+@SETTINGS
+@given(unit_rich_matrices(), st.randoms(use_true_random=False))
+def test_rowspace_matches_dense_rref_on_single_entry_rows(a, rng):
+    ncols = len(a[0])
+    red, pivots = dense_rref(a)
+    comp = [c for c in range(ncols) if c not in pivots]
+    # the probes: unit vectors, the rows themselves, and random sparse vectors
+    vecs = [[Fraction(int(i == c)) for i in range(ncols)] for c in range(ncols)] + a + [vectors(ncols, rng) for _ in range(4)]
+    order = list(a)
+    rng.shuffle(order)
+    for rows in (a, order):
+        space = RowSpace(ncols)
+        for row in rows:
+            space.add(sp(row))
+        assert (dense_basis(space), space.pivots) == (red, pivots)
+        assert_sparse(space.basis(), space.pivots)
+        assert dense_kernel(space) == dense_nullspace(a)
+        to_quotient = space.quotient_map()
+        for v in vecs:
+            want = dense_reduce(red, pivots, v)
+            assert dense(space.reduce(sp(v)), ncols) == want
+            assert space.contains(sp(v)) == (not any(want))
+            assert dense(to_quotient(sp(v)), len(comp)) == [want[c] for c in comp]
+
+
 def assert_rows_primitive(space):
     """Every stored row: nonzero ints with gcd 1, positive at its pivot and zero at every other pivot."""
     assert sorted(space.rows) == space.pivots
@@ -401,6 +404,17 @@ def test_rowspace_refuses_a_binary_float(method):
     space.add({1: 1})
     with pytest.raises(TypeError, match="exact scalars only"):
         getattr(space, method)({0: 0.5})
+    assert space.rows == {1: {1: 1}}
+
+
+@pytest.mark.parametrize("vec", [{1: 0.5}, {0: 1, 1: 2.0}, {1: 0.25, 2: 1}])
+@pytest.mark.parametrize("method", ["add", "contains", "reduce"])
+def test_rowspace_refuses_a_binary_float_at_a_single_entry_column(method, vec):
+    # column 1 holds the row {1: 1}, so it is zero modulo the space; a float there is still refused
+    space = RowSpace(3)
+    space.add({1: 3})
+    with pytest.raises(TypeError, match="exact scalars only"):
+        getattr(space, method)(vec)
     assert space.rows == {1: {1: 1}}
 
 

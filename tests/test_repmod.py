@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_module, identity, mat_mul, mat_of_columns, zeros
+from dense import dense_hom_space, dense_module, identity, mat_mul, mat_of_columns, zeros
 from zhuind import catalog
 from zhuind.freealg import NcPoly, scalar
 from zhuind.linalg import RowSpace
@@ -175,30 +175,7 @@ def test_regular_module_is_faithful_action(va1):
     assert rec.as_dict() == {"trivial": 1, "L_half": 2} and rec.residual == 0
 
 
-# -- hom_space against the dense intertwiner equations -------------------------
-
-
-def dense_hom_space(source, target):
-    """hom_space as it was with dense n*m-column equation rows: the reference."""
-    n, m = target.dim, source.dim
-    if n * m == 0:
-        return []
-    rows = []
-    for g in source.actions:
-        a = target.actions[g]
-        b = source.actions[g]
-        for i in range(n):
-            for j in range(m):
-                row = [F(0)] * (n * m)
-                for k in range(m):
-                    row[i * m + k] += b[k][j]
-                for k in range(n):
-                    row[k * m + j] -= a[i][k]
-                rows.append(row)
-    space = RowSpace(n * m)
-    for row in rows:
-        space.add(dict(enumerate(row)))
-    return [[[v.get(i * m + j, F(0)) for j in range(m)] for i in range(n)] for v in space.nullspace()]
+# -- hom_space against the dense intertwiner equations (dense.dense_hom_space) ----
 
 
 @st.composite

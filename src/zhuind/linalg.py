@@ -17,6 +17,13 @@ fraction-free; an integral vector (``int`` or ``Fraction`` values, all
 denominators 1) is taken as is, without a rescale, ``Fraction`` values
 are built only where results leave it, and a value of any other type
 raises ``TypeError``.  It never modifies a caller's vector.
+A pivot whose stored row is the unit vector ``{p: 1}`` is a unit pivot
+(``RowSpace.unit_pivots``): coordinate p is zero modulo the space, so
+elimination drops a vector's entries there before it cancels, as
+structured Gaussian elimination removes singleton rows first (LaMacchia
+and Odlyzko 1990).  Dropping the entry is exactly the cancellation
+against that row, and the reduced row echelon form is unique, so every
+result is the one full elimination gives.
 ``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
 a unit pivot or free entry, in ascending columns, and
 ``RowSpace.quotient_map`` gives coordinates in the quotient by the space,
@@ -77,12 +84,23 @@ class RowSpace:
     space and quotient coordinates.  ``pivots`` is sorted and ``basis()``
     lists rows by pivot column, so the basis is canonical and equality of
     subspaces is list equality.
+
+    ``unit_pivots`` is the set of pivots p whose row is ``{p: 1}``.  A row
+    joins it when it is added with a single entry or when back-substitution
+    shrinks it to one, and it never leaves: a unit row has no entry at
+    another column, so no later row changes it.  ``_eliminate`` checks the
+    type and denominator of every entry first, so a float at a unit pivot
+    still raises ``TypeError``, then drops the entries at unit pivots.  That
+    drop is the cancellation against the unit row, so the stored rows, and
+    every result, are those of elimination without it.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []
+        # pivots p whose row is {p: 1}: the coordinate p is zero modulo the space
+        self.unit_pivots: set[int] = set()
 
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
         """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
@@ -90,10 +108,13 @@ class RowSpace:
             den = lcm(*[x.denominator for x in vec.values()])
         except AttributeError:  # a float or another inexact value: only int and Fraction have a denominator
             raise TypeError(f"exact scalars only: {vec!r} holds a value that is not an int or a Fraction") from None
+        units = self.unit_pivots
         if den == 1:  # an integral vector needs no rescale
-            v = {c: n for c, x in vec.items() if (n := x.numerator)}
+            v = {c: n for c, x in vec.items() if (n := x.numerator) and c not in units}
         else:
-            v = {c: n * (den // x.denominator) for c, x in vec.items() if (n := x.numerator)}
+            v = {c: n * (den // x.denominator) for c, x in vec.items() if (n := x.numerator) and c not in units}
+        if not v:
+            return v, den
         rows = self.rows
         # a row is zero at every other pivot, so the pivots met are fixed upfront
         for p in [p for p in v if p in rows]:
@@ -122,12 +143,17 @@ class RowSpace:
             return False
         p = min(row)
         _make_primitive(row, p)
+        units = self.unit_pivots
         for q, other in self.rows.items():
             if p in other:
                 _cancel(other, row, p)
                 _make_primitive(other, q)
+                if len(other) == 1:
+                    units.add(q)
         self.rows[p] = row
         insort(self.pivots, p)
+        if len(row) == 1:
+            units.add(p)
         return True
 
     def contains(self, vec: Sparse) -> bool:

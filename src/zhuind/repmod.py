@@ -111,16 +111,25 @@ def check_module(module: FinModule) -> list[NcPoly]:
 def add_tensor_equations(space: RowSpace, rows: list[Sparse], columns: Columns) -> bool:
     """Add to ``space`` sum_k P_i[k] e(k, j) - sum_l Q_j[l] e(i, l) for each column Q_j and row P_i.
 
-    ``e(k, l)`` is the unit vector at ``k * len(columns) + l``.  Returns True, adding no more, once ``space`` is full.
+    ``e(k, l)`` is the unit vector at ``k * len(columns) + l``.  Each
+    equation is built without its coordinates at ``space.unit_pivots``,
+    which are zero modulo ``space``, and without a term that cancels; an
+    equation left empty is not added.  Returns True, adding no more, once
+    ``space`` is full.
     """
-    width, full = len(columns), space.ncols
+    width, full, units = len(columns), space.ncols, space.unit_pivots
     for j, q_col in enumerate(columns):
         for i, p_row in enumerate(rows):
-            vec = {k * width + j: x for k, x in p_row.items()}
+            vec = {c: x for k, x in p_row.items() if (c := k * width + j) not in units}
             for l, x in q_col.items():
-                y = vec.get(i * width + l)
-                vec[i * width + l] = -x if y is None else y - x
-            if space.add(vec) and space.dim == full:
+                c = i * width + l
+                if c not in units:
+                    y = vec.get(c, 0) - x
+                    if y:
+                        vec[c] = y
+                    else:  # the two terms at e(i, j) cancel
+                        del vec[c]
+            if vec and space.add(vec) and space.dim == full:
                 return True
     return False
 

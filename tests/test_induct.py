@@ -367,6 +367,25 @@ def test_composite_builds_its_own_product_table():
 # -- the early stop of the relation rows ------------------------------------------
 
 
+def offered_relation_rows(m, module):
+    """What ``RowSpace.add`` returns for each relation row of induce without the kernel, by the dense reference.
+
+    A row is offered when it is nonzero off the coordinates that single-entry
+    rows of the span already hold (those are zero modulo the span), and no
+    row is offered once the span fills the tensor product.
+    """
+    nt, nm = len(m.target.basis), module.dim
+    space = DenseRowSpace(nt * nm)
+    grew = []
+    for row in dense_relation_rows(m, [module.actions[g] for g in range(len(m.images))], nm):
+        units = {p for p, r in zip(space.pivots, space.rows) if sum(map(bool, r)) == 1}
+        if any(x for c, x in enumerate(row) if c not in units):
+            grew.append(space.add(row))
+            if space.dim == nt * nm:
+                break
+    return grew
+
+
 @settings(max_examples=24, deadline=None)
 @given(st.sampled_from(_FAMILIES), st.fractions(min_value=-6, max_value=6, max_denominator=8))
 def test_relation_rows_stop_once_they_fill_the_tensor_product(recorded_adds, case, t):
@@ -379,8 +398,9 @@ def test_relation_rows_stop_once_they_fill_the_tensor_product(recorded_adds, cas
     nt, nm = len(m.target.basis), module.dim
     if got.dim == 0:
         assert sum(grew) == nt * nm and grew[-1]
-    else:
-        assert len(grew) == nt * len(m.images) * nm  # every relation row was offered
+    # every row that is nonzero once the single-entry coordinates are dropped reaches add, and no other
+    assert grew == offered_relation_rows(m, module)
+    assert len(grew) <= nt * len(m.images) * nm
     irreducibles = catalog.irreducibles(m.target.name)
     want = per_call_induce(m, [], module, irreducibles, catalog.VOA_LABELS)
     assert _summary(m, induce(m, [], module, irreducibles, catalog.VOA_LABELS)) == want
@@ -408,6 +428,36 @@ def _dense_apply(mat, v):
     return [sum((x * y for x, y in zip(row, v)), F(0)) for row in mat]
 
 
+def _dense_times(coords, rows, n):
+    """The dense coordinates of the sum over the entries ``j: y`` of ``coords`` of ``y * rows[j]``."""
+    out = [F(0)] * n
+    for j, y in coords.items():
+        for k, x in rows[j].items():
+            out[k] += y * x
+    return out
+
+
+def dense_relation_rows(m, actions, nm):
+    """The relation rows of induce on a module with dense ``actions``, in induce's order: by generator, column, row.
+
+    Row (g, j, i) is (a_i * m(g)) (x) v_j - a_i (x) (g v_j) over the flat
+    index k * nm + l of a_k (x) v_l, with a_i * m(g) from the structure constants.
+    """
+    target = m.target
+    nt = len(target.basis)
+    for el, q in zip(m.images, actions):
+        img = target.coords(el.poly)
+        lefts = [_dense_times(img, target.structure[i], nt) for i in range(nt)]
+        for j in range(nm):
+            for i, left in enumerate(lefts):
+                row = [F(0)] * (nt * nm)
+                for k, x in enumerate(left):
+                    row[k * nm + j] += x
+                for l in range(nm):
+                    row[i * nm + l] -= q[l][j]
+                yield row
+
+
 def dense_induce(m, kernel_gens, module):
     """induce with dense ``Fraction`` vectors and ``DenseRowSpace`` only: (actions, unit map, reduced dim).
 
@@ -424,14 +474,6 @@ def dense_induce(m, kernel_gens, module):
         out = identity(n)
         for g in word:
             out = mat_mul(out, acts[g])
-        return out
-
-    def times(coords, rows):
-        """The dense coordinates of sum over ``coords`` entries ``j: y`` of ``y * rows[j]``."""
-        out = [F(0)] * nt
-        for j, y in coords.items():
-            for k, x in rows[j].items():
-                out[k] += y * x
         return out
 
     radical = DenseRowSpace(n)
@@ -451,17 +493,8 @@ def dense_induce(m, kernel_gens, module):
     reduced = [[[radical.reduce(_dense_apply(a, [F(int(i == j)) for i in range(n)]))[c] for j in comp] for c in comp] for a in acts]
 
     relations = DenseRowSpace(nt * nm)
-    for el, q in zip(m.images, reduced):
-        img = target.coords(el.poly)
-        for i in range(nt):
-            left = times(img, structure[i])  # a_i * m(g)
-            for j in range(nm):
-                row = [F(0)] * (nt * nm)
-                for k in range(nt):
-                    row[k * nm + j] += left[k]
-                for l in range(nm):
-                    row[i * nm + l] -= q[l][j]
-                relations.add(row)
+    for row in dense_relation_rows(m, reduced, nm):
+        relations.add(row)
     rel_comp = relations.complement_columns()
 
     def quotient_column(coords, j):
@@ -477,10 +510,10 @@ def dense_induce(m, kernel_gens, module):
     actions = {}
     for h in range(len(target.gen_names)):
         gen = target.coords(target.system.reduce(NcPoly.gen(h)))
-        # g * a_i from the structure constants: sum over gen entries hh: x of x * structure[hh][i]
-        actions[h] = dense_columns([quotient_column(times(gen, [structure[hh][flat // nm] for hh in range(nt)]), flat % nm) for flat in rel_comp])
+        # g * a_i: the sum over the entries hh: x of gen of x * structure[hh][i]
+        actions[h] = dense_columns([quotient_column(_dense_times(gen, [structure[hh][flat // nm] for hh in range(nt)], nt), flat % nm) for flat in rel_comp])
     one = target.coords(target.system.reduce(NcPoly.one()))
-    unit = dense_columns([quotient_column(times(one, [{k: 1} for k in range(nt)]), j) for j in range(nm)])
+    unit = dense_columns([quotient_column(_dense_times(one, [{k: 1} for k in range(nt)], nt), j) for j in range(nm)])
     return actions, unit, nm
 
 

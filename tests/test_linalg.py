@@ -286,6 +286,7 @@ def test_rowspace_matches_dense_rref_on_single_entry_rows(a, rng):
         space = RowSpace(ncols)
         for row in rows:
             space.add(sp(row))
+            assert_rows_primitive(space)
         assert (dense_basis(space), space.pivots) == (red, pivots)
         assert_sparse(space.basis(), space.pivots)
         assert dense_kernel(space) == dense_nullspace(a)
@@ -298,8 +299,12 @@ def test_rowspace_matches_dense_rref_on_single_entry_rows(a, rng):
 
 
 def assert_rows_primitive(space):
-    """Every stored row: nonzero ints with gcd 1, positive at its pivot and zero at every other pivot."""
+    """Every stored row: nonzero ints with gcd 1, positive at its pivot and zero at every other pivot.
+
+    ``unit_pivots`` holds exactly the pivots whose row is a unit vector.
+    """
     assert sorted(space.rows) == space.pivots
+    assert space.unit_pivots == {p for p, row in space.rows.items() if row == {p: 1}}
     for p, row in space.rows.items():
         assert all(type(x) is int and x for x in row.values())
         assert min(row) == p and row[p] > 0
@@ -308,8 +313,9 @@ def assert_rows_primitive(space):
 
 
 @SETTINGS
-@given(matrices() | wide_matrices())
-def test_rowspace_rows_stay_primitive(a):
+@given(matrices() | wide_matrices() | unit_rich_matrices(), st.randoms(use_true_random=False))
+def test_rowspace_rows_stay_primitive(a, rng):
+    rng.shuffle(a)
     space = RowSpace(len(a[0]))
     for row in a:
         space.add(sp(row))

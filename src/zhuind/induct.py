@@ -123,14 +123,19 @@ def generated_by_unit_image(result: InductionResult) -> bool:
     return module.dim == 0 or submodule_closure(module, result.unit_map).dim == module.dim
 
 
+def frobenius_dims(
+    m: AlgebraMorphism, kernel_gens: list, source_module: FinModule, targets: list[FinModule]
+) -> list[tuple[int, int]]:
+    """(dim Hom(Ind M, K), dim Hom(M, Res K)) for each target module K, with M induced once; equal on success."""
+    ind = induce(m, kernel_gens, source_module).module
+    return [(len(hom_space(ind, k)), len(hom_space(source_module, restrict(m, k)))) for k in targets]
+
+
 def frobenius_check(
     m: AlgebraMorphism, kernel_gens: list, source_module: FinModule, target_module: FinModule
 ) -> tuple[int, int]:
     """(dim Hom(Ind M, K), dim Hom(M, Res K)); equal on success."""
-    ind = induce(m, kernel_gens, source_module)
-    left = len(hom_space(ind.module, target_module))
-    right = len(hom_space(source_module, restrict(m, target_module)))
-    return left, right
+    return frobenius_dims(m, kernel_gens, source_module, [target_module])[0]
 
 
 def composition_check(

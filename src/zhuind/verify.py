@@ -23,7 +23,7 @@ from zhuind import catalog
 from zhuind.algebra import normal_words
 from zhuind.chars import artin_solve, symmetry_violations
 from zhuind.freealg import NcPoly, Word
-from zhuind.induct import frobenius_check, induce, kernel_action_radical, composition_check, restrict
+from zhuind.induct import frobenius_dims, induce, kernel_action_radical, composition_check, restrict
 from zhuind.iolang import parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
 from zhuind.repmod import decompose
@@ -233,10 +233,10 @@ def case_09() -> tuple[bool, str, str, list[str]]:
     for mor_id, grid in _FROBENIUS_GRIDS.items():
         m = catalog.morphism(mor_id)
         ker = list(catalog.kernel_candidates(mor_id))
+        targets = catalog.irreducibles(m.target.name)
         for fam, params in grid:
             module = catalog.module(fam, params)
-            for target_irr in catalog.irreducibles(m.target.name):
-                left, right = frobenius_check(m, ker, module, target_irr)
+            for target_irr, (left, right) in zip(targets, frobenius_dims(m, ker, module, targets)):
                 checked += 1
                 if left != right:
                     ok = False

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense import DenseRowSpace, dense_hom_space, dense_module, identity, mat_mul, mat_of_columns, zeros
-from zhuind import catalog
+from zhuind import catalog, induct, verify
 from zhuind.algebra import AlgebraHandle, Element
 from zhuind.freealg import NcPoly
 from zhuind.induct import (
     _voa_label,
     composition_check,
     frobenius_check,
+    frobenius_dims,
     generated_by_unit_image,
     induce,
     kernel_action_radical,
@@ -171,6 +172,42 @@ def test_frobenius_trivial_and_zero_cases():
     zero = dense_module(m.source, 0, {})
     left, right = frobenius_check(m, ker, zero, catalog.module("va2_L0"))
     assert left == right == 0
+
+
+def _counting_induce(monkeypatch):
+    """Count the calls of ``induct.induce``, which ``frobenius_dims`` looks up when it runs."""
+    calls = []
+    real = induct.induce
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(induct, "induce", counted)
+    return calls
+
+
+def test_frobenius_dims_induce_once_and_match_the_check_per_target(monkeypatch):
+    m = catalog.morphism("vp_to_va2")
+    ker = list(catalog.kernel_candidates("vp_to_va2"))
+    targets = catalog.irreducibles("a_va2")
+    for fam, t in [("vp_mod_U0", F(0)), ("vp_mod_Uhalf", F(1, 2)), ("vp_mod_U0", F(3))]:
+        module = catalog.module(fam, (t,))
+        want = [frobenius_check(m, ker, module, k) for k in targets]
+        calls = _counting_induce(monkeypatch)
+        assert frobenius_dims(m, ker, module, targets) == want
+        assert calls == [module.label]
+        monkeypatch.undo()
+    assert frobenius_dims(m, ker, catalog.module("vp_mod_U0", (F(0),)), []) == []
+
+
+def test_verify_c09_induces_each_module_once(monkeypatch):
+    calls = _counting_induce(monkeypatch)
+    ok, _, text, details = verify.case_09()
+    grids = verify._FROBENIUS_GRIDS
+    assert len(calls) == sum(len(grid) for grid in grids.values()) == 31
+    pairs = sum(len(grid) * len(catalog.irreducibles(catalog.morphism(mor_id).target.name)) for mor_id, grid in grids.items())
+    assert ok and text == f"{pairs} pairs, all equal" and details == [f"{pairs} (module, irreducible) pairs checked across 6 morphisms"]
 
 
 def test_composition_identity_factor(va1):

@@ -55,6 +55,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -448,11 +449,22 @@ class RewriteSystem:
         return _normal_form(word, self._memo, self.lhs_index, self._rule_dict)
 
     def reduce(self, p: NcPoly) -> NcPoly:
+        """The normal form of ``p``: memoised per word, or by the heap loop, which gives the same result.
+
+        The heap loop takes the whole of ``p`` when a chain of rewrites runs
+        deeper than the stack.  It takes it at once, without the recursion,
+        when a word of ``p`` is longer than the recursion limit: a letter
+        that travels through such a word makes a chain that long, and the
+        recursion would go about that many frames deep before it fails.
+        """
         out = NcPoly.zero()
+        limit = sys.getrecursionlimit()
         try:
             for w, c in p.terms.items():
+                if len(w) > limit:
+                    raise RecursionError
                 _add_scaled(out.terms, c, self.reduce_word(w).terms)
-        except RecursionError:  # a chain deeper than the stack: the heap loop gives the same result
+        except RecursionError:
             out = _rewrite(p, self._rule_dict, self.order, index=self.lhs_index, keep_steps=False)[0]
         return out
 

@@ -131,6 +131,29 @@ def test_reduce_of_a_letter_after_a_long_normal_word(vp, last, n, margin):
 
 
 
+def test_reduce_sends_a_word_longer_than_the_recursion_limit_to_the_heap_loop(vb, vp, monkeypatch):
+    entered = []
+    real = rewrite._normal_form
+
+    def counted(word, *args):
+        entered.append(len(word))
+        return real(word, *args)
+
+    monkeypatch.setattr(rewrite, "_normal_form", counted)
+    limit = sys.getrecursionlimit()
+    x, y = vb.gen_names.index("x"), vb.gen_names.index("y")
+    # in vb, x y -> y: x^limit y rewrites in one chain of limit steps
+    assert vb.system.reduce(NcPoly.monomial((x,) * limit + (y,))) == NcPoly.monomial((y,))
+    # the whole polynomial goes to the heap loop, its short word included
+    word, expected = _vp_after_y_power(1500, "x_ab")
+    short = (vp.gen_names.index("x_ab"),)
+    assert vp.system.reduce(NcPoly({word: 2, short: 1})) == expected.scale(2) + NcPoly.monomial(short)
+    assert entered == []
+    # a word of exactly the limit still takes the memoised path
+    vb.system.reduce(NcPoly.monomial((y,) * limit))
+    assert entered and entered[0] == limit
+
+
 class _CountingRules(dict):
     """A rule dict that counts its lookups: the heap loop looks up one rule per step."""
 

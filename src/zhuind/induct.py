@@ -16,9 +16,13 @@ What depends only on the morphism is built once and kept: the products
 ``g * a_i`` on the target (``AlgebraHandle.gen_products``, shared by every
 morphism into it).  Each ``induce`` call builds only what depends on the
 module: the relation rows, their ``RowSpace`` and the quotient columns.
-The relation rows stop once they span the whole tensor product, where
-the induced module is 0; a module that is 0 after the kernel radical
-takes the same path, with no relation rows at all.
+A relation row is built without its coordinates at the unit pivots of
+the relations so far (``RowSpace.unit_pivots``), and a row left empty
+is not added.  The relation rows stop once they span the whole tensor
+product, where the induced module is 0; a module that is 0 after the
+kernel radical takes the same path, with no relation rows at all.
+``frobenius_dims`` induces a module once and checks Frobenius
+reciprocity against every target module with that one induction.
 """
 
 from __future__ import annotations

@@ -99,7 +99,6 @@ class RowSpace:
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []
-        # pivots p whose row is {p: 1}: the coordinate p is zero modulo the space
         self.unit_pivots: set[int] = set()
 
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:

@@ -307,26 +307,29 @@ def test_nf_of_a_word_longer_than_the_recursion_limit(capsys):
 
 
 def test_nf_with_a_chain_past_the_recursion_limit(capsys):
-    # in vb, x y -> y: x^n y rewrites n times in one chain, which the heap loop follows without recursing
+    # in vb, x y -> y: x^n y rewrites n times in one chain, which the memo loop follows without recursing
     n = sys.getrecursionlimit() + 500
     code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
     assert (code, out, err) == (0, "y\n", "")
 
 
 def test_nf_past_the_rewrite_step_budget_exits_2(capsys, monkeypatch):
-    # the heap loop that follows a chain past the recursion limit stops once its steps rewrote LETTER_BUDGET letters
+    # both loops stop once they charged LETTER_BUDGET letters: the memo loop about 100 rewrites into the chain,
+    # then the heap loop about 100 steps in.  The catalog handle is shared, and the test above leaves the
+    # normal forms of x^k y in its memo, which would answer at once: the memo is emptied first
+    catalog.algebra("vb").system._memo.clear()
     n = sys.getrecursionlimit() + 500
     monkeypatch.setattr(rewrite, "LETTER_BUDGET", 100 * n)
     code, out, err = run(capsys, "nf", "vb", " ".join(["x"] * n) + " y")
     assert code == 2 and out == "" and err == "error: expression too large to reduce: reduction step budget exceeded\n"
 
 
-
 def test_nf_of_a_long_word_stops_within_the_letter_budget(capsys):
-    # y^1500 x_a = x_a (y - 1)^1500 takes about 1.1 million rewrites of 1,501-letter words past the
-    # recursion limit; charged 1,501 letters each, the heap loop stops after about 3,300 of them
+    # y^1500 x_a = x_a (y - 1)^1500 takes about 1.1 million rewrites of 1,501-letter words: the memo loop
+    # overruns the budget, and the heap loop, charged 1,501 letters a step, stops after about 3,300 steps
     code, out, err = run(capsys, "nf", "a_vp", " ".join(["y"] * 1500 + ["x_a"]))
     assert code == 2 and out == "" and err == "error: expression too large to reduce: reduction step budget exceeded\n"
+
 
 @pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["non-utf8", "missing"])
 @pytest.mark.parametrize("argv", [("check", "{path}"), ("dim", "{path}#a")], ids=["check", "dim"])

@@ -74,7 +74,7 @@ def test_reduce_cubed_cartan(va1):
 
 def test_reduce_of_words_past_the_recursion_limit(va1, va2):
     # h^2000 and (x_a x_ma)^800 rewrite in chains longer than the recursion limit; reduce answers
-    # as the heap loop does, which does not recurse
+    # as the heap loop does, and neither loop recurses
     h = va1.gen_names.index("h")
     x_a, x_ma = va2.gen_names.index("x_a"), va2.gen_names.index("x_ma")
     for handle, word in ((va1, (h,) * 2000), (va2, (x_a, x_ma) * 800)):
@@ -113,45 +113,68 @@ def _vp_after_y_power(n, last):
     return (y,) * n + (g(last),), NcPoly(closed[last])
 
 
-# y^n x_a and y^n x_ma take n(n+1)/2 rewrites of n + 1 letters to n + 1 terms, so past the default recursion
-# limit they would pass LETTER_BUDGET: the limit is lowered below their chain of n instead
+def _fresh(handle):
+    """``handle``'s rewriting system with an empty memo."""
+    return RewriteSystem(handle.system.order, list(handle.system.rules), INFINITE)
+
+
+def _memo_letters(system):
+    """The letters of the words in the normal forms ``system``'s memo holds."""
+    return sum(len(u) for nf in system._memo.values() for u in nf.terms)
+
+
+# y^n is normal, and the last letter travels through it in a chain of n rewrites: neither loop may recurse that
+# deep.  y^80 x_a and y^80 x_ma charge the memo loop about 6 million letters, past the default LETTER_BUDGET, so
+# their reduce ends in the heap loop; the budget is then raised so that the memo loop follows them too
 @pytest.mark.parametrize(
     "last, n, margin", [("x", 1500, None), ("x_b", 1500, None), ("x_ab", 1500, None), ("x_a", 80, 40), ("x_ma", 80, 40)]
 )
-def test_reduce_of_a_letter_after_a_long_normal_word(vp, last, n, margin):
-    # y^n is normal, and the last letter travels through it in a chain of n rewrites, past the recursion limit
+def test_reduce_of_a_letter_after_a_long_normal_word(vp, monkeypatch, last, n, margin):
+    # margin: the frames allowed above this test's own depth (None: 50), well below the chain of n
     word, expected = _vp_after_y_power(n, last)
-    rules = list(vp.system.rules)
-    limit = sys.getrecursionlimit() if margin is None else _stack_depth() + margin
-    with _recursion_limit(limit):
-        with pytest.raises(RecursionError):  # the memoised recursion alone cannot follow the chain
-            RewriteSystem(vp.system.order, rules, INFINITE).reduce_word(word)
-        got = RewriteSystem(vp.system.order, rules, INFINITE).reduce(NcPoly.monomial(word))
-    assert got == expected
+    with _recursion_limit(_stack_depth() + (50 if margin is None else margin)):
+        got = _fresh(vp).reduce(NcPoly.monomial(word))
+        monkeypatch.setattr(rewrite, "LETTER_BUDGET", 10**7)
+        memoised = _fresh(vp).reduce_word(word)
+    assert got == expected and memoised == expected
 
 
+def _counted_rewrites(monkeypatch):
+    """Record the polynomial of each ``rewrite._rewrite`` call, which ``reduce`` looks up when it falls back."""
+    calls = []
+    real = rewrite._rewrite
 
-def test_reduce_sends_a_word_longer_than_the_recursion_limit_to_the_heap_loop(vb, vp, monkeypatch):
-    entered = []
-    real = rewrite._normal_form
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
 
-    def counted(word, *args):
-        entered.append(len(word))
-        return real(word, *args)
+    monkeypatch.setattr(rewrite, "_rewrite", counted)
+    return calls
 
-    monkeypatch.setattr(rewrite, "_normal_form", counted)
-    limit = sys.getrecursionlimit()
-    x, y = vb.gen_names.index("x"), vb.gen_names.index("y")
-    # in vb, x y -> y: x^limit y rewrites in one chain of limit steps
-    assert vb.system.reduce(NcPoly.monomial((x,) * limit + (y,))) == NcPoly.monomial((y,))
-    # the whole polynomial goes to the heap loop, its short word included
-    word, expected = _vp_after_y_power(1500, "x_ab")
+
+def test_reduce_hands_the_whole_polynomial_to_the_heap_loop_past_the_letter_budget(vp, monkeypatch):
+    # y^60 x_a charges the memo loop about 2 million letters and the heap loop 1,830 steps of 61 letters
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 200_000)
+    calls = _counted_rewrites(monkeypatch)
     short = (vp.gen_names.index("x_ab"),)
-    assert vp.system.reduce(NcPoly({word: 2, short: 1})) == expected.scale(2) + NcPoly.monomial(short)
-    assert entered == []
-    # a word of exactly the limit still takes the memoised path
-    vb.system.reduce(NcPoly.monomial((y,) * limit))
-    assert entered and entered[0] == limit
+    word, expected = _vp_after_y_power(60, "x_a")
+    polys = [NcPoly({short: 1, word: 2}), NcPoly({word: 2, short: 1})]
+    for p in polys:
+        assert _fresh(vp).reduce(p) == expected.scale(2) + NcPoly.monomial(short)
+    assert len(calls) == 2 and all(got is p for got, p in zip(calls, polys))  # once each, the short word included
+    # a word whose memoised normal form stays within the budget never reaches the heap loop
+    word, expected = _vp_after_y_power(10, "x_a")
+    assert _fresh(vp).reduce(NcPoly.monomial(word)) == expected
+    assert len(calls) == 2
+
+
+def test_reduce_keeps_the_memo_within_the_letter_budget(vp, monkeypatch):
+    # y^120 x_a = x_a (y - 1)^120: the full memo holds 7,381 normal forms of about 19 million letters
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 10**6)
+    word, expected = _vp_after_y_power(120, "x_a")
+    system = _fresh(vp)
+    assert system.reduce(NcPoly.monomial(word)) == expected
+    assert 0 < _memo_letters(system) <= 10**6
 
 
 class _CountingRules(dict):
@@ -1045,25 +1068,23 @@ def test_complete_zero_test_reads_normal_forms_under_the_live_rules(monkeypatch,
     assert max(sizes) > 100 and 0 in sizes  # the memo fills between changes and starts empty after one
 
 
-def test_complete_falls_back_to_the_heap_loop_past_the_recursion_limit(monkeypatch):
-    # with the limit just above the current depth the zero test's recursion fails on some S-polynomials;
-    # the heap loop decides those, and every pinned outcome holds
+def test_complete_falls_back_to_the_heap_loop_past_the_letter_budget(monkeypatch):
+    # at 600 letters the zero test's memo loop overruns on some S-polynomials of a_vp under two precedences,
+    # while no heap-loop reduction of these completions does; the heap loop decides those, and every pin holds
     fallbacks = []
     is_zero = rewrite._s_poly_is_zero
 
     def recording(*args):
         try:
             return is_zero(*args)
-        except RecursionError:
+        except RuntimeError:
             fallbacks.append(args[:3])
             raise
 
     monkeypatch.setattr(rewrite, "_s_poly_is_zero", recording)
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 600)
     for name in ("a_vp_0", "a_vp_1", "a_vp_2", "a_vp_3", "a_va2_0", "a_va2_1"):
-        presentation = GENERATED_FAMILIES[name]()
-        with _recursion_limit(_stack_depth() + 20):
-            system = complete(*presentation)
-        _assert_family_pinned(name, system)
+        _assert_family_pinned(name, complete(*GENERATED_FAMILIES[name]()))
     assert fallbacks
 
 
@@ -1477,6 +1498,32 @@ def test_heap_rewrite_matches_sorted_reference(rules, p):
     assert steps == ref_steps
     assert list(nf.terms.items()) == list(ref_nf.terms.items())
     assert p.terms == before
+
+
+def _letters_charged(steps):
+    """The letters the heap loop charges for ``steps``: the length of each word it rewrote."""
+    return sum(len(left) + len(rule.lhs) + len(right) for _, left, rule, right in steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terminating_rule_dicts(), _rewrite_polys)
+def test_reduce_matches_both_references_on_rules_that_are_not_confluent(rules, p):
+    # completion's zero test stands in for the heap loop, also on rules not yet confluent: reduce gives the heap
+    # loop's map whichever loop answers, and the memo loop gives the reference memo's term order.  At a budget of
+    # the heap loop's own charge the memo loop often overruns and hands p to the heap loop, whose order it keeps.
+    system = RewriteSystem(HFE, list(rules.values()), INFINITE)
+    heap_nf, steps = _rewrite(p, system._rule_dict, HFE)
+    ref = _ref_memo_reduce(system, p, {})
+    default = rewrite.LETTER_BUDGET
+    for budget in (default, _letters_charged(steps)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(rewrite, "LETTER_BUDGET", budget)
+            calls = _counted_rewrites(monkeypatch)
+            system._memo.clear()
+            got = system.reduce(p)
+        assert got.terms == heap_nf.terms
+        assert list(got.terms.items()) == list((heap_nf if calls else ref).terms.items())
+        assert not calls or budget < default
 
 
 def test_heap_rewrite_rewrites_a_word_that_cancels_and_comes_back():

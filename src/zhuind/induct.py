@@ -21,8 +21,9 @@ the relations so far (``RowSpace.unit_pivots``), and a row left empty
 is not added.  The relation rows stop once they span the whole tensor
 product, where the induced module is 0; a module that is 0 after the
 kernel radical takes the same path, with no relation rows at all.
-``frobenius_dims`` induces a module once and checks Frobenius
-reciprocity against every target module with that one induction.
+``frobenius_dims`` checks Frobenius reciprocity on a grid of source and
+target modules, with one induction per source module and one
+restriction per target module.
 """
 
 from __future__ import annotations
@@ -128,18 +129,25 @@ def generated_by_unit_image(result: InductionResult) -> bool:
 
 
 def frobenius_dims(
-    m: AlgebraMorphism, kernel_gens: list, source_module: FinModule, targets: list[FinModule]
-) -> list[tuple[int, int]]:
-    """(dim Hom(Ind M, K), dim Hom(M, Res K)) for each target module K, with M induced once; equal on success."""
-    ind = induce(m, kernel_gens, source_module).module
-    return [(len(hom_space(ind, k)), len(hom_space(source_module, restrict(m, k)))) for k in targets]
+    m: AlgebraMorphism, kernel_gens: list, source_modules: list[FinModule], targets: list[FinModule]
+) -> list[list[tuple[int, int]]]:
+    """Per source module M, per target module K: (dim Hom(Ind M, K), dim Hom(M, Res K)); equal on success.
+
+    Each M is induced once and each K restricted once.
+    """
+    restricted = [restrict(m, k) for k in targets]
+    out = []
+    for module in source_modules:
+        ind = induce(m, kernel_gens, module).module
+        out.append([(len(hom_space(ind, k)), len(hom_space(module, res))) for k, res in zip(targets, restricted)])
+    return out
 
 
 def frobenius_check(
     m: AlgebraMorphism, kernel_gens: list, source_module: FinModule, target_module: FinModule
 ) -> tuple[int, int]:
     """(dim Hom(Ind M, K), dim Hom(M, Res K)); equal on success."""
-    return frobenius_dims(m, kernel_gens, source_module, [target_module])[0]
+    return frobenius_dims(m, kernel_gens, [source_module], [target_module])[0][0]
 
 
 def composition_check(

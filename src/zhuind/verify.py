@@ -234,9 +234,9 @@ def case_09() -> tuple[bool, str, str, list[str]]:
         m = catalog.morphism(mor_id)
         ker = list(catalog.kernel_candidates(mor_id))
         targets = catalog.irreducibles(m.target.name)
-        for fam, params in grid:
-            module = catalog.module(fam, params)
-            for target_irr, (left, right) in zip(targets, frobenius_dims(m, ker, module, targets)):
+        modules = [catalog.module(fam, params) for fam, params in grid]
+        for (fam, params), dims in zip(grid, frobenius_dims(m, ker, modules, targets)):
+            for target_irr, (left, right) in zip(targets, dims):
                 checked += 1
                 if left != right:
                     ok = False

@@ -174,16 +174,16 @@ def test_frobenius_trivial_and_zero_cases():
     assert left == right == 0
 
 
-def _counting_induce(monkeypatch):
-    """Count the calls of ``induct.induce``, which ``frobenius_dims`` looks up when it runs."""
+def _counting(monkeypatch, name):
+    """Record the arguments of each call of ``induct.<name>``, which ``frobenius_dims`` looks up when it runs."""
     calls = []
-    real = induct.induce
+    real = getattr(induct, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[2].label)
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(induct, "induce", counted)
+    monkeypatch.setattr(induct, name, counted)
     return calls
 
 
@@ -191,23 +191,31 @@ def test_frobenius_dims_induce_once_and_match_the_check_per_target(monkeypatch):
     m = catalog.morphism("vp_to_va2")
     ker = list(catalog.kernel_candidates("vp_to_va2"))
     targets = catalog.irreducibles("a_va2")
-    for fam, t in [("vp_mod_U0", F(0)), ("vp_mod_Uhalf", F(1, 2)), ("vp_mod_U0", F(3))]:
-        module = catalog.module(fam, (t,))
-        want = [frobenius_check(m, ker, module, k) for k in targets]
-        calls = _counting_induce(monkeypatch)
-        assert frobenius_dims(m, ker, module, targets) == want
-        assert calls == [module.label]
-        monkeypatch.undo()
-    assert frobenius_dims(m, ker, catalog.module("vp_mod_U0", (F(0),)), []) == []
+    modules = [catalog.module(fam, (t,)) for fam, t in [("vp_mod_U0", F(0)), ("vp_mod_Uhalf", F(1, 2)), ("vp_mod_U0", F(3))]]
+    want = [[frobenius_check(m, ker, module, k) for k in targets] for module in modules]
+    induced, restricted = _counting(monkeypatch, "induce"), _counting(monkeypatch, "restrict")
+    assert frobenius_dims(m, ker, modules, targets) == want
+    assert [args[2] for args in induced] == modules and [args[1] for args in restricted] == targets
+    monkeypatch.undo()
+    assert frobenius_dims(m, ker, modules[:1], []) == [[]]
+    assert frobenius_dims(m, ker, [], targets) == []
 
 
 def test_verify_c09_induces_each_module_once(monkeypatch):
-    calls = _counting_induce(monkeypatch)
+    calls = _counting(monkeypatch, "induce")
     ok, _, text, details = verify.case_09()
     grids = verify._FROBENIUS_GRIDS
     assert len(calls) == sum(len(grid) for grid in grids.values()) == 31
     pairs = sum(len(grid) * len(catalog.irreducibles(catalog.morphism(mor_id).target.name)) for mor_id, grid in grids.items())
     assert ok and text == f"{pairs} pairs, all equal" and details == [f"{pairs} (module, irreducible) pairs checked across 6 morphisms"]
+
+
+def test_verify_c09_restricts_each_irreducible_once(monkeypatch):
+    # one restriction per (morphism, target irreducible): 15 for the 80 (module, irreducible) pairs
+    calls = _counting(monkeypatch, "restrict")
+    ok = verify.case_09()[0]
+    want = [(mor_id, irr.label) for mor_id in verify._FROBENIUS_GRIDS for irr in catalog.irreducibles(catalog.morphism(mor_id).target.name)]
+    assert ok and [(m.name, k.label) for m, k in calls] == want and len(want) == 15
 
 
 def test_composition_identity_factor(va1):

@@ -118,11 +118,6 @@ def _fresh(handle):
     return RewriteSystem(handle.system.order, list(handle.system.rules), INFINITE)
 
 
-def _memo_letters(system):
-    """The letters of the words in the normal forms ``system``'s memo holds."""
-    return sum(len(u) for nf in system._memo.values() for u in nf.terms)
-
-
 # y^n is normal, and the last letter travels through it in a chain of n rewrites: neither loop may recurse that
 # deep.  y^80 x_a and y^80 x_ma charge the memo loop about 6 million letters, past the default LETTER_BUDGET, so
 # their reduce ends in the heap loop; the budget is then raised so that the memo loop follows them too
@@ -174,7 +169,7 @@ def test_reduce_keeps_the_memo_within_the_letter_budget(vp, monkeypatch):
     word, expected = _vp_after_y_power(120, "x_a")
     system = _fresh(vp)
     assert system.reduce(NcPoly.monomial(word)) == expected
-    assert 0 < _memo_letters(system) <= 10**6
+    assert 0 < sum(len(u) for nf in system._memo.values() for u in nf.terms) <= 10**6  # letters of its normal forms
 
 
 class _CountingRules(dict):
@@ -1500,22 +1495,19 @@ def test_heap_rewrite_matches_sorted_reference(rules, p):
     assert p.terms == before
 
 
-def _letters_charged(steps):
-    """The letters the heap loop charges for ``steps``: the length of each word it rewrote."""
-    return sum(len(left) + len(rule.lhs) + len(right) for _, left, rule, right in steps)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_terminating_rule_dicts(), _rewrite_polys)
 def test_reduce_matches_both_references_on_rules_that_are_not_confluent(rules, p):
     # completion's zero test stands in for the heap loop, also on rules not yet confluent: reduce gives the heap
     # loop's map whichever loop answers, and the memo loop gives the reference memo's term order.  At a budget of
-    # the heap loop's own charge the memo loop often overruns and hands p to the heap loop, whose order it keeps.
+    # the heap loop's own charge the memo loop overruns in about a quarter of the examples and hands p to the heap
+    # loop, whose term order reduce then keeps.
     system = RewriteSystem(HFE, list(rules.values()), INFINITE)
     heap_nf, steps = _rewrite(p, system._rule_dict, HFE)
     ref = _ref_memo_reduce(system, p, {})
     default = rewrite.LETTER_BUDGET
-    for budget in (default, _letters_charged(steps)):
+    heap_charge = sum(len(left) + len(rule.lhs) + len(right) for _, left, rule, right in steps)
+    for budget in (default, heap_charge):
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(rewrite, "LETTER_BUDGET", budget)
             calls = _counted_rewrites(monkeypatch)

@@ -21,6 +21,11 @@ the relations so far (``RowSpace.unit_pivots``), and a row left empty
 is not added.  The relation rows stop once they span the whole tensor
 product, where the induced module is 0; a module that is 0 after the
 kernel radical takes the same path, with no relation rows at all.
+A quotient column, of ``(g * a_i) (x) v_j`` for the induced action or
+of ``1 (x) v_j`` for the unit map, is the sum of the target coordinates
+``x_k`` times the quotient image of ``a_k (x) v_j``, read from the
+relations' ``quotient_images`` table: no vector is shifted into the
+tensor product and none is eliminated.
 ``frobenius_dims`` checks Frobenius reciprocity on a grid of source and
 target modules, with one induction per source module and one
 restriction per target module.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from zhuind.freealg import EPSILON
+from zhuind.freealg import EPSILON, _add_scaled
 from zhuind.linalg import RowSpace, Sparse
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import (
@@ -93,11 +98,14 @@ def induce(
         if add_tensor_equations(relations, products, g_cols):
             break
     comp = relations.complement_columns()
-    to_quotient = relations.quotient_map()
+    images = relations.quotient_images()
 
     def quotient_column(coords: Sparse, j: int) -> Sparse:
-        """The quotient coordinates of (target element) (x) v_j."""
-        return to_quotient({k * nm + j: x for k, x in coords.items()})
+        """The quotient coordinates of (target element) (x) v_j: the sum of its entries' images of a_k (x) v_j."""
+        acc: Sparse = {}
+        for k, x in coords.items():
+            _add_scaled(acc, x, images[k * nm + j])
+        return acc
 
     # left action of each target generator on the quotient coordinates: column of a_i (x) v_j from g * a_i
     columns = [[quotient_column(products[flat // nm], flat % nm) for flat in comp] for products in target.gen_products]

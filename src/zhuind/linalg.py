@@ -24,12 +24,17 @@ structured Gaussian elimination removes singleton rows first (LaMacchia
 and Odlyzko 1990).  Dropping the entry is exactly the cancellation
 against that row, and the reduced row echelon form is unique, so every
 result is the one full elimination gives.
+A unit row never holds another column, so back-substitution skips the
+unit rows.
 ``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
-a unit pivot or free entry, in ascending columns, and
-``RowSpace.quotient_map`` gives coordinates in the quotient by the space,
-over its complement columns.  ``invert`` adds the rows of ``[A | I]`` to
-a ``RowSpace``, so there is one elimination loop and one kernel routine.
-All arithmetic is exact.
+a unit pivot or free entry, in ascending columns.  Coordinates in the
+quotient by the space, over its complement columns, are read from one
+table per space, ``RowSpace.quotient_images``: the image of each unit
+vector, built from its stored row on first use, so a vector's quotient
+coordinates are one sparse sum with no elimination.  ``quotient_map``
+sums through it, and ``induct.induce`` indexes it directly.  ``invert``
+adds the rows of ``[A | I]`` to a ``RowSpace``, so there is one
+elimination loop and one kernel routine.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -78,17 +83,18 @@ class RowSpace:
     that form.  Elimination is fraction-free (Bareiss 1968): a caller's
     vector is scaled once by the lcm of its denominators (an integral one
     is not rescaled), and each step cross-multiplies by the two pivot
-    entries divided by their gcd.  Only ``reduce``, ``basis`` and
-    ``nullspace`` build ``Fraction`` values.  Supports incremental
-    insertion, membership tests, reduction of a sparse vector modulo the
-    space and quotient coordinates.  ``pivots`` is sorted and ``basis()``
+    entries divided by their gcd.  Only ``reduce``, ``basis``,
+    ``nullspace`` and the quotient images build ``Fraction`` values.
+    Supports incremental insertion, membership tests, reduction of a
+    sparse vector modulo the space and quotient coordinates.  ``pivots`` is sorted and ``basis()``
     lists rows by pivot column, so the basis is canonical and equality of
     subspaces is list equality.
 
     ``unit_pivots`` is the set of pivots p whose row is ``{p: 1}``.  A row
     joins it when it is added with a single entry or when back-substitution
     shrinks it to one, and it never leaves: a unit row has no entry at
-    another column, so no later row changes it.  ``_eliminate`` checks the
+    another column, so no later row changes it, and ``add`` back-substitutes
+    a new pivot only into the other rows.  ``_eliminate`` checks the
     type and denominator of every entry first, so a float at a unit pivot
     still raises ``TypeError``, then drops the entries at unit pivots.  That
     drop is the cancellation against the unit row, so the stored rows, and
@@ -100,6 +106,8 @@ class RowSpace:
         self.rows: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []
         self.unit_pivots: set[int] = set()
+        self._wide: dict[int, dict[int, int]] = {}  # the rows that are not unit rows
+        self._images: _QuotientImages | None = None  # quotient_images(), built on first use
 
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
         """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
@@ -125,15 +133,39 @@ class RowSpace:
         v, den = self._eliminate(vec)
         return {c: Fraction(x, den) for c, x in v.items()}
 
+    def quotient_images(self) -> dict[int, Sparse]:
+        """The quotient coordinates of each unit vector ``e_c``, over ``complement_columns()``, filled on first use.
+
+        ``e_c`` is ``{pos(c): 1}`` off the pivots, where ``pos`` numbers the
+        complement columns, and ``-row_c / row_c[c]`` at a pivot c, read at
+        the complement columns: the stored row is zero at every other
+        pivot, so ``e_c - row_c / row_c[c]`` is ``e_c`` reduced, and the
+        entries are exact.  Every value is a ``Fraction``.  A vector's
+        coordinates are the sum of its entries times these images.  The
+        table is the space's own, shared by every caller until an ``add``
+        grows the space; a table held past that raises ``ValueError`` on
+        its next new column.
+        """
+        if self._images is None:
+            self._images = _QuotientImages(self)
+        return self._images
+
     def quotient_map(self) -> Callable[[Sparse], Sparse]:
         """The map of a vector to its coordinates modulo the space, over ``complement_columns()``.
 
-        It holds the complement columns of the space as it is now, so it is
-        valid until the next ``add`` that grows the space.
+        The coordinates are summed from ``quotient_images()``, so they are
+        ``reduce(vec)`` read at the complement columns, with ``Fraction``
+        values.  The map is valid until the next ``add`` that grows the
+        space; after it, the map raises ``ValueError``.
         """
-        # a reduced vector is zero at every pivot, so its entries sit in complement columns
-        pos = {c: i for i, c in enumerate(self.complement_columns())}
-        return lambda vec: {pos[c]: x for c, x in self.reduce(vec).items()}
+        images, dim = self.quotient_images(), self.dim
+
+        def to_quotient(vec: Sparse) -> Sparse:
+            if self.dim != dim:
+                raise ValueError("quotient map used after the space grew")
+            return linear_combination(vec, images)
+
+        return to_quotient
 
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if the dimension grew."""
@@ -142,17 +174,25 @@ class RowSpace:
             return False
         p = min(row)
         _make_primitive(row, p)
-        units = self.unit_pivots
-        for q, other in self.rows.items():
+        units, wide = self.unit_pivots, self._wide
+        # a unit row {q: 1} never holds p, so only the wider rows are back-substituted
+        shrunk = []
+        for q, other in wide.items():
             if p in other:
                 _cancel(other, row, p)
                 _make_primitive(other, q)
                 if len(other) == 1:
-                    units.add(q)
+                    shrunk.append(q)
+        for q in shrunk:
+            units.add(q)
+            del wide[q]
         self.rows[p] = row
         insort(self.pivots, p)
         if len(row) == 1:
             units.add(p)
+        else:
+            wide[p] = row
+        self._images = None
         return True
 
     def contains(self, vec: Sparse) -> bool:
@@ -182,6 +222,31 @@ class RowSpace:
     def complement_columns(self) -> list[int]:
         pivot_set = set(self.pivots)
         return [i for i in range(self.ncols) if i not in pivot_set]
+
+
+_ONE = Fraction(1)
+
+
+class _QuotientImages(dict):
+    """``RowSpace.quotient_images()``: column c -> quotient coordinates of ``e_c``, each built on first lookup."""
+
+    __slots__ = ("space", "dim", "pos")
+
+    def __init__(self, space: RowSpace):
+        self.space, self.dim = space, space.dim
+        self.pos = {c: i for i, c in enumerate(space.complement_columns())}
+
+    def __missing__(self, c: int) -> Sparse:
+        if self.space.dim != self.dim:
+            raise ValueError("quotient images used after the space grew")
+        pos, row = self.pos, self.space.rows.get(c)
+        if row is None:
+            image = {pos[c]: _ONE}
+        else:
+            r = row[c]
+            image = {pos[k]: Fraction(-x, r) for k, x in row.items() if k != c}
+        self[c] = image
+        return image
 
 
 def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:

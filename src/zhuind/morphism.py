@@ -7,17 +7,19 @@ than proven for infinite-dimensional sources: candidate generators are
 checked degree by degree against the dimension of the image.  The ideal
 they span grows one degree at a time as a closure: the rows new at the
 previous degree times each generator on each side, plus the candidates
-of the current degree.
+of the current degree.  A product of a row by a generator is summed from
+a per-call table of the normal forms of the words times that generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle, Element, normal_words
 from zhuind.freealg import FrozenRecord, NcPoly, Word, _add_scaled
-from zhuind.linalg import RowSpace, Sparse
+from zhuind.linalg import RowSpace, Sparse, linear_combination
 
 
 class Violation(NamedTuple):
@@ -140,6 +142,19 @@ def kernel_basis_finite(m: AlgebraMorphism) -> list[Element]:
     return [m.source.from_coords(v) for v in space.nullspace()]
 
 
+class _WordProducts(dict):
+    """Word index j -> ``coords`` of the normal form of ``left + words[j] + right``, reduced on first lookup."""
+
+    __slots__ = ("words", "left", "right", "coords")
+
+    def __init__(self, words: list[Word], left: Word, right: Word, coords: Callable[[Word], Sparse]):
+        self.words, self.left, self.right, self.coords = words, left, right, coords
+
+    def __missing__(self, j: int) -> Sparse:
+        row = self[j] = self.coords(self.left + self.words[j] + self.right)
+        return row
+
+
 def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -> KernelCertificate:
     """Certify that ``candidates`` generate ker(m) up to ``degree``.
 
@@ -169,6 +184,13 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     so the table does not depend on which products are reduced, only on
     the span.  ``products`` counts the ideal products reduced, candidates
     included.
+
+    The ideal rows are kept as coordinate vectors over the source words.
+    ``reduce`` is linear, so ``g·p`` for a row ``p = sum c_w w`` is
+    ``sum c_w reduce_word(g + w)``; the coordinates of ``reduce_word(g +
+    w)`` and ``reduce_word(w + g)`` are kept in a table per call, filled
+    on first use, and each product is one sparse sum over it, with no
+    polynomial built or reduced.
     """
     if degree < 0:
         raise ValueError(f"certificate degree must be >= 0, got {degree}")
@@ -182,25 +204,34 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     # at its leading word; ascending columns eliminate about 1.5x slower
     src_words = sorted(normal_words(m.source, degree), key=m.source.system.order.key, reverse=True)
     index = {w: i for i, w in enumerate(src_words)}
-    reduce_src = m.source.system.reduce
-    gens = [(g,) for g in range(len(m.source.gen_names))]
+    system = m.source.system
+
+    def coords(p: NcPoly) -> Sparse:
+        return {index[w]: c for w, c in p.terms.items()}
+
+    def word_coords(w: Word) -> Sparse:
+        return coords(system.reduce_word(w))
+
+    # g·w and then w·g of the source words w, for each generator g, each reduced on first use
+    times = [
+        _WordProducts(src_words, left, right, word_coords)
+        for g in range(len(m.source.gen_names))
+        for left, right in (((g,), ()), ((), (g,)))
+    ]
 
     ideal = RowSpace(len(src_words))
     img_rows, support_size = _image_rows(m, src_words)
     image = RowSpace(support_size)
     table: list[tuple[int, int, int]] = []
-    grown: list[NcPoly] = []  # the rows that grew the ideal at the previous degree
+    grown: list[Sparse] = []  # the rows that grew the ideal at the previous degree
     products = slice_dim = 0
 
     for d in range(degree + 1):
         # every term has length <= d <= degree, so every word has a column
-        prods = [q for p in grown for g in gens for q in (p.sandwich(g, ()), p.sandwich((), g))]
-        prods += [cand.poly for cand in candidates if cand.poly.degree() == d]
+        prods = [linear_combination(p, products_by) for p in grown for products_by in times]
+        prods += [coords(system.reduce(cand.poly)) for cand in candidates if cand.poly.degree() == d]
         products += len(prods)
-        grown = []
-        for p in map(reduce_src, prods):
-            if ideal.add({index[w]: c for w, c in p.terms.items()}):
-                grown.append(p)
+        grown = [p for p in prods if ideal.add(p)]
         slice_rows = [row for w, row in zip(src_words, img_rows) if len(w) == d]
         slice_dim += len(slice_rows)
         for row in slice_rows:

@@ -276,6 +276,7 @@ def _normal_form(
     memo: dict[Word, NcPoly],
     index: LhsIndex,
     rules: dict[int, RewriteRule],
+    left: list[int] | None = None,
 ) -> NcPoly:
     """The normal form of ``word`` under ``rules``, memoised, by a loop over an explicit stack.
 
@@ -290,14 +291,17 @@ def _normal_form(
     interpreter stack.
 
     The loop charges a rewrite the length of its word per child, and a
-    stored normal form the length of its word per term; past
-    ``LETTER_BUDGET`` letters it raises ``RuntimeError``.  The entries
-    stored by then stay in ``memo``: each is a complete normal form.
+    stored normal form the length of its word per term; past the letters
+    ``left[0]`` holds (``LETTER_BUDGET`` when ``left`` is None) it raises
+    ``RuntimeError``.  The entries stored by then stay in ``memo``: each
+    is a complete normal form.  A call that answers lowers ``left[0]`` by
+    its charge, so the calls given one ``left`` share one budget: one
+    ``reduce`` of a polynomial, or one zero test in completion.
     """
     nf = memo.get(word)
     if nf is not None:
         return nf
-    budget, spent, get = LETTER_BUDGET, 0, memo.get
+    budget, spent, get = LETTER_BUDGET if left is None else left[0], 0, memo.get
     stack: list[tuple[Word, Callable]] = []  # the words being summed, each with the send of its suspended sum
     while True:
         # ``word`` is not in the memo: a normal word is its own normal form, any other starts a sum
@@ -326,6 +330,8 @@ def _normal_form(
                 raise RuntimeError("reduction step budget exceeded")
             memo[word] = nf
             if not stack:
+                if left is not None:
+                    left[0] = budget - spent
                 return nf
             word, send = stack[-1]
             out = send(nf)
@@ -459,16 +465,16 @@ def _s_poly_is_zero(
 
     Its normal form is summed from ``_normal_form`` of the words of
     ``ri.rhs * suffix`` and ``prefix * rj.rhs``, without building the
-    S-polynomial or any step.  A word whose normal form runs past
-    ``LETTER_BUDGET`` raises ``RuntimeError``, which leaves the answer to
-    ``_rewrite``.
+    S-polynomial or any step.  The words share one ``LETTER_BUDGET``;
+    past it ``RuntimeError`` leaves the answer to ``_rewrite``.
     """
-    left, suf = ri.lhs[: len(ri.lhs) - offset], rj.lhs[offset:]
+    pre, suf = ri.lhs[: len(ri.lhs) - offset], rj.lhs[offset:]
+    left = [LETTER_BUDGET]
     acc: dict[Word, Scalar] = {}
     for t, c in ri.rhs.terms.items():
-        _add_scaled(acc, c, _normal_form(t + suf, memo, index, rules).terms)
+        _add_scaled(acc, c, _normal_form(t + suf, memo, index, rules, left).terms)
     for t, c in rj.rhs.terms.items():
-        _add_scaled(acc, -c, _normal_form(left + t, memo, index, rules).terms)
+        _add_scaled(acc, -c, _normal_form(pre + t, memo, index, rules, left).terms)
     return not acc
 
 
@@ -508,15 +514,17 @@ class RewriteSystem:
     def reduce(self, p: NcPoly) -> NcPoly:
         """The normal form of ``p``: memoised per word, or by the heap loop, which gives the same map.
 
-        The heap loop takes the whole of ``p`` when a word's memoised
-        normal form runs past ``LETTER_BUDGET``, and raises ``RuntimeError``
-        in turn when its own steps do.  Its terms come in its own order,
-        which may differ from the order of the memoised sum.
+        The memoised normal forms of the words of ``p`` share one
+        ``LETTER_BUDGET``.  The heap loop takes the whole of ``p`` when
+        they run past it, and raises ``RuntimeError`` in turn when its own
+        steps do.  Its terms come in its own order, which may differ from
+        the order of the memoised sum.
         """
         out = NcPoly.zero()
+        memo, index, rules, left = self._memo, self.lhs_index, self._rule_dict, [LETTER_BUDGET]
         try:
             for w, c in p.terms.items():
-                _add_scaled(out.terms, c, self.reduce_word(w).terms)
+                _add_scaled(out.terms, c, _normal_form(w, memo, index, rules, left).terms)
         except RuntimeError:
             out = _rewrite(p, self._rule_dict, self.order, index=self.lhs_index, keep_steps=False)[0]
         return out

@@ -298,6 +298,41 @@ def test_rowspace_matches_dense_rref_on_single_entry_rows(a, rng):
             assert dense(to_quotient(sp(v)), len(comp)) == [want[c] for c in comp]
 
 
+@SETTINGS
+@given(unit_rich_matrices(), st.randoms(use_true_random=False))
+def test_quotient_map_matches_reduce_and_add_matches_dense_reference(a, rng):
+    ncols = len(a[0])
+    space, ref = RowSpace(ncols), DenseRowSpace(ncols)
+    for row in a:
+        # add back-substitutes into the rows that are not unit rows only
+        assert space.add(sp(row)) == ref.add(row)
+        assert (dense_basis(space), space.pivots) == (ref.basis(), ref.pivots)
+        assert space.unit_pivots == {p for p, r in zip(ref.pivots, ref.rows) if sum(map(bool, r)) == 1}
+    pos = {c: i for i, c in enumerate(space.complement_columns())}
+    to_quotient = space.quotient_map()
+    probes = [{c: 1} for c in range(ncols)] + [sp(row) for row in a] + [sp(vectors(ncols, rng)) for _ in range(4)]
+    probes += [{c: rng.randint(-5, 5) for c in range(ncols)} for _ in range(2)]  # integer values
+    for v in probes:
+        want = {pos[c]: (x, type(x)) for c, x in space.reduce(v).items()}
+        assert {k: (x, type(x)) for k, x in to_quotient(v).items()} == want
+
+
+def test_quotient_map_refuses_use_after_the_space_grew():
+    space = RowSpace(3)
+    space.add({0: 1, 1: 2})
+    to_quotient, images = space.quotient_map(), space.quotient_images()
+    assert to_quotient({0: 1}) == {0: Fraction(-2)}  # over the complement columns 1 and 2
+    assert not space.add({0: 2, 1: 4})  # the space did not grow, so the map stays valid
+    assert to_quotient({0: 1, 2: 3}) == {0: Fraction(-2), 1: Fraction(3)}
+    assert space.add({2: 1})
+    with pytest.raises(ValueError, match="grew"):
+        to_quotient({0: 1})
+    with pytest.raises(ValueError, match="grew"):
+        images[1]  # a column the stale table has not filled
+    assert space.quotient_images() is not images
+    assert space.quotient_map()({0: 1, 2: 3}) == {0: Fraction(-2)}
+
+
 def assert_rows_primitive(space):
     """Every stored row: nonzero ints with gcd 1, positive at its pivot and zero at every other pivot.
 

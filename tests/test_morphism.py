@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from zhuind import catalog
 from zhuind.algebra import AlgebraHandle, Presentation, normal_words
 from zhuind.freealg import MonomialOrder, NcPoly
+from zhuind.induct import induce
 from zhuind.iolang import format_poly
 from zhuind.linalg import RowSpace
 from zhuind.morphism import (
@@ -288,3 +289,25 @@ def test_image_rows_reduce_once_per_word(monkeypatch):
     # one reduction per nonempty normal word; apply_word on each makes sum(len(w))
     assert len(calls) == len(words) - 1 == 43
     assert sum(len(w) for w in words) == 185
+
+
+def test_certify_kernel_multiplies_coordinates_without_sandwiches(monkeypatch):
+    m = catalog.morphism("vp_to_va2")
+    cands = list(catalog.kernel_candidates("vp_to_va2"))
+    calls = []
+    sandwich = NcPoly.sandwich
+    monkeypatch.setattr(NcPoly, "sandwich", lambda p, a, b: calls.append((a, b)) or sandwich(p, a, b))
+    cert = certify_kernel(m, cands, 8)
+    # the products of the ideal rows by a generator are read from the per-call table of word products
+    assert calls == [] and cert.products == 292
+
+
+@pytest.mark.parametrize("mor_id, fam, param", [("vp_to_va2", "vp_mod_Uhalf", Fraction(1, 2)), ("heis_to_va1", "heis_mod", Fraction(2))])
+def test_induce_reads_quotient_images_without_reducing(monkeypatch, mor_id, fam, param):
+    # the first induces a 3-dimensional module, the second quotients a 1-dimensional module by its kernel radical
+    m = catalog.morphism(mor_id)
+    calls = []
+    reduce = RowSpace.reduce
+    monkeypatch.setattr(RowSpace, "reduce", lambda space, vec: calls.append(vec) or reduce(space, vec))
+    result = induce(m, list(catalog.kernel_candidates(mor_id)), catalog.module(fam, (param,)))
+    assert calls == [] and result.dim == {"vp_to_va2": 3, "heis_to_va1": 0}[mor_id]

@@ -172,6 +172,25 @@ def test_reduce_keeps_the_memo_within_the_letter_budget(vp, monkeypatch):
     assert 0 < sum(len(u) for nf in system._memo.values() for u in nf.terms) <= 10**6  # letters of its normal forms
 
 
+def test_reduce_charges_one_letter_budget_per_polynomial(vp, monkeypatch):
+    # y^k x charges the memo loop at most 3,321 letters for k <= 40, and y^40 x + ... + y^35 x together 17,591; the
+    # heap loop takes 225 steps for the six and charges them 8,680 letters, within the budget
+    monkeypatch.setattr(rewrite, "LETTER_BUDGET", 10_000)
+    calls = _counted_rewrites(monkeypatch)
+    powers = [_vp_after_y_power(k, "x") for k in range(40, 34, -1)]
+    expected = NcPoly.zero()
+    for word, nf in powers:
+        assert _fresh(vp).reduce(NcPoly.monomial(word)) == nf  # one term at a time fits the budget
+        expected = expected + nf
+    assert not calls
+    p = NcPoly({word: 1 for word, _ in powers})
+    system = _fresh(vp)
+    got = system.reduce(p)
+    assert calls == [p] and got == expected
+    assert list(got.terms.items()) == list(_rewrite(p, vp.system._rule_dict, vp.system.order, keep_steps=False)[0].terms.items())
+    assert 0 < sum(len(w) * len(nf.terms) for w, nf in system._memo.items()) <= 10_000  # what the memo loop stored
+
+
 class _CountingRules(dict):
     """A rule dict that counts its lookups: the heap loop looks up one rule per step."""
 

@@ -107,7 +107,7 @@ class RowSpace:
         self.pivots: list[int] = []
         self.unit_pivots: set[int] = set()
         self._wide: dict[int, dict[int, int]] = {}  # the rows that are not unit rows
-        self._images: _QuotientImages | None = None  # quotient_images(), built on first use
+        self._images: LazyTable | None = None  # quotient_images(), built on first use
 
     def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
         """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
@@ -147,7 +147,18 @@ class RowSpace:
         its next new column.
         """
         if self._images is None:
-            self._images = _QuotientImages(self)
+            pos, dim, rows = {c: i for i, c in enumerate(self.complement_columns())}, self.dim, self.rows
+
+            def image(c: int) -> Sparse:
+                if self.dim != dim:
+                    raise ValueError("quotient images used after the space grew")
+                row = rows.get(c)
+                if row is None:
+                    return {pos[c]: _ONE}
+                r = row[c]
+                return {pos[k]: Fraction(-x, r) for k, x in row.items() if k != c}
+
+            self._images = LazyTable(image)
         return self._images
 
     def quotient_map(self) -> Callable[[Sparse], Sparse]:
@@ -227,26 +238,17 @@ class RowSpace:
 _ONE = Fraction(1)
 
 
-class _QuotientImages(dict):
-    """``RowSpace.quotient_images()``: column c -> quotient coordinates of ``e_c``, each built on first lookup."""
+class LazyTable(dict):
+    """A dict that builds a missing entry as ``fill(key)`` on its first lookup and keeps it."""
 
-    __slots__ = ("space", "dim", "pos")
+    __slots__ = ("fill",)
 
-    def __init__(self, space: RowSpace):
-        self.space, self.dim = space, space.dim
-        self.pos = {c: i for i, c in enumerate(space.complement_columns())}
+    def __init__(self, fill: Callable[[int], Sparse]):
+        self.fill = fill
 
-    def __missing__(self, c: int) -> Sparse:
-        if self.space.dim != self.dim:
-            raise ValueError("quotient images used after the space grew")
-        pos, row = self.pos, self.space.rows.get(c)
-        if row is None:
-            image = {pos[c]: _ONE}
-        else:
-            r = row[c]
-            image = {pos[k]: Fraction(-x, r) for k, x in row.items() if k != c}
-        self[c] = image
-        return image
+    def __missing__(self, key: int) -> Sparse:
+        value = self[key] = self.fill(key)
+        return value
 
 
 def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:

@@ -13,13 +13,12 @@ a per-call table of the normal forms of the words times that generator.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle, Element, normal_words
 from zhuind.freealg import FrozenRecord, NcPoly, Word, _add_scaled
-from zhuind.linalg import RowSpace, Sparse, linear_combination
+from zhuind.linalg import LazyTable, RowSpace, Sparse, linear_combination
 
 
 class Violation(NamedTuple):
@@ -142,19 +141,6 @@ def kernel_basis_finite(m: AlgebraMorphism) -> list[Element]:
     return [m.source.from_coords(v) for v in space.nullspace()]
 
 
-class _WordProducts(dict):
-    """Word index j -> ``coords`` of the normal form of ``left + words[j] + right``, reduced on first lookup."""
-
-    __slots__ = ("words", "left", "right", "coords")
-
-    def __init__(self, words: list[Word], left: Word, right: Word, coords: Callable[[Word], Sparse]):
-        self.words, self.left, self.right, self.coords = words, left, right, coords
-
-    def __missing__(self, j: int) -> Sparse:
-        row = self[j] = self.coords(self.left + self.words[j] + self.right)
-        return row
-
-
 def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -> KernelCertificate:
     """Certify that ``candidates`` generate ker(m) up to ``degree``.
 
@@ -209,15 +195,12 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     def coords(p: NcPoly) -> Sparse:
         return {index[w]: c for w, c in p.terms.items()}
 
-    def word_coords(w: Word) -> Sparse:
-        return coords(system.reduce_word(w))
+    def word_products(left: Word, right: Word) -> LazyTable:
+        """Source word index j -> coordinates of ``reduce_word(left + words[j] + right)``, reduced on first use."""
+        return LazyTable(lambda j: coords(system.reduce_word(left + src_words[j] + right)))
 
-    # g·w and then w·g of the source words w, for each generator g, each reduced on first use
-    times = [
-        _WordProducts(src_words, left, right, word_coords)
-        for g in range(len(m.source.gen_names))
-        for left, right in (((g,), ()), ((), (g,)))
-    ]
+    # g·w and then w·g of the source words w, for each generator g
+    times = [word_products(*sides) for g in range(len(m.source.gen_names)) for sides in (((g,), ()), ((), (g,)))]
 
     ideal = RowSpace(len(src_words))
     img_rows, support_size = _image_rows(m, src_words)

@@ -86,9 +86,9 @@ class RowSpace:
     entries divided by their gcd.  Only ``reduce``, ``basis``,
     ``nullspace`` and the quotient images build ``Fraction`` values.
     Supports incremental insertion, membership tests, reduction of a
-    sparse vector modulo the space and quotient coordinates.  ``pivots`` is sorted and ``basis()``
-    lists rows by pivot column, so the basis is canonical and equality of
-    subspaces is list equality.
+    sparse vector modulo the space and quotient coordinates.  ``pivots``
+    is sorted and ``basis()`` lists rows by pivot column, so the basis is
+    canonical and equality of subspaces is list equality.
 
     ``unit_pivots`` is the set of pivots p whose row is ``{p: 1}``.  A row
     joins it when it is added with a single entry or when back-substitution

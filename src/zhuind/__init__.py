@@ -18,9 +18,8 @@ from zhuind.rewrite import (
 )
 from zhuind.algebra import AlgebraHandle, Element, Presentation, dimension, normal_words
 from zhuind.morphism import AlgebraMorphism, KernelCertificate, certify_kernel
-from zhuind.repmod import DecompositionRecord, FinModule, decompose, hom_space
+from zhuind.repmod import CharacterVector, DecompositionRecord, FinModule, char_vector, decompose, hom_space
 from zhuind.induct import InductionResult, induce, restrict
-from zhuind.chars import CharacterVector, char_vector
 
 __all__ = [
     "MonomialOrder",

@@ -72,6 +72,8 @@ class AlgebraHandle:
         # a finite profile runs past the longest normal word, so these are all the normal words
         self.basis = normal_words(self, len(self.dim_result.profile) - 1) if self.dim_result.is_finite() else None
         self.basis_index = None if self.basis is None else {w: i for i, w in enumerate(self.basis)}
+        # repmod.wedderburn_certificate keeps one certificate per irreducible list here, built on first use
+        self.certificates: dict = {}
 
     @staticmethod
     def build(presentation: Presentation, max_degree: int = 12) -> "AlgebraHandle":

@@ -1,37 +1,24 @@
 """Finite-type characters over finite-dimensional presented algebras.
 
 The character of a module is the trace of its action on each normal-word
-basis element of the owner.  Characters are symmetric functions, they
-separate the catalog's semisimple modules, and over a polynomial source
-they support the rational-coefficient induction solver.
+basis element of the owner.  ``char_vector``, ``independence_check`` and
+``product_traces`` live in ``repmod``, whose ``decompose`` reads
+multiplicities off characters over a certified semisimple owner (see
+``repmod.wedderburn_certificate``).  This module checks that characters
+are symmetric functions and, over a polynomial source, solves for the
+rational coefficients of irreducible characters through induced ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle, Element, Presentation
 from zhuind.freealg import MonomialOrder
 from zhuind.induct import induce
-from zhuind.linalg import RowSpace, Sparse, invert
+from zhuind.linalg import Sparse, invert
 from zhuind.morphism import AlgebraMorphism
-from zhuind.repmod import FinModule
-
-
-class CharacterVector(NamedTuple):
-    values: tuple[Fraction, ...]  # trace on each basis word, in basis order
-
-
-def char_vector(module: FinModule) -> CharacterVector:
-    owner = module.owner
-    if owner.basis is None:
-        raise ValueError("characters need a finite-dimensional owner")
-    values = []
-    for w in owner.basis:
-        cols = module.action_of_word(w)
-        values.append(sum((col.get(i, 0) for i, col in enumerate(cols)), Fraction(0)))
-    return CharacterVector(tuple(values))
+from zhuind.repmod import FinModule, product_traces
 
 
 def _trace_of_product(a: list[Sparse], b: list[Sparse]) -> Fraction:
@@ -45,21 +32,14 @@ def symmetry_violations(module: FinModule) -> list[tuple[int, int]]:
     chi(b_i b_j) is read from the structure row of the product, so an
     action that breaks a relation fails; a pass gives chi(b_i b_j) = chi(b_j b_i).
     """
-    owner = module.owner
-    chi = char_vector(module).values
-    mats = [module.action_of_word(w) for w in owner.basis]
+    traces = product_traces(module)
+    mats = [module.action_of_word(w) for w in module.owner.basis]
     return [
         (i, j)
-        for i, row in enumerate(owner.structure)
-        for j, product in enumerate(row)
-        if sum((c * chi[k] for k, c in product.items()), Fraction(0)) != _trace_of_product(mats[i], mats[j])
+        for i, row in enumerate(traces)
+        for j, chi_ij in enumerate(row)
+        if chi_ij != _trace_of_product(mats[i], mats[j])
     ]
-
-
-def independence_check(characters: list[CharacterVector]) -> bool:
-    """True when the stacked character vectors have full rank."""
-    space = RowSpace(len(characters[0].values) if characters else 0)
-    return all(space.add(dict(enumerate(c.values))) for c in characters)
 
 
 class ArtinError(Exception):

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from zhuind import catalog, verify
 from zhuind.algebra import AlgebraHandle, DimensionResult, Presentation
-from zhuind.chars import artin_solve, char_vector
+from zhuind.chars import artin_solve
 from zhuind.induct import induce, restrict
 from zhuind.iolang import ParseError, format_fraction, format_poly, parse, parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
-from zhuind.repmod import decompose
+from zhuind.repmod import char_vector, decompose
 from zhuind.rewrite import INFINITE, CompletionError
 
 USAGE_EXIT = 2

@@ -7,8 +7,18 @@ each through ``freealg.scalar``, as every layer below stores its scalars.
 ``from_named_actions`` builds the columns from dense matrices keyed by
 generator name, the one dense input of the package.
 ``check_module`` substitutes the actions into every relation of the
-owner.  Hom spaces are computed exactly as intertwiner nullspaces, and
-semisimple decompositions read multiplicities off hom dimensions.
+owner.  Hom spaces are computed exactly as intertwiner nullspaces.
+The character of a module (``char_vector``, the trace of each basis word)
+lives here, beside ``independence_check``, because decompositions read
+it; ``chars`` builds on both.
+
+``decompose`` reads multiplicities in one of two ways.  Over an owner
+with a Wedderburn certificate for the irreducible list
+(``wedderburn_certificate``: a nondegenerate trace form, absolutely
+irreducible and pairwise non-isomorphic modules, and the sum of their
+squared dimensions equal to the owner's), it solves the module's
+character on a few basis words.  Anywhere else it reads each
+multiplicity as a Hom dimension.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import NamedTuple
 
 from zhuind.algebra import AlgebraHandle
 from zhuind.freealg import NcPoly, Scalar, Word, _add_scaled, scalar
-from zhuind.linalg import RowSpace, Sparse, linear_combination
+from zhuind.linalg import RowSpace, Sparse, invert, linear_combination
 
 Columns = list[Sparse]  # one sparse column per basis vector
 Mat = list[list[Scalar]]  # a dense matrix: the input of from_named_actions and the view of actions
@@ -162,12 +172,130 @@ def hom_space(source: FinModule, target: FinModule) -> list[Columns]:
     return intertwiners
 
 
-def decompose(module: FinModule, irreducibles: list[FinModule]) -> DecompositionRecord:
-    """Multiplicity record over pairwise non-isomorphic irreducibles.
+class CharacterVector(NamedTuple):
+    values: tuple[Fraction, ...]  # trace on each basis word, in basis order
 
-    multiplicity(L) = dim Hom(L, module); a nonzero residual flags either
-    a non-semisimple owner or an incomplete irreducible list.
+
+def _trace(columns: Columns) -> Fraction:
+    return sum((col.get(i, 0) for i, col in enumerate(columns)), Fraction(0))
+
+
+def char_vector(module: FinModule) -> CharacterVector:
+    """The trace of the action of each basis word of the (finite) owner, in basis order."""
+    owner = module.owner
+    if owner.basis is None:
+        raise ValueError("characters need a finite-dimensional owner")
+    return CharacterVector(tuple(_trace(module.action_of_word(w)) for w in owner.basis))
+
+
+def product_traces(module: FinModule) -> list[list[Fraction]]:
+    """``[i][j]``: the character at basis[i] * basis[j], read from the structure row of the product."""
+    chi = char_vector(module).values
+    return [[sum((c * chi[k] for k, c in product.items()), Fraction(0)) for product in row] for row in module.owner.structure]
+
+
+def independence_check(characters: list[CharacterVector]) -> bool:
+    """True when the stacked character vectors have full rank."""
+    space = RowSpace(len(characters[0].values) if characters else 0)
+    return all(space.add(dict(enumerate(c.values))) for c in characters)
+
+
+class WedderburnCertificate(NamedTuple):
+    """Whether an irreducible list is every simple module of a split semisimple owner.
+
+    ``failure`` is empty when the certificate holds, and otherwise names
+    the first part that fails, in one line.  When it holds, the
+    irreducible characters restricted to ``words`` form an invertible
+    matrix C (C[i][j]: character i at word j) and ``inverse`` is C^-1 as
+    sparse rows.
     """
+
+    failure: str
+    words: tuple[Word, ...] = ()
+    inverse: tuple[Sparse, ...] = ()
+
+
+def wedderburn_certificate(owner: AlgebraHandle, irreducibles: list[FinModule]) -> WedderburnCertificate:
+    """The certificate of ``irreducibles`` over ``owner``, built on first use and kept on the owner per list.
+
+    It holds when all of these do, checked in this order:
+      * the owner A is finite, and every listed module is over it and passes ``check_module``;
+      * Dickson: the trace form tr(L_a L_b) of ``regular_module(owner)`` has full rank, and in
+        characteristic 0 its kernel is the radical, so the radical is 0 and A is semisimple;
+      * Burnside: on each listed L the basis words act by dim(L)^2 independent matrices, so A maps onto
+        End(L), L is absolutely irreducible and End_A(L) = Q;
+      * independence: the characters are independent (``independence_check``), so no two listed modules
+        are isomorphic and A maps onto the product of their End(L) (density);
+      * the squared dimensions sum to dim A, so that map is an isomorphism and the list holds every
+        simple module.
+    Then every module M is the sum of the L with multiplicities m_L = dim Hom(L, M), and
+    chi_M = sum m_L chi_L.  (The last three parts alone already make A a product of matrix algebras; the
+    trace form certifies the radical on its own.)  The words of the invertible minor are the first basis
+    words, in basis order, at which the characters are independent; the first is 1.
+    """
+    key = tuple(irreducibles)
+    cert = owner.certificates.get(key)
+    if cert is None:
+        cert = owner.certificates[key] = _certify(owner, irreducibles)
+    return cert
+
+
+def _certify(owner: AlgebraHandle, irreducibles: list[FinModule]) -> WedderburnCertificate:
+    if owner.basis is None:
+        return WedderburnCertificate(f"{owner.name} is not finite-dimensional")
+    for irr in irreducibles:
+        if irr.owner is not owner:
+            return WedderburnCertificate(f"{irr.label} is not a module over {owner.name}")
+        if check_module(irr):
+            return WedderburnCertificate(f"{irr.label} breaks a relation of {owner.name}")
+    n = len(owner.basis)
+    form = RowSpace(n)
+    for row in product_traces(regular_module(owner)):
+        form.add({j: t for j, t in enumerate(row) if t})
+    if form.dim < n:
+        return WedderburnCertificate(f"the trace form of {owner.name} has rank {form.dim} < {n}, so its radical is not 0")
+    for irr in irreducibles:
+        d = irr.dim
+        span = RowSpace(d * d)
+        for w in owner.basis:
+            span.add({i * d + j: x for j, col in enumerate(irr.action_of_word(w)) for i, x in col.items()})
+        if span.dim < d * d:
+            return WedderburnCertificate(f"the basis words act on {irr.label} by {span.dim} < {d * d} independent matrices")
+    characters = [char_vector(irr) for irr in irreducibles]
+    if not independence_check(characters):
+        return WedderburnCertificate("the characters are dependent, so two listed modules are isomorphic")
+    squares = sum(irr.dim**2 for irr in irreducibles)
+    if squares != n:
+        return WedderburnCertificate(f"the squared dimensions sum to {squares}, not {n}, so the list is incomplete")
+    values = [c.values for c in characters]
+    columns = RowSpace(len(values))
+    words = [j for j in range(n) if columns.add({i: v[j] for i, v in enumerate(values) if v[j]})]
+    inverse = invert([{k: v[j] for k, j in enumerate(words) if v[j]} for v in values])
+    return WedderburnCertificate("", tuple(owner.basis[j] for j in words), tuple(inverse))
+
+
+def decompose(module: FinModule, irreducibles: list[FinModule]) -> DecompositionRecord:
+    """Multiplicity record of ``module`` over a list of pairwise non-isomorphic irreducibles.
+
+    Owners that differ raise ``ValueError``, and a zero module gives the
+    empty record at once.  When ``wedderburn_certificate`` holds for the
+    owner and the list, the multiplicities m are read off characters: they
+    solve chi_module = sum m_i chi_i at the certificate's words, so
+    m = chi_module(words) C^-1.  Each must be a non-negative integer, or
+    the input is not a module and ``ValueError`` says so.  The first word
+    is 1, where the characters are the dimensions, so sum m_i dim L_i =
+    dim module holds by construction and the residual is 0.  Everywhere
+    else multiplicity(L) = dim Hom(L, module), and a nonzero residual flags
+    either a non-semisimple owner or an incomplete irreducible list.  Over
+    a certified owner the two readings give the same record.
+    """
+    if any(irr.owner is not module.owner for irr in irreducibles):
+        raise ValueError("hom spaces need a common owner algebra")
+    if module.dim == 0:
+        return DecompositionRecord((), 0)
+    cert = wedderburn_certificate(module.owner, irreducibles)
+    if not cert.failure:
+        return _character_reading(module, irreducibles, cert)
     entries = []
     used = 0
     for irr in irreducibles:
@@ -176,6 +304,19 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
             entries.append((irr.label, mult))
             used += mult * irr.dim
     return DecompositionRecord(tuple(entries), module.dim - used)
+
+
+def _character_reading(module: FinModule, irreducibles: list[FinModule], cert: WedderburnCertificate) -> DecompositionRecord:
+    traces = {j: t for j, w in enumerate(cert.words) if (t := _trace(module.action_of_word(w)))}
+    mults = linear_combination(traces, cert.inverse)
+    entries = []
+    for i, irr in enumerate(irreducibles):
+        mult = mults.get(i, 0)
+        if mult < 0 or mult.denominator != 1:
+            raise ValueError(f"{module.label} is not a module over {module.owner.name}: its character gives {irr.label} multiplicity {mult}")
+        if mult:
+            entries.append((irr.label, int(mult)))
+    return DecompositionRecord(tuple(entries), 0)
 
 
 def submodule_closure(module: FinModule, seeds: list[Sparse]) -> RowSpace:

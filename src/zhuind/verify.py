@@ -26,7 +26,7 @@ from zhuind.freealg import NcPoly, Word
 from zhuind.induct import frobenius_dims, induce, kernel_action_radical, composition_check, restrict
 from zhuind.iolang import parse_poly_text
 from zhuind.morphism import certify_kernel, kernel_basis_finite
-from zhuind.repmod import decompose
+from zhuind.repmod import decompose, wedderburn_certificate
 
 F = Fraction
 
@@ -210,10 +210,17 @@ def case_07() -> tuple[bool, str, str, list[str]]:
 
 def case_08() -> tuple[bool, str, str, list[str]]:
     va1, va2 = catalog.algebra("a_va1"), catalog.algebra("a_va2")
-    d1 = sum(m.dim**2 for m in catalog.irreducibles("a_va1"))
-    d2 = sum(m.dim**2 for m in catalog.irreducibles("a_va2"))
-    ok = d1 == va1.dim() == 5 and d2 == va2.dim() == 19
-    return ok, "1^2+2^2=5 and 1^2+3^2+3^2=19", f"{d1}=={va1.dim()}, {d2}=={va2.dim()}", []
+    irr1, irr2 = catalog.irreducibles("a_va1"), catalog.irreducibles("a_va2")
+    d1 = sum(m.dim**2 for m in irr1)
+    d2 = sum(m.dim**2 for m in irr2)
+    # the Wedderburn certificate behind the character reading of decompose: one detail line per failing algebra
+    details = [
+        f"{alg.name}: Wedderburn certificate fails: {cert.failure}"
+        for alg, irr in ((va1, irr1), (va2, irr2))
+        if (cert := wedderburn_certificate(alg, irr)).failure
+    ]
+    ok = d1 == va1.dim() == 5 and d2 == va2.dim() == 19 and not details
+    return ok, "1^2+2^2=5 and 1^2+3^2+3^2=19", f"{d1}=={va1.dim()}, {d2}=={va2.dim()}", details
 
 
 _FROBENIUS_GRIDS = {

@@ -41,16 +41,26 @@ def vir():
 
 
 @pytest.fixture(scope="session")
-def permuted_copy():
+def change_of_basis():
+    """``change_of_basis(module, p)``: the module with each action conjugated by the invertible matrix ``p``, an explicit isomorphic copy."""
+
+    def build(module, p, label=""):
+        pinv = dense_invert(p)
+        actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
+        return dense_module(module.owner, module.dim, actions, label or f"{module.label}~")
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def permuted_copy(change_of_basis):
     """``permuted_copy(module, perm)``: the same module in a shuffled basis, an explicit isomorphic copy."""
 
     def build(module, perm, label=""):
         p = zeros(module.dim, module.dim)
         for i, j in enumerate(perm):
             p[i][j] = Fraction(1)
-        pinv = dense_invert(p)
-        actions = {g: mat_mul(mat_mul(p, mat), pinv) for g, mat in module.actions.items()}
-        return dense_module(module.owner, module.dim, actions, label or f"{module.label}~")
+        return change_of_basis(module, p, label)
 
     return build
 
@@ -76,6 +86,28 @@ def direct_sum():
         return FinModule(a.owner, a.dim + b.dim, columns, f"{a.label}+{b.label}")
 
     return build
+
+
+@pytest.fixture(scope="session")
+def recorded_calls():
+    """``with recorded_calls(namespace, name) as calls:`` lists the arguments of each call of ``namespace.name``."""
+
+    @contextlib.contextmanager
+    def record(namespace, name):
+        calls = []
+        original = getattr(namespace, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        setattr(namespace, name, wrapper)
+        try:
+            yield calls
+        finally:
+            setattr(namespace, name, original)
+
+    return record
 
 
 @pytest.fixture(scope="session")

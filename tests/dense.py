@@ -6,7 +6,7 @@ skipped, so it is the reference for the shortcuts ``linalg.RowSpace`` takes."""
 
 from fractions import Fraction
 
-from zhuind.repmod import FinModule
+from zhuind.repmod import DecompositionRecord, FinModule
 
 
 def zeros(n, m):
@@ -63,6 +63,17 @@ def dense_hom_space(source, target):
                     row[k * m + j] -= a[i][k]
                 rows.append(row)
     return [[[v[i * m + j] for j in range(m)] for i in range(n)] for v in dense_nullspace(rows)]
+
+
+def hom_reading(module, irreducibles):
+    """decompose's Hom reading, multiplicity(L) = dim Hom(L, module), with ``dense_hom_space``: the reference."""
+    entries, used = [], 0
+    for irr in irreducibles:
+        n = len(dense_hom_space(irr, module))
+        if n:
+            entries.append((irr.label, n))
+            used += n * irr.dim
+    return DecompositionRecord(tuple(entries), module.dim - used)
 
 
 def _bits(c):

@@ -18,7 +18,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from zhuind import catalog, verify
+from dense import hom_reading
+from zhuind import catalog, repmod, verify
 from zhuind.algebra import AlgebraHandle
 from zhuind.rewrite import INFINITE, RewriteSystem
 
@@ -84,6 +85,42 @@ def test_criterion_07_rank_one_to_rank_two():
 
 def test_criterion_08_semisimplicity_arithmetic():
     _assert_pass("c08")
+
+
+def _c08_with(monkeypatch, alg_id: str, replaced: str, module):
+    """c08 with the irreducible ``replaced`` of ``alg_id`` swapped for ``module``; returns the result and the list."""
+    real = catalog.irreducibles
+    listed = [module if m.label == replaced else m for m in real(alg_id)]
+    monkeypatch.setattr(catalog, "irreducibles", lambda a: listed if a == alg_id else real(a))
+    (r,) = verify.run(["c08"])
+    return r, listed
+
+
+def test_criterion_08_fails_when_l_half_is_trivial_plus_trivial(monkeypatch, direct_sum, recorded_calls):
+    trivial = catalog.module("va1_trivial")
+    r, listed = _c08_with(monkeypatch, "a_va1", "L_half", direct_sum(trivial, trivial))
+    # the squares still add up to 5; the actions on trivial + trivial are scalars
+    assert (r.status, r.expected, r.actual) == ("FAIL", "1^2+2^2=5 and 1^2+3^2+3^2=19", "5==5, 19==19")
+    assert r.details == ["a_va1: Wedderburn certificate fails: the basis words act on trivial+trivial by 1 < 4 independent matrices"]
+    # decompose reads Hom dimensions over this list
+    module = catalog.module("va1_L_half")
+    with recorded_calls(repmod, "hom_space") as calls:
+        rec = repmod.decompose(module, listed)
+    assert [args[0] for args in calls] == listed
+    assert rec == hom_reading(module, listed) == repmod.DecompositionRecord((), 2)
+
+
+def test_criterion_08_fails_when_l_lambda_beta_is_a_copy_of_l_lambda_alpha(monkeypatch, change_of_basis, recorded_calls):
+    p = [[F(1), F(2), F(0)], [F(0), F(1), F(0)], [F(-1), F(0), F(1)]]
+    copy = change_of_basis(catalog.module("va2_L_lambda_alpha"), p, "L_lambda_beta")
+    r, listed = _c08_with(monkeypatch, "a_va2", "L_lambda_beta", copy)
+    assert (r.status, r.actual) == ("FAIL", "5==5, 19==19")
+    assert r.details == ["a_va2: Wedderburn certificate fails: the characters are dependent, so two listed modules are isomorphic"]
+    module = catalog.module("va2_L_lambda_beta")
+    with recorded_calls(repmod, "hom_space") as calls:
+        rec = repmod.decompose(module, listed)
+    assert [args[0] for args in calls] == listed
+    assert rec == hom_reading(module, listed) == repmod.DecompositionRecord((), 3)
 
 
 def test_criterion_09_frobenius_reciprocity():

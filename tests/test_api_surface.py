@@ -31,10 +31,7 @@ CHECK_REASON = "validates the morphism blocks of a source file in check"
 ALLOWED = {
     "pretty_print": "the documented parse / pretty-print round trip of the source language",
     "generated_by_unit_image": "certifies the Frobenius bijection once reciprocity is checked as an explicit map",
-    "regular_module": "the trace form of the regular module certifies the semisimple targets",
-    "independence_check": "decompositions read from character vectors need the irreducible characters independent",
     "check_well_defined": CHECK_REASON,
-    "check_module": "planned to validate the module blocks of a source file in check (ROADMAP item 7); that caller is not written yet",
 }
 
 # class fields kept without a reader in the package, each for a reason

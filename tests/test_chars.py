@@ -3,14 +3,8 @@ from fractions import Fraction
 import pytest
 
 from zhuind import catalog
-from zhuind.chars import (
-    ArtinError,
-    artin_solve,
-    char_vector,
-    independence_check,
-    symmetry_violations,
-)
-from zhuind.repmod import FinModule
+from zhuind.chars import ArtinError, artin_solve, symmetry_violations
+from zhuind.repmod import FinModule, char_vector, independence_check
 
 F = Fraction
 

@@ -12,6 +12,7 @@ from zhuind.linalg import RowSpace
 from zhuind.iolang import parse_poly_text
 from zhuind.repmod import (
     FinModule,
+    char_vector,
     check_module,
     decompose,
     hom_space,
@@ -157,8 +158,6 @@ def test_quotient_heisenberg_radical_kills_module():
 
 
 def test_character_invariant_under_basis_shuffle(permuted_copy):
-    from zhuind.chars import char_vector
-
     L = catalog.module("va2_L_lambda_alpha")
     shuffled = permuted_copy(L, [2, 0, 1])
     assert check_module(shuffled) == []

@@ -176,22 +176,26 @@ class CharacterVector(NamedTuple):
     values: tuple[Fraction, ...]  # trace on each basis word, in basis order
 
 
-def _trace(columns: Columns) -> Fraction:
-    return sum((col.get(i, 0) for i, col in enumerate(columns)), Fraction(0))
+def _traces(module: FinModule) -> list[Scalar]:
+    """The trace of each basis word of the (finite) owner, an ``int`` where it is integral."""
+    if module.owner.basis is None:
+        raise ValueError("characters need a finite-dimensional owner")
+    return [_trace(module.action_of_word(w)) for w in module.owner.basis]
+
+
+def _trace(columns: Columns) -> Scalar:
+    return sum(col.get(i, 0) for i, col in enumerate(columns))
 
 
 def char_vector(module: FinModule) -> CharacterVector:
     """The trace of the action of each basis word of the (finite) owner, in basis order."""
-    owner = module.owner
-    if owner.basis is None:
-        raise ValueError("characters need a finite-dimensional owner")
-    return CharacterVector(tuple(_trace(module.action_of_word(w)) for w in owner.basis))
+    return CharacterVector(tuple(Fraction(t) for t in _traces(module)))
 
 
-def product_traces(module: FinModule) -> list[list[Fraction]]:
+def product_traces(module: FinModule) -> list[list[Scalar]]:
     """``[i][j]``: the character at basis[i] * basis[j], read from the structure row of the product."""
-    chi = char_vector(module).values
-    return [[sum((c * chi[k] for k, c in product.items()), Fraction(0)) for product in row] for row in module.owner.structure]
+    chi = _traces(module)
+    return [[sum(c * chi[k] for k, c in product.items()) for product in row] for row in module.owner.structure]
 
 
 def independence_check(characters: list[CharacterVector]) -> bool:
@@ -218,20 +222,14 @@ class WedderburnCertificate(NamedTuple):
 def wedderburn_certificate(owner: AlgebraHandle, irreducibles: list[FinModule]) -> WedderburnCertificate:
     """The certificate of ``irreducibles`` over ``owner``, built on first use and kept on the owner per list.
 
-    It holds when all of these do, checked in this order:
-      * the owner A is finite, and every listed module is over it and passes ``check_module``;
-      * Dickson: the trace form tr(L_a L_b) of ``regular_module(owner)`` has full rank, and in
-        characteristic 0 its kernel is the radical, so the radical is 0 and A is semisimple;
-      * Burnside: on each listed L the basis words act by dim(L)^2 independent matrices, so A maps onto
-        End(L), L is absolutely irreducible and End_A(L) = Q;
-      * independence: the characters are independent (``independence_check``), so no two listed modules
-        are isomorphic and A maps onto the product of their End(L) (density);
-      * the squared dimensions sum to dim A, so that map is an isomorphism and the list holds every
-        simple module.
-    Then every module M is the sum of the L with multiplicities m_L = dim Hom(L, M), and
-    chi_M = sum m_L chi_L.  (The last three parts alone already make A a product of matrix algebras; the
-    trace form certifies the radical on its own.)  The words of the invertible minor are the first basis
-    words, in basis order, at which the characters are independent; the first is 1.
+    It holds when all of these do, checked in this order (``decompose`` gives the proof they add up to):
+      * the owner is finite, and every listed module is over it and passes ``check_module``;
+      * the trace form tr(L_a L_b) of ``regular_module(owner)`` has full rank;
+      * on each listed L the basis words act by dim(L)^2 independent matrices;
+      * the characters are independent (``independence_check``);
+      * the squared dimensions sum to the dimension of the owner.
+    The words of the invertible minor are the first basis words, in basis order, at which the characters
+    are independent; the first is 1, where the characters are the dimensions.
     """
     key = tuple(irreducibles)
     cert = owner.certificates.get(key)
@@ -279,15 +277,23 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
 
     Owners that differ raise ``ValueError``, and a zero module gives the
     empty record at once.  When ``wedderburn_certificate`` holds for the
-    owner and the list, the multiplicities m are read off characters: they
-    solve chi_module = sum m_i chi_i at the certificate's words, so
-    m = chi_module(words) C^-1.  Each must be a non-negative integer, or
-    the input is not a module and ``ValueError`` says so.  The first word
-    is 1, where the characters are the dimensions, so sum m_i dim L_i =
-    dim module holds by construction and the residual is 0.  Everywhere
-    else multiplicity(L) = dim Hom(L, module), and a nonzero residual flags
-    either a non-semisimple owner or an incomplete irreducible list.  Over
-    a certified owner the two readings give the same record.
+    owner A and the list, the list is every simple A-module and A is split
+    semisimple:
+      * Dickson: the trace form has full rank, and in characteristic 0 its kernel is the radical, so it is 0;
+      * Burnside: A maps onto End(L) for each L, so L is absolutely irreducible and End_A(L) = Q;
+      * independence: equal characters would be dependent, so the L are pairwise non-isomorphic and A maps
+        onto the product of their End(L) (density);
+      * sum dim(L)^2 = dim A: so that map is an isomorphism, and the list holds every simple module.
+    So module = sum m_L L with m_L = dim Hom(L, module), and chi_module =
+    sum m_L chi_L.  The multiplicities are read off characters: m =
+    chi_module(words) C^-1 at the certificate's words.  Each must be a
+    non-negative integer, or the input is not a module and ``ValueError``
+    says so.  The first word is 1, where the characters are the dimensions,
+    so sum m_L dim L = dim module holds by construction and the residual is
+    0.  Everywhere else multiplicity(L) = dim Hom(L, module), and a nonzero
+    residual flags either a non-semisimple owner or an incomplete
+    irreducible list.  Over a certified owner the two readings give the
+    same record.
     """
     if any(irr.owner is not module.owner for irr in irreducibles):
         raise ValueError("hom spaces need a common owner algebra")

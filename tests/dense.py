@@ -1,5 +1,5 @@
 """Dense matrix references for the tests: the products, the elimination and the inverse that module actions and
-``linalg`` used before they kept only sparse vectors.
+``linalg`` used before they kept only sparse vectors, and ``decompose``'s Hom reading over them.
 
 ``DenseRowSpace`` eliminates with unit-pivot ``Fraction`` rows over every column, zero or not: no entry is
 skipped, so it is the reference for the shortcuts ``linalg.RowSpace`` takes."""

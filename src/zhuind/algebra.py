@@ -6,8 +6,12 @@ only to some degree D gives the kind "unknown" (the CLI prints "unknown
 beyond degree D" and exits 1) and the constructor never raises.  A finite
 handle carries the normal-word basis, and elements move between
 polynomial and sparse coordinate form (``Sparse``: basis index -> nonzero
-coefficient).  The structure cube ``structure`` and the generator table
-``gen_products`` are built on first use and kept.
+coefficient).  The generator table ``gen_products`` and the structure
+cube ``structure`` are built on first use and kept.  ``gen_products``
+reduces each generator-times-basis word, so the module layer never needs
+the cube: ``structure`` (dim² reductions) is read only by the checks
+whose subject it is, ``associativity_failures``, ``chars.symmetry_violations``
+(through ``repmod.product_traces``) and ``mul_coords``.
 """
 
 from __future__ import annotations
@@ -114,24 +118,16 @@ class AlgebraHandle:
             raise ValueError(f"{self.name} has no finite basis; structure constants are undefined")
         return [[self.coords(self.system.reduce_word(wi + wj)) for wj in self.basis] for wi in self.basis]
 
-    def times_basis(self, p: NcPoly) -> list[Sparse]:
-        """For each basis index i, the coordinates of ``p * basis[i]`` (``p`` reduced)."""
-        coords = self.coords(p)
-        return [linear_combination(coords, column) for column in zip(*self.structure)]
-
-    def basis_times(self, p: NcPoly) -> list[Sparse]:
-        """For each basis index i, the coordinates of ``basis[i] * p`` (``p`` reduced)."""
-        coords = self.coords(p)
-        return [linear_combination(coords, row) for row in self.structure]
-
     @cached_property
     def gen_products(self) -> list[list[Sparse]]:
-        """``gen_products[g][i]``: the coordinates of generator g times basis[i].
+        """``gen_products[g][i]``: the coordinates of generator g times basis[i], each ``reduce_word((g,) + basis[i])``.
 
-        Built on first use and kept; it depends only on the structure
-        constants, so every morphism into this algebra shares it.
+        Built on first use and kept, straight from the rewriting system, so
+        every morphism into this algebra shares it and none builds ``structure``.
         """
-        return [self.times_basis(self.system.reduce(NcPoly.gen(g))) for g in range(len(self.gen_names))]
+        if self.basis is None:
+            raise ValueError(f"{self.name} has no finite basis; generator products are undefined")
+        return [[self.coords(self.system.reduce_word((g,) + w)) for w in self.basis] for g in range(len(self.gen_names))]
 
     def mul_coords(self, a: Sparse, b: Sparse) -> Sparse:
         """Product via structure constants."""

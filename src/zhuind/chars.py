@@ -5,8 +5,10 @@ basis element of the owner.  ``char_vector``, ``independence_check`` and
 ``product_traces`` live in ``repmod``, whose ``decompose`` reads
 multiplicities off characters over a certified semisimple owner (see
 ``repmod.wedderburn_certificate``).  This module checks that characters
-are symmetric functions and, over a polynomial source, solves for the
-rational coefficients of irreducible characters through induced ones.
+are symmetric functions (``symmetry_violations``, which reads the
+owner's structure cube through ``product_traces``) and, over a
+polynomial source, solves for the rational coefficients of irreducible
+characters through induced ones.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ linear in the left slot and generators multiply out to all words.
 What depends only on the morphism is built once and kept: the products
 ``a_i * m(g)`` on the morphism (``AlgebraMorphism.image_products``) and
 ``g * a_i`` on the target (``AlgebraHandle.gen_products``, shared by every
-morphism into it).  Each ``induce`` call builds only what depends on the
-module: the relation rows, their ``RowSpace`` and the quotient columns.
+morphism into it), each product reduced by the target's rewriting system,
+so no induction builds the target's structure cube.  Each ``induce``
+call builds only what depends on the module: the relation rows, their
+``RowSpace`` and the quotient columns.
 A relation row is built without its coordinates at the unit pivots of
 the relations so far (``RowSpace.unit_pivots``), and a row left empty
 is not added.  The relation rows stop once they span the whole tensor

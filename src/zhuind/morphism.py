@@ -63,12 +63,15 @@ class AlgebraMorphism:
 
     @cached_property
     def image_products(self) -> list[list[Sparse]]:
-        """``image_products[g][i]``: target coordinates of ``basis[i] * m(g)`` (finite target).
+        """``image_products[g][i]``: target coordinates of ``basis[i] * m(g)``, reduced from the word products.
 
         Built on first use and kept: it depends only on the images and the
-        target's structure constants, not on any module induced along ``m``.
+        target's rewriting system, not on any module induced along ``m``.
         """
-        return [self.target.basis_times(el.poly) for el in self.images]
+        target = self.target
+        if target.basis is None:
+            raise ValueError(f"{target.name} has no finite basis; image products are undefined")
+        return [[target.coords(target.system.reduce(el.poly.sandwich(w, ()))) for w in target.basis] for el in self.images]
 
     def apply_word(self, word: Word) -> NcPoly:
         out = NcPoly.one()

@@ -14,11 +14,12 @@ it; ``chars`` builds on both.
 
 ``decompose`` reads multiplicities in one of two ways.  Over an owner
 with a Wedderburn certificate for the irreducible list
-(``wedderburn_certificate``: a nondegenerate trace form, absolutely
-irreducible and pairwise non-isomorphic modules, and the sum of their
-squared dimensions equal to the owner's), it solves the module's
-character on a few basis words.  Anywhere else it reads each
-multiplicity as a Hom dimension.
+(``wedderburn_certificate``: absolutely irreducible and pairwise
+non-isomorphic modules, and the sum of their squared dimensions equal to
+the owner's), it solves the module's character on a few basis words.
+Anywhere else it reads each multiplicity as a Hom dimension.  Neither
+reading, nor the certificate, reads the owner's structure cube; only
+``product_traces`` does, for ``chars.symmetry_violations``.
 """
 
 from __future__ import annotations
@@ -107,9 +108,7 @@ class DecompositionRecord(NamedTuple):
         return dict(self.entries)
 
     def __str__(self) -> str:
-        if not self.entries and self.residual == 0:
-            return "0"
-        body = " + ".join(f"{lbl}:{m}" for lbl, m in self.entries)
+        body = " + ".join(f"{lbl}:{m}" for lbl, m in self.entries) or "0"
         return body + (f" (residual {self.residual})" if self.residual else "")
 
 
@@ -224,7 +223,6 @@ def wedderburn_certificate(owner: AlgebraHandle, irreducibles: list[FinModule]) 
 
     It holds when all of these do, checked in this order (``decompose`` gives the proof they add up to):
       * the owner is finite, and every listed module is over it and passes ``check_module``;
-      * the trace form tr(L_a L_b) of ``regular_module(owner)`` has full rank;
       * on each listed L the basis words act by dim(L)^2 independent matrices;
       * the characters are independent (``independence_check``);
       * the squared dimensions sum to the dimension of the owner.
@@ -246,12 +244,6 @@ def _certify(owner: AlgebraHandle, irreducibles: list[FinModule]) -> WedderburnC
             return WedderburnCertificate(f"{irr.label} is not a module over {owner.name}")
         if check_module(irr):
             return WedderburnCertificate(f"{irr.label} breaks a relation of {owner.name}")
-    n = len(owner.basis)
-    form = RowSpace(n)
-    for row in product_traces(regular_module(owner)):
-        form.add({j: t for j, t in enumerate(row) if t})
-    if form.dim < n:
-        return WedderburnCertificate(f"the trace form of {owner.name} has rank {form.dim} < {n}, so its radical is not 0")
     for irr in irreducibles:
         d = irr.dim
         span = RowSpace(d * d)
@@ -262,7 +254,7 @@ def _certify(owner: AlgebraHandle, irreducibles: list[FinModule]) -> WedderburnC
     characters = [char_vector(irr) for irr in irreducibles]
     if not independence_check(characters):
         return WedderburnCertificate("the characters are dependent, so two listed modules are isomorphic")
-    squares = sum(irr.dim**2 for irr in irreducibles)
+    squares, n = sum(irr.dim**2 for irr in irreducibles), len(owner.basis)
     if squares != n:
         return WedderburnCertificate(f"the squared dimensions sum to {squares}, not {n}, so the list is incomplete")
     values = [c.values for c in characters]
@@ -279,11 +271,13 @@ def decompose(module: FinModule, irreducibles: list[FinModule]) -> Decomposition
     empty record at once.  When ``wedderburn_certificate`` holds for the
     owner A and the list, the list is every simple A-module and A is split
     semisimple:
-      * Dickson: the trace form has full rank, and in characteristic 0 its kernel is the radical, so it is 0;
-      * Burnside: A maps onto End(L) for each L, so L is absolutely irreducible and End_A(L) = Q;
-      * independence: equal characters would be dependent, so the L are pairwise non-isomorphic and A maps
-        onto the product of their End(L) (density);
-      * sum dim(L)^2 = dim A: so that map is an isomorphism, and the list holds every simple module.
+      * Burnside: A maps onto End(L) = M_d(Q) for each L, so L is absolutely irreducible and the kernel of
+        that map is a maximal two-sided ideal;
+      * independence: isomorphic modules have equal characters, so the L are pairwise non-isomorphic; as
+        M_d(Q) has one simple module, their kernels are distinct maximal ideals, so pairwise comaximal, and
+        by the Chinese remainder theorem A maps onto the product of their End(L);
+      * sum dim(L)^2 = dim A: so that map is an isomorphism, A is split semisimple and the list holds every
+        simple module.
     So module = sum m_L L with m_L = dim Hom(L, module), and chi_module =
     sum m_L chi_L.  The multiplicities are read off characters: m =
     chi_module(words) C^-1 at the certificate's words.  Each must be a
@@ -347,10 +341,3 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
     to_quotient = space.quotient_map()
     columns = [[to_quotient(cols[j]) for j in comp] for cols in module.columns]
     return FinModule(module.owner, len(comp), columns, label or f"{module.label}/sub")
-
-
-def regular_module(handle: AlgebraHandle) -> FinModule:
-    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
-    if handle.basis is None:
-        raise ValueError("regular module needs a finite-dimensional algebra")
-    return FinModule(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")

@@ -1,5 +1,6 @@
 """Dense matrix references for the tests: the products, the elimination and the inverse that module actions and
-``linalg`` used before they kept only sparse vectors, and ``decompose``'s Hom reading over them.
+``linalg`` used before they kept only sparse vectors, ``decompose``'s Hom reading over them, and the left regular
+module, which only the tests build.
 
 ``DenseRowSpace`` eliminates with unit-pivot ``Fraction`` rows over every column, zero or not: no entry is
 skipped, so it is the reference for the shortcuts ``linalg.RowSpace`` takes."""
@@ -35,6 +36,11 @@ def mat_mul(a, b):
 def dense_module(owner, dim, actions, label=""):
     """A module from dense matrices keyed by generator index; a generator not given acts as 0."""
     return FinModule.from_named_actions(owner, dim, {owner.gen_names[g]: mat for g, mat in actions.items()}, label)
+
+
+def regular_module(handle):
+    """The left regular module of a finite-dimensional algebra: its columns are ``handle.gen_products``."""
+    return FinModule(handle, len(handle.basis), handle.gen_products, f"{handle.name}-regular")
 
 
 def mat_of_columns(columns, nrows):

@@ -16,6 +16,7 @@ from zhuind.algebra import (
     normal_words,
 )
 from zhuind.freealg import MonomialOrder, NcPoly
+from zhuind.morphism import AlgebraMorphism
 from zhuind.rewrite import INFINITE, CompletionError
 
 
@@ -340,18 +341,28 @@ def test_associativity_failures_need_a_finite_basis():
         vp.associativity_failures()
 
 
-def test_basis_product_tables_match_mul_coords(va1, va2):
-    for handle, texts in ((va1, ("e", "h h - 2 f", "1 + e f")), (va2, ("x_a", "y y - x_b", "1 - x x_ma"))):
-        nb = len(handle.basis)
-        unit = units(nb)
-        for text in texts:
-            p = handle.element(text).poly
-            left, right = handle.times_basis(p), handle.basis_times(p)
-            for i in range(nb):
-                assert all(left[i].values()) and all(right[i].values())
-                assert left[i] == handle.mul_coords(handle.coords(p), unit[i])
-                assert right[i] == handle.mul_coords(unit[i], handle.coords(p))
-        assert handle.gen_products == [handle.times_basis(handle.element(name).poly) for name in handle.gen_names]
+def test_product_tables_match_mul_coords():
+    # gen_products[g][i] = g * basis[i] and image_products[g][i] = basis[i] * m(g), against the structure constants
+    finite = [catalog.algebra(a) for a in catalog.ALGEBRA_IDS if catalog.algebra(a).basis is not None]
+    assert [h.name for h in finite] == ["a_va1", "a_va2"]
+    for handle in finite:
+        unit = units(len(handle.basis))
+        for g, row in enumerate(handle.gen_products):
+            gen = handle.coords(handle.system.reduce(NcPoly.gen(g)))
+            assert row == [handle.mul_coords(gen, u) for u in unit]
+            assert all(all(p.values()) for p in row)
+    for mor_id in catalog.MORPHISM_IDS:
+        m = catalog.morphism(mor_id)
+        unit = units(len(m.target.basis))
+        table = m.image_products
+        assert table == [[m.target.mul_coords(u, m.target.coords(el.poly)) for u in unit] for el in m.images]
+        assert all(all(p.values()) for row in table for p in row)
+
+
+def test_image_products_need_a_finite_target(vir):
+    into_vir = AlgebraMorphism(vir, vir, [vir.element(name) for name in vir.gen_names], "vir_identity")
+    with pytest.raises(ValueError, match="^vir has no finite basis; image products are undefined$"):
+        into_vir.image_products
 
 
 def test_gen_products_built_on_first_use_only():

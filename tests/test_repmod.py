@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_hom_space, dense_module, identity, mat_mul, mat_of_columns, zeros
+from dense import dense_hom_space, dense_module, identity, mat_mul, mat_of_columns, regular_module, zeros
 from zhuind import catalog
 from zhuind.freealg import NcPoly, scalar
 from zhuind.linalg import RowSpace
@@ -17,7 +17,6 @@ from zhuind.repmod import (
     decompose,
     hom_space,
     quotient_module,
-    regular_module,
     submodule_closure,
 )
 

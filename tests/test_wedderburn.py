@@ -3,7 +3,10 @@
 Over a certified owner ``decompose`` reads multiplicities off characters;
 everywhere else it reads them as Hom dimensions.  The reference for both
 is ``dense.hom_reading``, the Hom reading with the dense intertwiner
-equations.
+equations.  Dickson's criterion, which the certificate does not need,
+is the oracle for semisimplicity: the trace form of the regular module,
+read here from the structure constants, has full rank on every certified
+owner and not on the local one.
 """
 
 from fractions import Fraction as F
@@ -12,12 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import dense_invert, dense_module, hom_reading, mat_mul, zeros
+from dense import dense_invert, dense_module, dense_rref, hom_reading, mat_mul, regular_module, zeros
 from zhuind import catalog, induct, repmod, verify
-from zhuind.algebra import AlgebraHandle, Presentation
+from zhuind.algebra import AlgebraHandle, Element, Presentation
 from zhuind.freealg import MonomialOrder
 from zhuind.iolang import parse_poly_text
-from zhuind.repmod import DecompositionRecord, FinModule, decompose, regular_module, wedderburn_certificate
+from zhuind.morphism import AlgebraMorphism
+from zhuind.repmod import DecompositionRecord, FinModule, decompose, wedderburn_certificate
+
+
+def regular_trace_form_rank(owner):
+    """The rank of tr(L_a L_b) on the regular module of ``owner``: L_a L_b = L_ab, and tr L_c sums (c * basis[k])[k]."""
+    table = owner.structure
+    n = len(table)
+    traces = [sum(table[c][k].get(k, 0) for k in range(n)) for c in range(n)]
+    form = [[sum(x * traces[k] for k, x in product.items()) for product in row] for row in table]
+    return len(dense_rref(form)[1])
 
 
 def test_the_catalog_targets_are_certified():
@@ -25,6 +38,7 @@ def test_the_catalog_targets_are_certified():
         owner = catalog.algebra(alg_id)
         cert = wedderburn_certificate(owner, catalog.irreducibles(alg_id))
         assert cert.failure == ""
+        assert regular_trace_form_rank(owner) == len(owner.basis)  # Dickson: the radical is 0
         # the first word is 1, where the characters are the dimensions
         assert [" ".join(owner.gen_names[g] for g in w) or "1" for w in cert.words] == words
         assert wedderburn_certificate(owner, catalog.irreducibles(alg_id)) is cert  # kept per list
@@ -120,9 +134,9 @@ def test_a_local_owner_keeps_the_hom_reading(recorded_calls):
     names = ("x", "y")
     relations = tuple(parse_poly_text(s, names) for s in ("x x", "y y y", "y x - 2 x y"))
     plane = AlgebraHandle.build(Presentation("qplane", names, MonomialOrder((0, 1)), relations))
-    assert plane.dim() == 6
+    assert plane.dim() == 6 and regular_trace_form_rank(plane) == 1
     trivial = FinModule.from_named_actions(plane, 1, {}, "trivial")
-    failure = "the trace form of qplane has rank 1 < 6, so its radical is not 0"
+    failure = "the squared dimensions sum to 1, not 6, so the list is incomplete"
     _assert_hom_reading(recorded_calls, regular_module(plane), [trivial], "trivial:1 (residual 5)", failure)
 
 
@@ -131,6 +145,12 @@ def test_an_incomplete_list_keeps_the_hom_reading(recorded_calls):
     module = induct.induce(catalog.morphism("va1_to_va2"), [], catalog.module("va1_trivial")).module
     failure = "the squared dimensions sum to 10, not 19, so the list is incomplete"
     _assert_hom_reading(recorded_calls, module, irr, "L0:1 + L_lambda_alpha:1 (residual 3)", failure)
+
+
+def test_a_hom_reading_with_no_irreducible_prints_zero_before_the_residual(recorded_calls):
+    irr = catalog.irreducibles("a_va2")[:2]
+    failure = "the squared dimensions sum to 10, not 19, so the list is incomplete"
+    _assert_hom_reading(recorded_calls, catalog.module("va2_L_lambda_beta"), irr, "0 (residual 3)", failure)
 
 
 def test_a_list_with_a_duplicate_keeps_the_hom_reading(recorded_calls, va1):
@@ -173,3 +193,17 @@ def test_a_zero_module_builds_no_certificate(recorded_calls, permuted_copy, va1)
         assert str(decompose(catalog.module("va1_L_half"), irr)) == "L_half~:1"
     assert len(built) == 1  # once per list
 
+
+def test_a_cold_induction_and_its_certificate_build_no_structure_cube():
+    for mor_id, kernel, module, expected in (
+        ("va1_to_va2", [], catalog.module("va1_trivial"), "L0:1 + L_lambda_alpha:1 + L_lambda_beta:1"),
+        ("vp_to_va2", list(catalog.kernel_candidates("vp_to_va2")), catalog.module("vp_mod_U0", (F(0),)), "L0:1"),
+    ):
+        warm = catalog.morphism(mor_id)
+        target = AlgebraHandle(warm.target.presentation, warm.target.system)
+        m = AlgebraMorphism(warm.source, target, [Element(target, el.poly) for el in warm.images], mor_id)
+        irr = [dense_module(target, L.dim, L.actions, L.label) for L in catalog.irreducibles(warm.target.name)]
+        r = induct.induce(m, kernel, module, irr)
+        assert target.certificates[tuple(irr)].failure == ""  # built by the induction's decompose
+        assert str(r.decomposition) == expected
+        assert "gen_products" in vars(target) and "structure" not in vars(target)

@@ -112,15 +112,21 @@ def _image_rows(m: AlgebraMorphism, words: list[Word]) -> tuple[list[Sparse], in
 
     The image of ``w + (g,)`` is ``reduce(image(w) * image(g))``, the last
     step of ``apply_word``; every prefix's image is kept, so a set closed
-    under prefixes, as normal words are, costs one reduction per word.
+    under prefixes, as normal words are, costs one reduction per word.  A
+    word's image is walked forward from its longest known prefix in a loop,
+    so a word longer than the interpreter's recursion limit costs no stack.
     """
     reduce_tgt, gen_images = m.target.system.reduce, m.images
     known: dict[Word, NcPoly] = {(): NcPoly.one()}
 
     def image(w: Word) -> NcPoly:
-        if w not in known:
-            known[w] = reduce_tgt(image(w[:-1]) * gen_images[w[-1]].poly)
-        return known[w]
+        k = len(w)
+        while w[:k] not in known:
+            k -= 1
+        img = known[w[:k]]
+        for k in range(k, len(w)):
+            img = known[w[: k + 1]] = reduce_tgt(img * gen_images[w[k]].poly)
+        return img
 
     images = [image(w) for w in words]
     support: list[Word] = sorted({w for img in images for w in img.terms}, key=m.target.system.order.key)

@@ -45,9 +45,12 @@ Ambiguities are looked up the same way, in ``AffixTables``: the proper
 prefixes, proper suffixes and factors of the left-hand sides, each to its
 rule ids in rule order.  The overlaps of one rule are the rules found at
 its own proper suffixes in the prefix table and at its own proper
-prefixes in the suffix table; the rules whose left-hand side contains a
-word are the factor table's entry for it.  ``complete`` keeps the tables
-beside its ``LhsIndex``, and ``find_ambiguities`` builds them once.
+prefixes in the suffix table, listed as plain ``(i, j, witness, offset)``
+tuples; the rules whose left-hand side contains a word are the factor
+table's entry for it.  ``complete`` keeps the tables beside its
+``LhsIndex`` and queues the overlap tuples as they come;
+``find_ambiguities`` builds the tables once and wraps each overlap in an
+``Ambiguity``.
 
 Every rule carries a cofactor trace: an exact expression of ``lhs - rhs``
 as a two-sided combination of the original relations, built from rewrite
@@ -100,6 +103,8 @@ class RewriteRule(FrozenRecord):
 
 # one rewrite step  c * left * (lhs -> rhs) * right
 Step = tuple[Scalar, Word, RewriteRule, Word]
+# one overlap  (i, j, witness, k): lhs_i ends with the first k letters of lhs_j, and the witness is lhs_i + lhs_j[k:]
+Overlap = tuple[int, int, Word, int]
 
 
 class Ambiguity(FrozenRecord):
@@ -283,8 +288,11 @@ def _normal_form(
     A word is rewritten at its leftmost, lowest-id redex, found through
     ``index``, and ``_sum_children`` sums the normal forms of the words of
     the result, its children, in right-hand-side order.  ``memo`` maps
-    words to their normal forms under ``rules``, with read-only terms, and
-    must be emptied whenever ``rules`` change.  The stack holds the words
+    words to their normal forms under ``rules``, with read-only terms.
+    When ``rules`` change, an entry must go unless no rule that came, went
+    or changed applies anywhere in its word's derivation; ``complete``
+    drops the words at least as long as each new left-hand side, and its
+    docstring proves the rest stay exact.  The stack holds the words
     whose sums are suspended at a child missing from ``memo``: the loop
     expands that child first and sends its stored normal form to the sum.
     No call nests, so a chain of rewrites as long as the word costs no
@@ -406,20 +414,16 @@ class AffixTables:
             if not ids:
                 del table[key]
 
-    def left_overlaps(self, i: int, li: Word) -> list[Ambiguity]:
-        """The overlaps ``(i, j, k)``: a proper suffix of ``li`` is a proper prefix of ``lhs_j``, j = i included."""
+    def left_overlaps(self, i: int, li: Word) -> list[Overlap]:
+        """The overlaps ``(i, j, witness, k)``: a proper suffix of ``li`` is a proper prefix of ``lhs_j``, j = i included."""
         n, prefixes = len(li), self.prefixes
-        return [
-            Ambiguity("overlap", i, j, li + lj[k:], k)
-            for k in range(1, n)
-            for j, lj in prefixes.get(li[n - k :], {}).items()
-        ]
+        return [(i, j, li + lj[k:], k) for k in range(1, n) for j, lj in prefixes.get(li[n - k :], {}).items()]
 
-    def right_overlaps(self, i: int, li: Word) -> list[Ambiguity]:
-        """The overlaps ``(j, i, k)`` with j != i: a proper prefix of ``li`` is a proper suffix of ``lhs_j``."""
+    def right_overlaps(self, i: int, li: Word) -> list[Overlap]:
+        """The overlaps ``(j, i, witness, k)`` with j != i: a proper prefix of ``li`` is a proper suffix of ``lhs_j``."""
         suffixes = self.suffixes
         return [
-            Ambiguity("overlap", j, i, lj + li[k:], k)
+            (j, i, lj + li[k:], k)
             for k in range(1, len(li))
             for j, lj in suffixes.get(li[:k], {}).items()
             if j != i
@@ -547,7 +551,7 @@ class RewriteSystem:
     def _ambiguities(self) -> tuple[Ambiguity, ...]:
         rules = self._rule_dict
         tables = AffixTables(rules)
-        out = [amb for i, rule in rules.items() for amb in tables.left_overlaps(i, rule.lhs)]
+        out = [Ambiguity("overlap", *ov) for i, rule in rules.items() for ov in tables.left_overlaps(i, rule.lhs)]
         out.extend(amb for j, rule in rules.items() for amb in tables.inclusions(j, rule.lhs))
         out.sort(key=lambda amb: (len(amb.witness), self.order.key(amb.witness), amb.i, amb.j, amb.offset))
         return tuple(out)
@@ -617,9 +621,25 @@ def complete(
     leftmost, lowest-id redex through the same ``LhsIndex``, and the heap
     loop rewrites the greatest word first, so a word's coefficient is
     final when it is rewritten: its result is the sum of the memo's
-    normal forms of the terms, also on rules that are not yet confluent.  The memo is emptied at every
-    ``add_rule``, which adds a rule and may retire rules and rebuild
-    right-hand sides; the rules change nowhere else.
+    normal forms of the terms, also on rules that are not yet confluent.
+
+    The rules change only in ``add_rule``, which adds a rule ``lw -> r``,
+    retires the rules whose left-hand side contains ``lw`` and rebuilds
+    the right-hand sides that contain ``lw``.  It drops from the memo the
+    words at least as long as ``lw`` and keeps the shorter ones, whose
+    stored normal forms stay exact under the new rules.  Proof: deglex
+    compares length first and every right-hand-side word is below its
+    left-hand side, so a rewrite never lengthens a word, and the
+    derivation of a word u shorter than ``lw`` (u, each word rewritten
+    from it, and its normal form's words) visits only words shorter than
+    ``lw``.  None of them contains ``lw``, so the new rule matches none,
+    and a retired rule, whose left-hand side contains ``lw``, matched none
+    either.  A rebuilt rule was not used: a use would have put a word of
+    its old right-hand side, which contains ``lw``, into a visited word.
+    So every rule used in the derivation is still live and unchanged, the
+    redex chosen at each visited word is the same, and the normal form's
+    words are still normal.  A word at least as long as ``lw`` may
+    contain it, and is dropped.
 
     The live left-hand sides are kept in an ``LhsIndex`` for reduction
     and in ``AffixTables``: a new rule's overlaps are queued
@@ -667,17 +687,16 @@ def complete(
     ]
     heap: list[tuple[tuple, int, int, int, Word]] = []  # order.key(w) starts with len(w)
     beyond: set[tuple[int, int]] = set()  # pairs with a witness longer than max_degree
-    memo: dict[Word, NcPoly] = {}  # normal forms of words under the live rules, emptied when they change
+    memo: dict[Word, NcPoly] = {}  # normal forms of words under the live rules; add_rule drops the long ones
     resolved = 0
 
     def push_ambiguities(i: int) -> None:
         li = rules[i].lhs
-        for amb in tables.left_overlaps(i, li) + tables.right_overlaps(i, li):
-            w = amb.witness
+        for a, b, w, k in tables.left_overlaps(i, li) + tables.right_overlaps(i, li):
             if len(w) <= max_degree:
-                heapq.heappush(heap, (order.key(w), amb.i, amb.j, amb.offset, w))
+                heapq.heappush(heap, (order.key(w), a, b, k, w))
             else:
-                beyond.add((amb.i, amb.j))
+                beyond.add((a, b))
 
     def new_rule(lhs: Word, rhs: NcPoly, trace: Trace) -> RewriteRule:
         if len(trace) > TRACE_BUDGET:
@@ -692,8 +711,10 @@ def complete(
         rhs_factors[rid] = set().union(*map(_factors, rule.rhs.terms))
 
     def add_rule(poly: NcPoly, trace: Trace) -> None:
-        memo.clear()
         lw, lc = poly.leading_term(order)
+        n = len(lw)
+        for u in [u for u in memo if len(u) >= n]:
+            del memo[u]
         inv = scalar(Fraction(1) / lc)  # an int for lc = ±1
         rhs = NcPoly.monomial(lw) - poly.scale(inv)
         rule = new_rule(lw, rhs, _scale_trace(trace, inv))

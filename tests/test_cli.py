@@ -152,6 +152,19 @@ def test_kernel_table_is_pinned_past_the_probe_degree(capsys):
     assert report["per_degree"] == [[1, 0, 1], [7, 0, 7], [14, 0, 14]] + tail
 
 
+@pytest.mark.parametrize(
+    "via, degree, report",
+    [
+        ("heis_to_va1", "1000", "heis_to_va1: exact to degree 1000 (candidates: x x x - x)\n"),
+        ("vir_to_va1", "2000", "vir_to_va1: exact to degree 2000 (candidates: y y - 1/4 y)\n"),
+    ],
+)
+def test_kernel_past_the_recursion_limit_answers(capsys, via, degree, report):
+    # the longest source word has more letters than the default recursion limit (1000) allows frames
+    code, out, err = run(capsys, "kernel", "--via", via, "--degree", degree)
+    assert (code, out, err) == (0, report, "")
+
+
 def test_kernel_negative_degree_exits_2(capsys):
     code, out, err = run(capsys, "kernel", "--via", "vp_to_va2", "--degree", "-1")
     assert code == 2 and out == ""

@@ -28,13 +28,13 @@ A unit row never holds another column, so back-substitution skips the
 unit rows.
 ``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
 a unit pivot or free entry, in ascending columns.  Coordinates in the
-quotient by the space, over its complement columns, are read from one
-table per space, ``RowSpace.quotient_images``: the image of each unit
-vector, built from its stored row on first use, so a vector's quotient
-coordinates are one sparse sum with no elimination.  ``quotient_map``
-sums through it, and ``induct.induce`` indexes it directly.  ``invert``
-adds the rows of ``[A | I]`` to a ``RowSpace``, so there is one
-elimination loop and one kernel routine.  All arithmetic is exact.
+quotient by the space, over its complement columns, are read one way:
+from one table per space, ``RowSpace.quotient_images``, the image of
+each unit vector, built from its stored row on first use, so a vector's
+quotient coordinates are one sparse sum with no elimination.
+``repmod.quotient_module`` and ``induct.induce`` sum through it.
+``invert`` adds the rows of ``[A | I]`` to a ``RowSpace``, so there is
+one elimination loop and one kernel routine.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ class RowSpace:
     that form.  Elimination is fraction-free (Bareiss 1968): a caller's
     vector is scaled once by the lcm of its denominators (an integral one
     is not rescaled), and each step cross-multiplies by the two pivot
-    entries divided by their gcd.  Only ``reduce``, ``basis``,
-    ``nullspace`` and the quotient images build ``Fraction`` values.
-    Supports incremental insertion, membership tests, reduction of a
-    sparse vector modulo the space and quotient coordinates.  ``pivots``
+    entries divided by their gcd.  Only ``basis``, ``nullspace`` and the
+    quotient images build ``Fraction`` values.  Supports incremental
+    insertion, membership tests and quotient coordinates.  ``pivots``
     is sorted and ``basis()`` lists rows by pivot column, so the basis is
     canonical and equality of subspaces is list equality.
 
@@ -109,8 +108,8 @@ class RowSpace:
         self._wide: dict[int, dict[int, int]] = {}  # the rows that are not unit rows
         self._images: LazyTable | None = None  # quotient_images(), built on first use
 
-    def _eliminate(self, vec: Sparse) -> tuple[dict[int, int], int]:
-        """Integers ``v`` and ``den > 0`` with ``v / den`` equal to ``vec`` modulo the space."""
+    def _eliminate(self, vec: Sparse) -> dict[int, int]:
+        """``vec`` reduced modulo the space, times a positive integer that makes every entry an integer."""
         try:
             den = lcm(*[x.denominator for x in vec.values()])
         except AttributeError:  # a float or another inexact value: only int and Fraction have a denominator
@@ -120,18 +119,11 @@ class RowSpace:
             v = {c: n for c, x in vec.items() if (n := x.numerator) and c not in units}
         else:
             v = {c: n * (den // x.denominator) for c, x in vec.items() if (n := x.numerator) and c not in units}
-        if not v:
-            return v, den
         rows = self.rows
         # a row is zero at every other pivot, so the pivots met are fixed upfront
         for p in [p for p in v if p in rows]:
-            den *= _cancel(v, rows[p], p)
-        return v, den
-
-    def reduce(self, vec: Sparse) -> Sparse:
-        """``vec`` modulo the space, as a new sparse vector of ``Fraction`` values."""
-        v, den = self._eliminate(vec)
-        return {c: Fraction(x, den) for c, x in v.items()}
+            _cancel(v, rows[p], p)
+        return v
 
     def quotient_images(self) -> dict[int, Sparse]:
         """The quotient coordinates of each unit vector ``e_c``, over ``complement_columns()``, filled on first use.
@@ -161,26 +153,9 @@ class RowSpace:
             self._images = LazyTable(image)
         return self._images
 
-    def quotient_map(self) -> Callable[[Sparse], Sparse]:
-        """The map of a vector to its coordinates modulo the space, over ``complement_columns()``.
-
-        The coordinates are summed from ``quotient_images()``, so they are
-        ``reduce(vec)`` read at the complement columns, with ``Fraction``
-        values.  The map is valid until the next ``add`` that grows the
-        space; after it, the map raises ``ValueError``.
-        """
-        images, dim = self.quotient_images(), self.dim
-
-        def to_quotient(vec: Sparse) -> Sparse:
-            if self.dim != dim:
-                raise ValueError("quotient map used after the space grew")
-            return linear_combination(vec, images)
-
-        return to_quotient
-
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if the dimension grew."""
-        row, _ = self._eliminate(vec)
+        row = self._eliminate(vec)
         if not row:
             return False
         p = min(row)
@@ -207,7 +182,7 @@ class RowSpace:
         return True
 
     def contains(self, vec: Sparse) -> bool:
-        return not self._eliminate(vec)[0]
+        return not self._eliminate(vec)
 
     @property
     def dim(self) -> int:
@@ -251,8 +226,8 @@ class LazyTable(dict):
         return value
 
 
-def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:
-    """Clear ``v[p]`` in place with integers only; returns the positive factor ``m`` that scaled ``v``.
+def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Clear ``v[p]`` in place with integers only, scaling ``v`` by a positive factor ``m``.
 
     With ``g = gcd(v[p], row[p])``, ``v`` becomes ``m·v - (v[p]/g)·row``
     for ``m = row[p]/g``, the smallest integer multiple that cancels.
@@ -264,7 +239,6 @@ def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:
         for c, x in v.items():
             v[c] = x * m
     _add_scaled(v, -(a // g), row)
-    return m
 
 
 def _make_primitive(row: dict[int, int], pivot: int) -> None:

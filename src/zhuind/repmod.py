@@ -338,6 +338,6 @@ def quotient_module(module: FinModule, space: RowSpace, label: str = "") -> FinM
             if not space.contains(linear_combination(v, cols)):
                 raise ValueError("subspace is not action-stable")
     comp = space.complement_columns()
-    to_quotient = space.quotient_map()
-    columns = [[to_quotient(cols[j]) for j in comp] for cols in module.columns]
+    images = space.quotient_images()
+    columns = [[linear_combination(cols[j], images) for j in comp] for cols in module.columns]
     return FinModule(module.owner, len(comp), columns, label or f"{module.label}/sub")

@@ -33,13 +33,7 @@ same words again and again; it is a loop over an explicit stack, so no
 result depends on the interpreter's recursion limit.  The heap loop of
 ``_rewrite`` lists the steps a trace is built from, draws random
 redexes, and takes over a polynomial the memo loop cannot finish within
-``LETTER_BUDGET``, the one budget of both loops.  On cold-memo words of
-6 to 8 letters over the six catalog algebras the stack loop takes about
-1.2 times as long as the memoised recursion it replaced, and the median
-benchmark round 1.06 times as long on ``completion`` and 1.02 times on
-``reduce`` (Python 3.11, 2 CPUs).  A memo per word in the heap loop was
-1.7 times slower (``a_va2``'s structure constants: 2.6 times) in a
-prototype.
+``LETTER_BUDGET``, the one budget of both loops.
 
 Ambiguities are looked up the same way, in ``AffixTables``: the proper
 prefixes, proper suffixes and factors of the left-hand sides, each to its
@@ -470,7 +464,9 @@ def _s_poly_is_zero(
     Its normal form is summed from ``_normal_form`` of the words of
     ``ri.rhs * suffix`` and ``prefix * rj.rhs``, without building the
     S-polynomial or any step.  The words share one ``LETTER_BUDGET``;
-    past it ``RuntimeError`` leaves the answer to ``_rewrite``.
+    past it ``RuntimeError`` leaves the answer to ``_rewrite``.  A pair
+    this test does not clear has its S-polynomial built and reduced once,
+    by ``complete``'s pending branch.
     """
     pre, suf = ri.lhs[: len(ri.lhs) - offset], rj.lhs[offset:]
     left = [LETTER_BUDGET]
@@ -612,12 +608,14 @@ def complete(
     trace explodes, or a reduction passes ``LETTER_BUDGET``.
 
     One loop turns pending polynomials into rules first, then resolves the
-    queued pair with the smallest witness; a nonzero reduced S-polynomial
-    becomes pending.  A pair is first tested by ``_s_poly_is_zero``, which
-    sums the S-polynomial's normal form from a memo of word normal forms
-    under the live rules; only a nonzero result, or a word whose normal
-    form runs past ``LETTER_BUDGET``, builds the S-polynomial and reduces
-    it by ``_rewrite`` for its steps.  Both loops rewrite a word at its
+    queued pair with the smallest witness.  A pair is first tested by
+    ``_s_poly_is_zero``, which sums the S-polynomial's normal form from a
+    memo of word normal forms under the live rules; only a nonzero result,
+    or a word whose normal form runs past ``LETTER_BUDGET``, builds the
+    S-polynomial and pushes it unreduced onto the pending list, with the
+    trace of its two steps.  The pending branch, next in the loop, reduces
+    it once by ``_rewrite`` for its steps, under the same rules, and makes
+    the rule (a result of 0 adds none).  Both loops rewrite a word at its
     leftmost, lowest-id redex through the same ``LhsIndex``, and the heap
     loop rewrites the greatest word first, so a word's coefficient is
     final when it is rewritten: its result is the sum of the memo's
@@ -734,9 +732,7 @@ def complete(
             if other_id == rid or lw not in rhs_factors[other_id]:
                 continue
             new_rhs, steps = _rewrite(other.rhs, {rid: rule}, order)
-            delta = _trace(steps)
-            if delta:
-                put(other_id, new_rule(other.lhs, new_rhs, other.trace + delta))
+            put(other_id, new_rule(other.lhs, new_rhs, other.trace + _trace(steps)))
         push_ambiguities(rid)
         if len(rules) > RULE_BUDGET:
             raise CompletionError("budget", f"more than {RULE_BUDGET} rules at degree bound {max_degree}")
@@ -763,9 +759,7 @@ def complete(
                 except RuntimeError:  # a word's memoised normal form past LETTER_BUDGET: the heap loop decides
                     pass
                 s, s_steps = _s_poly(Ambiguity("overlap", i, j, w, offset), rules)
-                s, steps = _rewrite(s, rules, order, index=index)
-                if not s.is_zero():  # the trace is built only for a kept S-polynomial
-                    pending.append((s, _trace(s_steps) + _trace(steps, -1)))
+                pending.append((s, _trace(s_steps)))  # reduced once, by the pending branch
     except RuntimeError as exc:  # _rewrite past LETTER_BUDGET; the zero test's overruns fall back above
         raise CompletionError("budget", f"{exc} at degree bound {max_degree}") from None
 

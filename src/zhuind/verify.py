@@ -405,12 +405,16 @@ CASES = [
 
 
 def run(case_ids: list[str] | None = None) -> list[CaseResult]:
+    """The results of the wanted cases (default: all), in table order; a case that raises is a FAIL."""
     wanted = set(case_ids) if case_ids else None
     results = []
     for cid, desc, prov, fn in CASES:
         if wanted is not None and cid not in wanted:
             continue
-        ok, expected, actual, details = fn()
+        try:
+            ok, expected, actual, details = fn()
+        except Exception as exc:  # a repr names the exception on one line: newlines in its message are escaped
+            ok, expected, actual, details = False, "a verdict", f"raised {exc!r}", []
         results.append(CaseResult(cid, desc, prov, "PASS" if ok else "FAIL", expected, actual, details))
     return results
 

@@ -127,6 +127,20 @@ def test_verify_known_defect_case_fails(capsys):
     assert "known source defect" in out
 
 
+def test_verify_reports_a_raising_case_as_a_fail_line(monkeypatch, capsys):
+    from zhuind import verify
+
+    def raising_case():
+        raise ValueError("first line\nsecond line")
+
+    monkeypatch.setattr(verify, "CASES", [(cid, desc, prov, raising_case if cid == "c01" else fn) for cid, desc, prov, fn in verify.CASES])
+    (result,) = verify.run(["c01"])
+    assert (result.status, result.actual) == ("FAIL", "raised ValueError('first line\\nsecond line')")
+    code, out, err = run(capsys, "verify", "c01")
+    assert code == 1 and "c01 [FAIL]" in out and "    actual:   raised ValueError(" in out
+    assert "Traceback" not in out + err and "0/1 cases PASS" in out
+
+
 def test_every_acceptance_row_is_a_reachable_case(capsys):
     from zhuind import verify
 

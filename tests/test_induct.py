@@ -21,7 +21,6 @@ from zhuind.induct import (
     kernel_action_radical,
     restrict,
 )
-from zhuind.linalg import RowSpace
 from zhuind.morphism import AlgebraMorphism, compose
 from zhuind.repmod import DecompositionRecord, check_module, decompose, hom_space, quotient_module
 
@@ -299,6 +298,10 @@ def _pairs(coords):
     return sorted(coords.items())
 
 
+def _dense(vec, n):
+    return [F(vec.get(c, 0)) for c in range(n)]
+
+
 def per_call_induce(m, kernel_gens, module, irreducibles, voa_labels):
     """induce as it was, building a_i * m(g) and g * a_i on every call: the reference, as a ``_summary``."""
     target = m.target
@@ -308,7 +311,7 @@ def per_call_induce(m, kernel_gens, module, irreducibles, voa_labels):
     if nm == 0:
         rec = DecompositionRecord((), 0)
         return dense_module(target, 0, {}).actions, [], 0, 0, rec, _voa_label(rec, voa_labels)
-    relations = RowSpace(nt * nm)
+    relations = DenseRowSpace(nt * nm)
     structure = target.structure
     gen_coords = [_pairs(target.coords(el.poly)) for el in m.images]
     for i, row in enumerate(structure):
@@ -321,14 +324,14 @@ def per_call_induce(m, kernel_gens, module, irreducibles, voa_labels):
                     if gmat[l][j]:
                         vec[i * nm + l] = vec.get(i * nm + l, 0) - gmat[l][j]
                 if any(vec.values()):
-                    relations.add(vec)
+                    relations.add(_dense(vec, nt * nm))
     comp = relations.complement_columns()
     qdim = len(comp)
-    pos = {flat: row for row, flat in enumerate(comp)}
 
     def quotient_column(coords, j, out, col):
-        for flat, x in relations.reduce({k * nm + j: x for k, x in coords}).items():
-            out[pos[flat]][col] = x
+        red = relations.reduce(_dense({k * nm + j: x for k, x in coords}, nt * nm))
+        for row, flat in enumerate(comp):
+            out[row][col] = red[flat]
 
     actions = {}
     for g in range(len(target.gen_names)):

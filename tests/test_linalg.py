@@ -37,6 +37,11 @@ def space_of(rows):
     return space
 
 
+def quotient(space, vec):
+    """The quotient coordinates of ``vec`` modulo ``space``: its sum through ``quotient_images()``."""
+    return linear_combination(vec, space.quotient_images())
+
+
 def dense_basis(space):
     return [dense(v, space.ncols) for v in space.basis()]
 
@@ -239,12 +244,10 @@ def test_rowspace_matches_dense_reference(a, rng):
     assert dense_kernel(space) == dense_nullspace(a)
     vecs = [vectors(ncols, rng) for _ in range(4)] + a
     for v in vecs:
-        assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
         assert space.contains(sp(v)) == ref.contains(v)
     # quotient coordinates: the reduced vector read at the complement columns
     comp = ref.complement_columns()
-    to_quotient = space.quotient_map()
-    assert [dense(to_quotient(sp(v)), len(comp)) for v in vecs] == [[ref.reduce(v)[c] for c in comp] for v in vecs]
+    assert [dense(quotient(space, sp(v)), len(comp)) for v in vecs] == [[ref.reduce(v)[c] for c in comp] for v in vecs]
 
 
 @SETTINGS
@@ -257,8 +260,9 @@ def test_rowspace_matches_dense_reference_on_large_denominators(a, rng):
         assert space.pivots == ref.pivots
         assert dense_basis(space) == ref.basis()
     assert dense_kernel(space) == dense_nullspace(a)
+    comp = ref.complement_columns()
     for v in a + [vectors(ncols, rng)] + [[f * x for x in row] for row in a for f in (7, Fraction(-5, 999983))]:
-        assert dense(space.reduce(sp(v)), ncols) == ref.reduce(v)
+        assert dense(quotient(space, sp(v)), len(comp)) == [ref.reduce(v)[c] for c in comp]
         assert space.contains(sp(v)) == ref.contains(v)
 
 
@@ -290,17 +294,16 @@ def test_rowspace_matches_dense_rref_on_single_entry_rows(a, rng):
         assert (dense_basis(space), space.pivots) == (red, pivots)
         assert_sparse(space.basis(), space.pivots)
         assert dense_kernel(space) == dense_nullspace(a)
-        to_quotient = space.quotient_map()
         for v in vecs:
             want = dense_reduce(red, pivots, v)
-            assert dense(space.reduce(sp(v)), ncols) == want
             assert space.contains(sp(v)) == (not any(want))
-            assert dense(to_quotient(sp(v)), len(comp)) == [want[c] for c in comp]
+            assert dense(quotient(space, sp(v)), len(comp)) == [want[c] for c in comp]
 
 
 @SETTINGS
 @given(unit_rich_matrices(), st.randoms(use_true_random=False))
 def test_quotient_map_matches_reduce_and_add_matches_dense_reference(a, rng):
+    # the quotient map is a vector's sum through quotient_images(); the reference reduces densely
     ncols = len(a[0])
     space, ref = RowSpace(ncols), DenseRowSpace(ncols)
     for row in a:
@@ -308,29 +311,28 @@ def test_quotient_map_matches_reduce_and_add_matches_dense_reference(a, rng):
         assert space.add(sp(row)) == ref.add(row)
         assert (dense_basis(space), space.pivots) == (ref.basis(), ref.pivots)
         assert space.unit_pivots == {p for p, r in zip(ref.pivots, ref.rows) if sum(map(bool, r)) == 1}
-    pos = {c: i for i, c in enumerate(space.complement_columns())}
-    to_quotient = space.quotient_map()
+    comp = space.complement_columns()
     probes = [{c: 1} for c in range(ncols)] + [sp(row) for row in a] + [sp(vectors(ncols, rng)) for _ in range(4)]
     probes += [{c: rng.randint(-5, 5) for c in range(ncols)} for _ in range(2)]  # integer values
     for v in probes:
-        want = {pos[c]: (x, type(x)) for c, x in space.reduce(v).items()}
-        assert {k: (x, type(x)) for k, x in to_quotient(v).items()} == want
+        got = quotient(space, v)
+        assert dense(got, len(comp)) == [ref.reduce(dense(v, ncols))[c] for c in comp]
+        assert all(type(x) is Fraction for x in got.values())
 
 
 def test_quotient_map_refuses_use_after_the_space_grew():
     space = RowSpace(3)
     space.add({0: 1, 1: 2})
-    to_quotient, images = space.quotient_map(), space.quotient_images()
-    assert to_quotient({0: 1}) == {0: Fraction(-2)}  # over the complement columns 1 and 2
-    assert not space.add({0: 2, 1: 4})  # the space did not grow, so the map stays valid
-    assert to_quotient({0: 1, 2: 3}) == {0: Fraction(-2), 1: Fraction(3)}
+    images = space.quotient_images()
+    assert linear_combination({0: 1}, images) == {0: Fraction(-2)}  # over the complement columns 1 and 2
+    assert not space.add({0: 2, 1: 4})  # the space did not grow, so the table stays valid
+    assert space.quotient_images() is images
+    assert linear_combination({0: 1, 2: 3}, images) == {0: Fraction(-2), 1: Fraction(3)}
     assert space.add({2: 1})
-    with pytest.raises(ValueError, match="grew"):
-        to_quotient({0: 1})
     with pytest.raises(ValueError, match="grew"):
         images[1]  # a column the stale table has not filled
     assert space.quotient_images() is not images
-    assert space.quotient_map()({0: 1, 2: 3}) == {0: Fraction(-2)}
+    assert quotient(space, {0: 1, 2: 3}) == {0: Fraction(-2)}
 
 
 def assert_rows_primitive(space):
@@ -361,12 +363,12 @@ def test_rowspace_rows_stay_primitive(a, rng):
         assert all(x == unit[c] * row[p] for c, x in row.items())
 
 
-def test_rowspace_reduce_gives_fractions_on_integer_input():
+def test_quotient_images_give_fractions_on_integer_input():
     space = RowSpace(3)
-    assert all(type(x) is Fraction for x in space.reduce({0: 4, 2: -6}).values())
+    assert all(type(x) is Fraction for x in quotient(space, {0: 4, 2: -6}).values())
     assert space.add({0: 2, 1: 4})
-    out = space.reduce({0: 1, 1: 1, 2: 3})
-    assert out == {1: Fraction(-1), 2: Fraction(3)}
+    out = quotient(space, {0: 1, 1: 1, 2: 3})
+    assert out == {0: Fraction(-1), 1: Fraction(3)}  # over the complement columns 1 and 2
     assert all(type(x) is Fraction for x in out.values())
     assert space.rows == {0: {0: 1, 1: 2}}
 
@@ -386,9 +388,10 @@ def test_rowspace_matches_sympy(a, rng):
     for v in [vectors(ncols, rng) for _ in range(4)]:
         inside = sympy.Matrix(a + [v]).rank() == r
         assert space.contains(sp(v)) == inside
-        red_v = dense(space.reduce(sp(v)), ncols)
-        assert all(red_v[p] == 0 for p in pivots)
-        # v - reduce(v) lies in the space
+        # the quotient coordinates placed at the complement columns: v reduced, so v minus them lies in the space
+        red_v = [Fraction(0)] * ncols
+        for c, x in zip(space.complement_columns(), dense(quotient(space, sp(v)), ncols - r)):
+            red_v[c] = x
         assert sympy.Matrix(a + [[x - y for x, y in zip(v, red_v)]]).rank() == r
 
 
@@ -415,7 +418,7 @@ def test_rowspace_leaves_caller_vectors_alone(a, rng):
     for v in [sp(row) for row in a] + [sp(vectors(ncols, rng)) for _ in range(4)]:
         before = list(v.items())
         space.contains(v)
-        space.reduce(v)
+        quotient(space, v)
         space.add(v)
         assert list(v.items()) == before
 
@@ -424,7 +427,8 @@ def test_rowspace_drops_explicit_zeros():
     space = RowSpace(3)
     assert space.add({0: Fraction(0), 2: Fraction(3)})
     assert space.pivots == [2]
-    assert space.reduce({0: Fraction(0), 1: Fraction(1), 2: Fraction(5)}) == {1: 1}
+    assert space.contains({0: Fraction(0), 2: Fraction(5)})
+    assert quotient(space, {0: Fraction(0), 1: Fraction(1), 2: Fraction(5)}) == {1: 1}
     assert space.nullspace() == [{0: 1}, {1: 1}]
 
 
@@ -439,7 +443,7 @@ def test_rowspace_integer_input_gives_fraction_rows():
     assert all(type(x) is Fraction for v in space.basis() for x in v.values())
 
 
-@pytest.mark.parametrize("method", ["add", "contains", "reduce"])
+@pytest.mark.parametrize("method", ["add", "contains"])
 def test_rowspace_refuses_a_binary_float(method):
     space = RowSpace(2)
     space.add({1: 1})
@@ -449,7 +453,7 @@ def test_rowspace_refuses_a_binary_float(method):
 
 
 @pytest.mark.parametrize("vec", [{1: 0.5}, {0: 1, 1: 2.0}, {1: 0.25, 2: 1}])
-@pytest.mark.parametrize("method", ["add", "contains", "reduce"])
+@pytest.mark.parametrize("method", ["add", "contains"])
 def test_rowspace_refuses_a_binary_float_at_a_single_entry_column(method, vec):
     # column 1 holds the row {1: 1}, so it is zero modulo the space; a float there is still refused
     space = RowSpace(3)
@@ -464,4 +468,4 @@ def test_empty_inputs():
     assert RowSpace(0).basis() == [] and RowSpace(0).nullspace() == []
     assert space_of([[Fraction(0)] * 3]).dim == 0
     assert space_of([[Fraction(0), Fraction(0)]]).nullspace() == [{0: 1}, {1: 1}]
-    assert dense(RowSpace(2).reduce(sp([Fraction(1), Fraction(2)])), 2) == [1, 2]
+    assert dense(quotient(RowSpace(2), sp([Fraction(1), Fraction(2)])), 2) == [1, 2]

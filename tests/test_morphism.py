@@ -122,6 +122,23 @@ def test_composition_images_generatorwise():
         assert img.poly == m2.apply_poly(m1.images[g].poly)
 
 
+@pytest.mark.parametrize("mor_id", catalog.MORPHISM_IDS)
+def test_apply_poly_reduces_once_per_letter(monkeypatch, mor_id):
+    # apply_word reduces once per letter; the sum of its normal forms is already normal, so no final reduce
+    m = catalog.morphism(mor_id)
+    calls = []
+    reduce_tgt = m.target.system.reduce
+    monkeypatch.setattr(m.target.system, "reduce", lambda p: calls.append(p) or reduce_tgt(p))
+    words = normal_words(m.source, 3)
+    polys = [*m.source.presentation.relations, *(c.poly for c in catalog.kernel_candidates(mor_id))]
+    polys += [NcPoly({w: Fraction(i + 1, 2) for i, w in enumerate(words[k::3])}) for k in range(3)]
+    for p in polys:
+        calls.clear()
+        out = m.apply_poly(p)
+        assert len(calls) == sum(len(w) for w in p.terms)
+        assert list(out.terms.items()) == list(reduce_tgt(out).terms.items())
+
+
 def test_composite_kernel_contains_first_factor_kernel():
     comp = catalog.morphism("heis_to_va2")
     for cand in catalog.kernel_candidates("heis_to_va1"):
@@ -305,9 +322,12 @@ def test_certify_kernel_multiplies_coordinates_without_sandwiches(monkeypatch):
 @pytest.mark.parametrize("mor_id, fam, param", [("vp_to_va2", "vp_mod_Uhalf", Fraction(1, 2)), ("heis_to_va1", "heis_mod", Fraction(2))])
 def test_induce_reads_quotient_images_without_reducing(monkeypatch, mor_id, fam, param):
     # the first induces a 3-dimensional module, the second quotients a 1-dimensional module by its kernel radical
+    # every elimination is an add or a membership test: no quotient column is reduced
     m = catalog.morphism(mor_id)
     calls = []
-    reduce = RowSpace.reduce
-    monkeypatch.setattr(RowSpace, "reduce", lambda space, vec: calls.append(vec) or reduce(space, vec))
+    for name in ("_eliminate", "add", "contains"):
+        method = getattr(RowSpace, name)
+        monkeypatch.setattr(RowSpace, name, lambda space, vec, name=name, method=method: calls.append(name) or method(space, vec))
     result = induce(m, list(catalog.kernel_candidates(mor_id)), catalog.module(fam, (param,)))
-    assert calls == [] and result.dim == {"vp_to_va2": 3, "heis_to_va1": 0}[mor_id]
+    assert calls.count("_eliminate") == calls.count("add") + calls.count("contains") > 0
+    assert result.dim == {"vp_to_va2": 3, "heis_to_va1": 0}[mor_id]

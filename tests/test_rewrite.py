@@ -1191,6 +1191,26 @@ def test_complete_rereduces_only_right_hand_sides_the_new_rule_rewrites(monkeypa
         assert deltas and all(deltas)  # a_va2 rebuilds 11 right-hand sides and a_vp 2; each call rewrote something
 
 
+@pytest.mark.parametrize("alg_id", ["vb", "a_va1", "a_va2", "a_vp"])  # heis and vir have no relations
+def test_complete_reduces_each_kept_s_polynomial_once(monkeypatch, alg_id):
+    # a pair the zero test does not clear goes to pending unreduced, and the pending pass is its one _rewrite
+    returned, passed_again = [], []
+    rewrite_ = rewrite._rewrite
+
+    def recording_rewrite(p, *args, **kwargs):
+        if any(p is out for out in returned):
+            passed_again.append(p)
+        out = rewrite_(p, *args, **kwargs)
+        returned.append(out[0])  # kept alive, so no later object reuses its id
+        return out
+
+    monkeypatch.setattr(rewrite, "_rewrite", recording_rewrite)
+    pres = catalog.presentation(alg_id)
+    system = complete(list(pres.relations), pres.order, catalog.COMPLETION_DEGREE[alg_id])
+    assert system.rules == catalog.algebra(alg_id).system.rules
+    assert returned and passed_again == []
+
+
 def test_rewrite_and_complete_leave_inputs_and_rules_unchanged(monkeypatch):
     # _rewrite writes into a copy of its input, never into the input or a rule's right-hand side
     rng = random.Random(31)

@@ -25,7 +25,13 @@ and Odlyzko 1990).  Dropping the entry is exactly the cancellation
 against that row, and the reduced row echelon form is unique, so every
 result is the one full elimination gives.
 A unit row never holds another column, so back-substitution skips the
-unit rows.
+unit rows, and elimination, which drops the unit pivots first, meets only
+the wide rows (the rows that are not unit rows).
+Two kinds of vector skip elimination: an empty vector, and a one-entry
+vector ``{p: x}`` whose column is not a wide pivot, which adds nothing
+(x is 0 or p a unit pivot) or becomes the unit row ``{p: 1}``.  Many
+tensor equations of ``induct.induce`` and ``repmod.hom_space`` are
+one-entry vectors.
 ``RowSpace.basis`` and ``RowSpace.nullspace`` return sparse vectors with
 a unit pivot or free entry, in ascending columns.  Coordinates in the
 quotient by the space, over its complement columns, are read one way:
@@ -93,11 +99,22 @@ class RowSpace:
     joins it when it is added with a single entry or when back-substitution
     shrinks it to one, and it never leaves: a unit row has no entry at
     another column, so no later row changes it, and ``add`` back-substitutes
-    a new pivot only into the other rows.  ``_eliminate`` checks the
-    type and denominator of every entry first, so a float at a unit pivot
-    still raises ``TypeError``, then drops the entries at unit pivots.  That
-    drop is the cancellation against the unit row, so the stored rows, and
-    every result, are those of elimination without it.
+    a new pivot only into the other rows, the wide rows.  ``_eliminate``
+    checks the type and denominator of every entry first, so a float at a
+    unit pivot still raises ``TypeError``, then drops the entries at unit
+    pivots and cancels against the wide rows alone.  That drop is the
+    cancellation against the unit row, so the stored rows, and every
+    result, are those of elimination without it.
+
+    ``add`` answers two kinds of vector without ``_eliminate``'s work.  An
+    empty vector adds nothing.  A one-entry vector ``{p: x}`` off the wide
+    pivots has its scalar checked (a float raises ``TypeError``), adds
+    nothing when x is 0 or p is a unit pivot, and otherwise is its own
+    reduced row ``{p: 1}``: p is not a pivot, so no row cancels it, and
+    back-substituting it deletes column p from the wide rows that hold
+    it.  At a wide pivot p, ``{p: x}`` reduces to the rest of that row and
+    takes the full path.  The reduced echelon form is unique, so either
+    way the rows are those the full elimination stores.
     """
 
     def __init__(self, ncols: int):
@@ -110,19 +127,21 @@ class RowSpace:
 
     def _eliminate(self, vec: Sparse) -> dict[int, int]:
         """``vec`` reduced modulo the space, times a positive integer that makes every entry an integer."""
+        if not vec:
+            return {}
         try:
             den = lcm(*[x.denominator for x in vec.values()])
         except AttributeError:  # a float or another inexact value: only int and Fraction have a denominator
-            raise TypeError(f"exact scalars only: {vec!r} holds a value that is not an int or a Fraction") from None
+            raise _inexact(vec) from None
         units = self.unit_pivots
         if den == 1:  # an integral vector needs no rescale
             v = {c: n for c, x in vec.items() if (n := x.numerator) and c not in units}
         else:
             v = {c: n * (den // x.denominator) for c, x in vec.items() if (n := x.numerator) and c not in units}
-        rows = self.rows
-        # a row is zero at every other pivot, so the pivots met are fixed upfront
-        for p in [p for p in v if p in rows]:
-            _cancel(v, rows[p], p)
+        wide = self._wide
+        # the unit pivots are dropped and a row is zero at every other pivot, so the wide pivots met are fixed upfront
+        for p in [p for p in v if p in wide]:
+            _cancel(v, wide[p], p)
         return v
 
     def quotient_images(self) -> dict[int, Sparse]:
@@ -155,17 +174,29 @@ class RowSpace:
 
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if the dimension grew."""
-        row = self._eliminate(vec)
-        if not row:
-            return False
-        p = min(row)
-        _make_primitive(row, p)
+        if len(vec) == 1 and (p := next(iter(vec))) not in self._wide:
+            try:
+                zero = not vec[p].numerator
+            except AttributeError:  # as in _eliminate: only int and Fraction are exact
+                raise _inexact(vec) from None
+            if zero or p in self.unit_pivots:
+                return False
+            row = {p: 1}
+        else:
+            row = self._eliminate(vec)
+            if not row:
+                return False
+            p = min(row)
+            _make_primitive(row, p)
         units, wide = self.unit_pivots, self._wide
         # a unit row {q: 1} never holds p, so only the wider rows are back-substituted
         shrunk = []
         for q, other in wide.items():
             if p in other:
-                _cancel(other, row, p)
+                if len(row) == 1:  # the cancellation against {p: 1} deletes column p
+                    del other[p]
+                else:
+                    _cancel(other, row, p)
                 _make_primitive(other, q)
                 if len(other) == 1:
                     shrunk.append(q)
@@ -211,6 +242,10 @@ class RowSpace:
 
 
 _ONE = Fraction(1)
+
+
+def _inexact(vec: Sparse) -> TypeError:
+    return TypeError(f"exact scalars only: {vec!r} holds a value that is not an int or a Fraction")
 
 
 class LazyTable(dict):

@@ -34,7 +34,7 @@ class KernelCertificate(FrozenRecord):
     degree: int
     # per degree: (source slice dim, ideal slice dim, image rank)
     table: tuple[tuple[int, int, int], ...]
-    # ideal products reduced; a work count, not part of the certificate
+    # ideal rows formed (products and candidates); a work count, not part of the certificate
     products: int
 
     def __new__(cls, status: str, degree: int, table: tuple[tuple[int, int, int], ...], products: int = 0) -> "KernelCertificate":
@@ -178,8 +178,10 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     has degree <= d, so the ideal's dimension is the ideal-slice
     dimension; the span at every degree is the one every sandwich gives,
     so the table does not depend on which products are reduced, only on
-    the span.  ``products`` counts the ideal products reduced, candidates
-    included.
+    the span.  ``products`` counts the ideal rows formed: the products and
+    the candidates.  A candidate's coordinates are read from the normal
+    form its ``Element`` stores, with no reduction, and a word there that
+    is not normal raises ``ValueError``.
 
     The ideal rows are kept as coordinate vectors over the source words.
     ``reduce`` is linear, so ``g·p`` for a row ``p = sum c_w w`` is
@@ -205,6 +207,13 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     def coords(p: NcPoly) -> Sparse:
         return {index[w]: c for w, c in p.terms.items()}
 
+    def candidate_coords(cand: Element) -> Sparse:
+        """The coordinates of the normal form ``cand`` stores: an ``Element`` is reduced, so no ``reduce`` runs."""
+        try:
+            return coords(cand.poly)
+        except KeyError:  # a word that is not normal: the element was built around its invariant
+            raise ValueError(f"kernel candidate {cand!r} is not in normal form") from None
+
     def word_products(left: Word, right: Word) -> LazyTable:
         """Source word index j -> coordinates of ``reduce_word(left + words[j] + right)``, reduced on first use."""
         return LazyTable(lambda j: coords(system.reduce_word(left + src_words[j] + right)))
@@ -222,7 +231,7 @@ def certify_kernel(m: AlgebraMorphism, candidates: list[Element], degree: int) -
     for d in range(degree + 1):
         # every term has length <= d <= degree, so every word has a column
         prods = [linear_combination(p, products_by) for p in grown for products_by in times]
-        prods += [coords(system.reduce(cand.poly)) for cand in candidates if cand.poly.degree() == d]
+        prods += [candidate_coords(cand) for cand in candidates if cand.poly.degree() == d]
         products += len(prods)
         grown = [p for p in prods if ideal.add(p)]
         slice_rows = [row for w, row in zip(src_words, img_rows) if len(w) == d]

@@ -182,3 +182,19 @@ class DenseRowSpace:
     def complement_columns(self):
         pivot_set = set(self.pivots)
         return [i for i in range(self.ncols) if i not in pivot_set]
+
+    def nullspace(self):
+        """One vector per free column fc, ascending: 1 at fc and minus column fc of each reduced row at its pivot."""
+        out = []
+        for fc in self.complement_columns():
+            v = [Fraction(0)] * self.ncols
+            v[fc] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[fc]
+            out.append(v)
+        return out
+
+    def quotient_images(self):
+        """Per column c, the unit vector e_c reduced and read at the complement columns."""
+        comp = self.complement_columns()
+        return [[self.reduce(unit)[c] for c in comp] for unit in identity(self.ncols)]

@@ -12,7 +12,7 @@ test rows are converted with ``sp`` at each call and the results with
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +361,80 @@ def test_rowspace_rows_stay_primitive(a, rng):
     for (p, row), unit in zip(sorted(space.rows.items()), space.basis()):
         assert unit.keys() == row.keys()
         assert all(x == unit[c] * row[p] for c, x in row.items())
+
+
+# the kinds of column a short vector can meet: unit pivots, wide pivots, the other columns of a wide row, and the
+# columns that no row holds
+KINDS = ("unit", "wide", "inside", "fresh")
+EXACT = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=7)
+
+
+def columns_of_kind(space, kind):
+    wide = [p for p in space.pivots if p not in space.unit_pivots]
+    if kind == "unit":
+        return sorted(space.unit_pivots)
+    if kind == "wide":
+        return wide
+    if kind == "inside":
+        return sorted({c for p in wide for c in space.rows[p]} - set(space.pivots))
+    return [c for c in range(space.ncols) if not any(c in row for row in space.rows.values())]
+
+
+def snapshot(space):
+    return {p: dict(row) for p, row in space.rows.items()}, list(space.pivots), set(space.unit_pivots)
+
+
+def primitive(row):
+    """The dense reduced row ``row`` as a sparse primitive integer row, positive at its pivot."""
+    den = lcm(*(x.denominator for x in row if x))
+    ints = {c: int(x * den) for c, x in enumerate(row) if x}
+    g = gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()}
+
+
+def assert_same_space(space, ref):
+    """Every view of ``space`` equals the dense reference's: rows, pivots, unit pivots, basis, kernel, quotient images."""
+    ncols = space.ncols
+    assert space.pivots == ref.pivots
+    assert space.rows == {p: primitive(row) for p, row in zip(ref.pivots, ref.rows)}
+    assert space.unit_pivots == {p for p, row in zip(ref.pivots, ref.rows) if sum(map(bool, row)) == 1}
+    assert dense_basis(space) == ref.basis()
+    assert dense_kernel(space) == ref.nullspace()
+    images, comp = space.quotient_images(), len(ref.complement_columns())
+    assert [dense(images[c], comp) for c in range(ncols)] == ref.quotient_images()
+
+
+@SETTINGS
+@given(st.integers(1, 7), st.data())
+def test_rowspace_matches_dense_reference_on_short_vectors(ncols, data):
+    # empty, one-entry and two-entry vectors aimed at each kind of column, with int and Fraction values, negative
+    # values and explicit zeros: add answers a one-entry vector off the wide pivots without eliminating; a few
+    # three-entry vectors make wide rows that deleting one column leaves wide
+    space, ref = RowSpace(ncols), DenseRowSpace(ncols)
+    for _ in range(data.draw(st.integers(1, 12), label="length")):
+        vec = {}
+        for _ in range(data.draw(st.integers(0, 3), label="entries")):
+            kind = data.draw(st.sampled_from(KINDS), label="kind")
+            vec[data.draw(st.sampled_from(columns_of_kind(space, kind) or range(ncols)), label=kind)] = data.draw(EXACT)
+        before = list(vec.items())
+        assert space.contains(vec) == ref.contains(dense(vec, ncols))
+        assert space.add(vec) == ref.add(dense(vec, ncols))
+        assert list(vec.items()) == before
+        assert_same_space(space, ref)
+
+
+@pytest.mark.parametrize("value", [0.5, -2.0, 0.0])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("method", ["add", "contains"])
+def test_rowspace_refuses_a_float_in_a_one_entry_vector(method, kind, value):
+    space = RowSpace(5)
+    space.add({0: 2, 1: 4, 2: 1})  # the wide pivot 0, with columns 1 and 2 inside its row
+    space.add({3: Fraction(-3, 2)})  # the unit pivot 3; column 4 is fresh
+    (col,) = columns_of_kind(space, kind)[:1]
+    state = snapshot(space)
+    with pytest.raises(TypeError, match="exact scalars only"):
+        getattr(space, method)({col: value})
+    assert snapshot(space) == state
 
 
 def test_quotient_images_give_fractions_on_integer_input():

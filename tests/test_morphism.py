@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhuind import catalog
-from zhuind.algebra import AlgebraHandle, Presentation, normal_words
+from zhuind.algebra import AlgebraHandle, Element, Presentation, normal_words
 from zhuind.freealg import MonomialOrder, NcPoly
 from zhuind.induct import induce
 from zhuind.iolang import format_poly
@@ -105,6 +106,40 @@ def test_certify_kernel_parabolic():
     cert = certify_kernel(catalog.morphism("vp_to_va2"), list(catalog.kernel_candidates("vp_to_va2")), 8)
     assert cert.status == "exact"
     assert cert.table[-1][2] == 15
+
+
+# each catalog certificate at its probe degree: (table, products)
+CATALOG_CERTIFICATES = {
+    "heis_to_va1": (((1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 1, 3), (5, 2, 3), (6, 3, 3), (7, 4, 3), (8, 5, 3), (9, 6, 3), (10, 7, 3), (11, 8, 3)), 15),
+    "vb_to_va1": (((1, 0, 1), (3, 0, 3), (4, 0, 4), (5, 1, 4), (6, 2, 4), (7, 3, 4), (8, 4, 4), (9, 5, 4), (10, 6, 4), (11, 7, 4), (12, 8, 4)), 29),
+    "vir_to_va1": (((1, 0, 1), (2, 0, 2), (3, 1, 2), (4, 2, 2), (5, 3, 2), (6, 4, 2), (7, 5, 2), (8, 6, 2), (9, 7, 2), (10, 8, 2), (11, 9, 2)), 17),
+    "va1_to_va2": (((1, 0, 1),), 0),
+    "vp_to_va2": (((1, 0, 1), (7, 0, 7), (14, 0, 14), (19, 4, 15), (24, 9, 15), (29, 14, 15), (34, 19, 15), (39, 24, 15), (44, 29, 15)), 292),
+    "heis_to_va2": (((1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 1, 3), (5, 2, 3), (6, 3, 3), (7, 4, 3), (8, 5, 3), (9, 6, 3), (10, 7, 3), (11, 8, 3)), 15),
+}
+
+
+@pytest.mark.parametrize("mor_id", catalog.MORPHISM_IDS)
+def test_certify_kernel_reads_candidates_from_their_normal_forms(monkeypatch, mor_id):
+    # an Element stores its normal form, so certify_kernel reads a candidate's coordinates without reducing it
+    m = catalog.morphism(mor_id)
+    cands = list(catalog.kernel_candidates(mor_id))
+    calls = []
+    for system in {id(s): s for s in (m.source.system, m.target.system)}.values():
+        monkeypatch.setattr(system, "reduce", lambda p, reduce=system.reduce: calls.append(p) or reduce(p))
+    cert = certify_kernel(m, cands, catalog.KERNEL_PROBE_DEGREE[mor_id])
+    assert (cert.table, cert.products) == CATALOG_CERTIFICATES[mor_id]
+    assert not any(p == cand.poly for p in calls for cand in cands)
+    assert all(c.poly.terms for c in cands)  # no candidate is zero, so the check above sees each of them
+
+
+def test_certify_kernel_refuses_a_candidate_outside_normal_form():
+    # y y reduces to 0 in vb, so it maps to 0; as an Element built without reduce it breaks the normal-form invariant
+    m = catalog.morphism("vb_to_va1")
+    yy = NcPoly({(1, 1): 1})
+    assert m.source.system.reduce(yy).is_zero() and m.apply_poly(yy).is_zero()
+    with pytest.raises(ValueError, match="kernel candidate y y is not in normal form"):
+        certify_kernel(m, [Element(m.source, yy)], 4)
 
 
 def test_certify_kernel_rejects_non_kernel_candidate(va1):
@@ -322,12 +357,12 @@ def test_certify_kernel_multiplies_coordinates_without_sandwiches(monkeypatch):
 @pytest.mark.parametrize("mor_id, fam, param", [("vp_to_va2", "vp_mod_Uhalf", Fraction(1, 2)), ("heis_to_va1", "heis_mod", Fraction(2))])
 def test_induce_reads_quotient_images_without_reducing(monkeypatch, mor_id, fam, param):
     # the first induces a 3-dimensional module, the second quotients a 1-dimensional module by its kernel radical
-    # every elimination is an add or a membership test: no quotient column is reduced
+    # every elimination comes from an add or a membership test: no quotient column is reduced
+    # (add answers some one-entry vectors without eliminating, so the callers are recorded, not the call counts)
     m = catalog.morphism(mor_id)
-    calls = []
-    for name in ("_eliminate", "add", "contains"):
-        method = getattr(RowSpace, name)
-        monkeypatch.setattr(RowSpace, name, lambda space, vec, name=name, method=method: calls.append(name) or method(space, vec))
+    callers = []
+    eliminate = RowSpace._eliminate
+    monkeypatch.setattr(RowSpace, "_eliminate", lambda space, vec: callers.append(sys._getframe(1).f_code.co_name) or eliminate(space, vec))
     result = induce(m, list(catalog.kernel_candidates(mor_id)), catalog.module(fam, (param,)))
-    assert calls.count("_eliminate") == calls.count("add") + calls.count("contains") > 0
+    assert callers and set(callers) <= {"add", "contains"}
     assert result.dim == {"vp_to_va2": 3, "heis_to_va1": 0}[mor_id]
